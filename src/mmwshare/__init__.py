@@ -9,28 +9,26 @@ aggregates Monte Carlo samples, and `experiment`/`cli` orchestrate runs.
 """
 
 from .allocation import (NONE, Association, InstanceSizeError, RateParams,
-                         UserResult, assignment_objective, associate_blind,
-                         compute_sinr, coordinated_upper_bound, network_sinr,
-                         split_bandwidth, user_rate)
+                         assignment_objective, associate_blind, compute_sinr,
+                         coordinated_upper_bound, network_sinr, split_bandwidth,
+                         user_rate)
 from .analytic import (REGIMES, ScalingInputs, bandwidth_per_ue,
                        nearest_distance_scaling, outage_fraction,
                        rate_scaling_exponent)
-from .channel import (AntennaModel, ChannelParams, LinkSample, LinkState,
-                      LinkTable, beam_gain_db, draw_link_states,
-                      friis_intercept_db, link_state, noise_power_dbm,
-                      outage_radius_m, path_loss_db, realize_link,
+from .channel import (AntennaModel, ChannelParams, LinkState, LinkTable,
+                      beam_gain_db, draw_link_states, friis_intercept_db,
+                      noise_power_dbm, outage_radius_m, path_loss_db,
                       state_probabilities)
 from .config import (SPEC_REVISION, ConfigError, ExperimentConfig, config_hash,
                      default_config, load_config, save_config)
 from .experiment import (DropOutcome, GapRow, ScenarioRunResult, run_drop,
                          run_gap, run_scenarios)
 from .geometry import (Deployment, Region, avg_cell_radius_m, deploy_operator,
-                       deploy_ppp, distance, mix_seed, pairwise_distance_km,
-                       wrapped_delta)
+                       deploy_ppp, mix_seed, wrapped_delta)
 from .metrics import (EmpiricalCdf, SweepResult, cdf, fit_scaling_exponent,
                       outage_rate, percentile, run_sweep)
 from .scenario import (SCENARIO_KINDS, AccessMatrix, RealizedScenario, Scenario,
-                       SpectrumPools, build_scenario, co_locate,
+                       SpectrumPools, access_matrix, build_scenario, co_locate,
                        shared_bs_selection)
 
 __version__ = "0.1.0"

@@ -1,23 +1,24 @@
 """User association, bandwidth splitting, SINR, and per-user rate.
 
-Two allocators are provided:
+The drop engine associates users one way, blindly: each UE attaches to
+the accessible BS with the highest long-term received power, ignoring
+interference. A brute-force coordinated upper bound (exhaustive search
+over all UE -> accessible-BS assignments, re-evaluating loads, bandwidth
+splits and interference for each, maximizing a declared objective) serves
+only the small instances of the coordination-gap study.
 
-- the blind allocator: each UE attaches to the accessible BS with the
-  highest long-term received power, ignoring interference;
-- a brute-force coordinated upper bound: exhaustive search over all
-  UE -> accessible-BS assignments, re-evaluating loads, bandwidth splits
-  and interference for each, maximizing a declared objective.
-
-Interference is deterministic given positions and an association: every
-loaded BS aims its mainlobe at its lowest-index attached UE, every victim
-UE aims at its serving BS, and off-boresight angles come from the true
-(torus) geometry. Transmitters mounted at the victim's serving site are
-scheduled orthogonally by the shared site and add no interference (this
-only triggers under co-located deployments, where the victim's receive
-mainlobe would otherwise point straight at the co-sited array). Per-UE
+Interference has one model, deterministic given positions and an
+association: every loaded BS aims its mainlobe at its lowest-index
+attached UE, every victim UE aims at its serving BS, and off-boresight
+angles come from the true (torus) geometry. Transmitters mounted at the
+victim's serving site are scheduled orthogonally by the shared site and
+add no interference (this only triggers under co-located deployments,
+where the victim's receive mainlobe would otherwise point straight at
+the co-sited array). Per-UE
 SINR has a scalar reference implementation (`compute_sinr`,
 ascending-index accumulation in linear units) that the search optimizes;
-a vectorized equivalent handles Monte Carlo volume.
+a vectorized equivalent (`network_sinr`) handles Monte Carlo volume and
+reads its geometry from the `LinkTable`.
 """
 from __future__ import annotations
 
@@ -65,13 +66,6 @@ class Association:
     serving_bs: np.ndarray      # (U,) int64, NONE where unassociated
     ue_bandwidth_hz: np.ndarray  # (U,) float, 0 where unassociated
     load: np.ndarray            # (B,) int64
-
-
-@dataclass
-class UserResult:
-    sinr_db: float              # -inf for an unassociated user
-    rate_bps: float
-    in_outage: bool
 
 
 def associate_blind(links: LinkTable, access_bu: np.ndarray) -> Association:
@@ -183,7 +177,9 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
     """Vectorized linear SINR for every UE (0 where unassociated).
 
     Same model as `compute_sinr`; linear sums run in numpy order, so
-    agreement with the scalar path is to rounding, not bit-exact.
+    agreement with the scalar path is to rounding, not bit-exact. All
+    geometry comes from `links.delta_km`; arccos angles already lie in
+    [0, 180], so `beam_gain_db` applies the sectored pattern unchanged.
     """
     n_bs, n_ue = links.n_bs, links.n_ue
     gamma = np.zeros(n_ue)
@@ -195,8 +191,7 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
     targets = interferer_targets(s, n_bs)
     active = assoc.load > 0
 
-    delta = wrapped_delta(links.bs_xy[:, None, :], links.ue_xy[None, :, :],
-                          links.region)          # (B, U, 2), bs -> ue
+    delta = links.delta_km                        # (B, U, 2), bs -> ue
     norm = np.hypot(delta[..., 0], delta[..., 1])
 
     bore = delta[np.arange(n_bs), np.clip(targets, 0, None)]   # (B, 2)
@@ -204,8 +199,8 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
         cos_bs = (np.einsum("bk,buk->bu", bore, delta)
                   / (np.hypot(bore[:, 0], bore[:, 1])[:, None] * norm))
     ang_bs = np.degrees(np.arccos(np.clip(np.nan_to_num(cos_bs, nan=1.0), -1.0, 1.0)))
-    gt = np.where(ang_bs <= ant.bs_beamwidth_deg / 2.0,
-                  ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db)
+    gt = beam_gain_db(ang_bs, ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db,
+                      ant.bs_beamwidth_deg)
 
     # UE boresight: towards serving BS. Both UE-side vectors are negated
     # bs->ue deltas, so the sign cancels in the cosine.
@@ -215,8 +210,8 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
         cos_ue = (np.einsum("uk,buk->bu", bore_ue, delta)
                   / (np.hypot(bore_ue[:, 0], bore_ue[:, 1])[None, :] * norm))
     ang_ue = np.degrees(np.arccos(np.clip(np.nan_to_num(cos_ue, nan=1.0), -1.0, 1.0)))
-    gr = np.where(ang_ue <= ant.ue_beamwidth_deg / 2.0,
-                  ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db)
+    gr = beam_gain_db(ang_ue, ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db,
+                      ant.ue_beamwidth_deg)
 
     rx_dbm = (links.tx_power_dbm + gt + gr
               - links.path_loss_db - links.shadowing_db)       # -inf where OUT
@@ -282,8 +277,7 @@ def coordinated_upper_bound(
     links are all blocked is fixed unassociated); loads, bandwidth splits
     and interference are recomputed per assignment. Ties resolve to the
     lexicographically smallest assignment. Instances beyond `max_ues` UEs
-    or `max_bs_per_ue` accessible BSs for some UE raise InstanceSizeError,
-    signalling that only the blind allocator is practical.
+    or `max_bs_per_ue` accessible BSs for some UE raise InstanceSizeError.
     """
     n_ue = links.n_ue
     if n_ue > max_ues:

@@ -7,6 +7,10 @@ exponents, lognormal shadowing, an exponentially decaying LOS probability,
 and a blockage (outage) state that is either a hard coverage radius or a
 smooth exponential ramp. The antenna pattern is flat-top sectored
 (mainlobe within a beamwidth, sidelobe floor outside).
+
+Links are realized one way, in bulk per drop, by `LinkTable.realize`. The
+table carries the drop's geometry; `allocation` derives the interference
+gains (geometric beam pointing, the only model) from it.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .geometry import Region, distance
+from .geometry import Region
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -74,18 +78,6 @@ class AntennaModel:
             raise ValueError("UE mainlobe must exceed sidelobe")
 
 
-@dataclass
-class LinkSample:
-    """One realized link budget; rx power is the exact sum of its dB parts."""
-
-    state: LinkState
-    path_loss_db: float
-    shadowing_db: float
-    tx_gain_db: float
-    rx_gain_db: float
-    rx_power_dbm: float
-
-
 def friis_intercept_db(carrier_ghz: float) -> float:
     """Free-space path loss at 1 m: 20*log10(4*pi*f/c)."""
     return 20.0 * math.log10(4.0 * math.pi * 1.0 * carrier_ghz * 1e9 / 299_792_458.0)
@@ -141,12 +133,6 @@ def draw_link_states(distance_m, params: ChannelParams, rng: np.random.Generator
     states[u < p_los] = LinkState.LOS
     return states
 
-def link_state(distance_m: float, params: ChannelParams, rng: np.random.Generator) -> LinkState:
-    """Draw the state of a single link."""
-    if distance_m < 0:
-        raise ValueError("distance must be >= 0")
-    return LinkState(int(draw_link_states(np.float64(distance_m), params, rng)))
-
 
 def path_loss_db(distance_m, state, params: ChannelParams):
     """Distance-power-law path loss in dB; distances are clamped below 1 m."""
@@ -175,64 +161,14 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
-def _angle_between_deg(bearing_a_deg: float, bearing_b_deg: float) -> float:
-    d = abs(bearing_a_deg - bearing_b_deg) % 360.0
-    return min(d, 360.0 - d)
-
-
-def realize_link(
-    bs_xy,
-    ue_xy,
-    serving: bool,
-    tx_power_dbm: float,
-    params: ChannelParams,
-    antenna: AntennaModel,
-    rng: np.random.Generator,
-    region: Region | None = None,
-) -> LinkSample:
-    """Realize one BS->UE link.
-
-    A serving link is boresight-aligned on both ends. An interfering link
-    draws independent uniform boresight orientations for both antennas and
-    evaluates the sectored pattern at the true link bearing. Draw order is
-    state, shadowing, then orientations.
-    """
-    if region is None:
-        region = Region(width_km=math.inf, height_km=math.inf, wraparound=False)
-        d_km = math.hypot(ue_xy[0] - bs_xy[0], ue_xy[1] - bs_xy[1])
-    else:
-        d_km = distance(bs_xy, ue_xy, region)
-    d_m = 1000.0 * d_km
-    state = link_state(d_m, params, rng)
-    if state == LinkState.OUT:
-        return LinkSample(state, math.inf, 0.0, 0.0, 0.0, -math.inf)
-    pl = path_loss_db(d_m, state, params)
-    sigma = params.shadow_sigma_los_db if state == LinkState.LOS else params.shadow_sigma_nlos_db
-    shadow = float(rng.normal(0.0, sigma))
-    if serving:
-        tx_gain = antenna.bs_mainlobe_gain_db
-        rx_gain = antenna.ue_mainlobe_gain_db
-    else:
-        bearing = math.degrees(math.atan2(ue_xy[1] - bs_xy[1], ue_xy[0] - bs_xy[0]))
-        tx_gain = beam_gain_db(
-            _angle_between_deg(rng.uniform(0.0, 360.0), bearing),
-            antenna.bs_mainlobe_gain_db, antenna.bs_sidelobe_gain_db,
-            antenna.bs_beamwidth_deg)
-        rx_gain = beam_gain_db(
-            _angle_between_deg(rng.uniform(0.0, 360.0), bearing + 180.0),
-            antenna.ue_mainlobe_gain_db, antenna.ue_sidelobe_gain_db,
-            antenna.ue_beamwidth_deg)
-    rx = tx_power_dbm + tx_gain + rx_gain - pl - shadow
-    return LinkSample(state, pl, shadow, float(tx_gain), float(rx_gain), rx)
-
-
 @dataclass
 class LinkTable:
     """All BS->UE links of one drop, realized in bulk.
 
     `serving_rx_dbm` is the long-term received power with boresight-aligned
     gains on both ends (the blind association metric); blocked links are -inf.
-    Interference gains are geometry-dependent and computed at SINR time.
+    The table also carries the drop's torus geometry: `delta_km` is computed
+    once here, and SINR evaluation reads its interference angles from it.
     """
 
     region: Region
@@ -241,7 +177,8 @@ class LinkTable:
     tx_power_dbm: float
     params: ChannelParams
     antenna: AntennaModel
-    dist_m: np.ndarray         # (B, U)
+    delta_km: np.ndarray       # (B, U, 2), BS -> UE displacement under the region metric
+    dist_m: np.ndarray         # (B, U), 1000 * |delta_km|
     state: np.ndarray          # (B, U) int8
     path_loss_db: np.ndarray   # (B, U), +inf where OUT
     shadowing_db: np.ndarray   # (B, U), 0 where OUT
@@ -257,25 +194,27 @@ class LinkTable:
 
     @classmethod
     def realize(cls, bs_xy, ue_xy, region, tx_power_dbm, params, antenna, seed: int) -> "LinkTable":
-        from .geometry import pairwise_distance_km
+        from .geometry import wrapped_delta
 
         rng = np.random.default_rng(seed)
         bs_xy = np.asarray(bs_xy, dtype=float).reshape(-1, 2)
         ue_xy = np.asarray(ue_xy, dtype=float).reshape(-1, 2)
         n_ue = len(ue_xy)
-        dist_m = 1000.0 * pairwise_distance_km(bs_xy, ue_xy, region)
+        delta_km = wrapped_delta(bs_xy[:, None, :], ue_xy[None, :, :], region)
+        dist_m = 1000.0 * np.hypot(delta_km[..., 0], delta_km[..., 1])
 
         # Transmitters mounted on one tower share the propagation path, so
         # state and shadowing are drawn per site (exact coordinate match)
         # and expanded to co-located BSs. With all-distinct positions this
-        # is a relabeling of the per-BS draw.
-        sites, site_of_bs = np.unique(bs_xy, axis=0, return_inverse=True)
+        # is a relabeling of the per-BS draw. A site's distances are those
+        # of its first BS, whose coordinates are the site's exactly.
+        _, first_bs, site_of_bs = np.unique(bs_xy, axis=0, return_index=True,
+                                            return_inverse=True)
         site_of_bs = site_of_bs.reshape(-1)
-        site_dist_m = 1000.0 * pairwise_distance_km(sites, ue_xy, region)
-        site_states = draw_link_states(site_dist_m, params, rng)
+        site_states = draw_link_states(dist_m[first_bs], params, rng)
         site_sigma = np.where(site_states == LinkState.LOS,
                               params.shadow_sigma_los_db, params.shadow_sigma_nlos_db)
-        site_shadow = rng.normal(0.0, 1.0, (len(sites), n_ue)) * site_sigma
+        site_shadow = rng.normal(0.0, 1.0, (len(first_bs), n_ue)) * site_sigma
         states = site_states[site_of_bs]
         shadow = site_shadow[site_of_bs]
 
@@ -288,4 +227,4 @@ class LinkTable:
         rx = (tx_power_dbm + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db
               - pl - shadow)
         return cls(region, bs_xy, ue_xy, tx_power_dbm, params, antenna,
-                   dist_m, states, pl, shadow, rx)
+                   delta_km, dist_m, states, pl, shadow, rx)

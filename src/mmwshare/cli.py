@@ -10,7 +10,8 @@ Subcommands:
   instances, emit per-instance results.
 - ``analytic``: print the closed-form scaling table for the config.
 
-Exit codes: 0 ok, 2 config error, 3 runtime error, 4 instance-size error.
+Exit codes: 0 ok, 2 config error, 3 runtime error, 4 instance-size error
+(only ``gap`` runs the exhaustive search, so only ``gap`` exits with 4).
 Every artifact embeds spec_revision, config_hash and master_seed; given
 the same config and seed, artifacts are byte-identical run to run.
 """
@@ -29,7 +30,7 @@ from .analytic import ScalingInputs
 from .analytic import summary as analytic_summary
 from .config import (SPEC_REVISION, ConfigError, ExperimentConfig, config_hash,
                      default_config, load_config)
-from .experiment import ALLOCATORS, run_gap, run_scenarios
+from .experiment import run_gap, run_scenarios
 from .metrics import cdf, percentile, run_sweep
 from .scenario import SCENARIO_KINDS
 
@@ -172,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scenario", choices=SCENARIO_KINDS,
                    help="run a single kind instead of all four")
-    p.add_argument("--allocator", choices=ALLOCATORS, default="blind")
 
     p = sub.add_parser("sweep", help="density sweep of the configured scenario")
     common(p)
@@ -180,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the configured scenario kind")
     p.add_argument("--densities", default="5,10,20,30,50,80",
                    help="comma-separated BS densities per km^2")
-    p.add_argument("--allocator", choices=ALLOCATORS, default="blind")
 
     p = sub.add_parser("gap", help="blind vs coordinated upper bound on small instances")
     common(p)
@@ -214,7 +213,7 @@ def cmd_scenarios(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     kinds = (args.scenario,) if args.scenario else SCENARIO_KINDS
-    results = run_scenarios(cfg, kinds, args.allocator)
+    results = run_scenarios(cfg, kinds)
     summary = {}
     for kind, res in results.items():
         write_cdf_csv(out / f"cdf_sinr_{kind}.csv", cfg, res.sinr_db)
@@ -239,9 +238,7 @@ def cmd_sweep(args) -> int:
         cfg = replace(cfg, scenario=replace(cfg.scenario, kind=args.scenario))
     densities = _parse_densities(args.densities)
     out = _outdir(args)
-    # with --allocator ub, any realistic density exceeds the search limits
-    # and the run exits with the instance-size code
-    sweep = run_sweep(cfg, densities, allocator=args.allocator)
+    sweep = run_sweep(cfg, densities)
     write_sweep_csv(out / "sweep.csv", cfg, sweep)
     write_summary_json(out / "sweep.json", cfg, {
         "densities_bs_km2": list(sweep.densities),

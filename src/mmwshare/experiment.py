@@ -8,6 +8,9 @@ purely structural (common random numbers).
 
 Seed layout, all derived from the drop seed via mix_seed: operator m's
 deployment uses k=m, its shared-BS selection k=M+m, the link table k=2M.
+
+Every drop uses blind association. The exhaustive coordinated search runs
+only in `run_gap`, on instances small enough to enumerate.
 """
 from __future__ import annotations
 
@@ -15,16 +18,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allocation import (NONE, assignment_objective, associate_blind,
+from .allocation import (assignment_objective, associate_blind,
                          coordinated_upper_bound, network_sinr, split_bandwidth,
                          user_rate)
 from .channel import LinkTable
 from .config import ExperimentConfig
 from .geometry import mix_seed
-from .scenario import (SCENARIO_KINDS, RealizedScenario, Scenario, SpectrumPools,
-                       build_scenario, shared_bs_selection)
-
-ALLOCATORS = ("blind", "ub")
+from .scenario import (SCENARIO_KINDS, SpectrumPools, access_matrix,
+                       build_scenario)
 
 
 @dataclass
@@ -44,34 +45,19 @@ class DropOutcome:
         return len(self.rate_bps)
 
 
-def run_drop(config: ExperimentConfig, kind: str, seed: int,
-             allocator: str = "blind") -> DropOutcome:
+def run_drop(config: ExperimentConfig, kind: str, seed: int) -> DropOutcome:
     """Realize and evaluate one drop of `kind` from one seed."""
-    if allocator not in ALLOCATORS:
-        raise ValueError(f"unknown allocator {allocator!r}; expected one of {ALLOCATORS}")
     scn = replace(config.scenario, kind=kind)
     realized = build_scenario(scn, config.region, config.bs_density_per_km2,
                               config.ue_density_per_km2, seed)
     links = LinkTable.realize(
         realized.bs_xy, realized.ue_xy, config.region, config.tx_power_dbm,
         config.channel, config.antenna, mix_seed(seed, 2 * scn.num_operators))
-    return _evaluate(config, realized, links, allocator)
-
-
-def _evaluate(config: ExperimentConfig, realized: RealizedScenario,
-              links: LinkTable, allocator: str) -> DropOutcome:
-    access = realized.access_bu
     cochannel = realized.cochannel_bu
     if not config.interference_enabled:
         cochannel = np.zeros_like(cochannel)
-    pool = realized.pool_bandwidth_hz
-    if allocator == "ub":
-        assoc, _ = coordinated_upper_bound(
-            links, access, cochannel, pool, config.rate, config.noise_figure_db,
-            full_bandwidth=config.full_bandwidth_per_ue)
-    else:
-        assoc = split_bandwidth(associate_blind(links, access), pool,
-                                config.full_bandwidth_per_ue)
+    assoc = split_bandwidth(associate_blind(links, realized.access_bu),
+                            realized.pool_bandwidth_hz, config.full_bandwidth_per_ue)
     gamma = network_sinr(links, assoc, cochannel, config.noise_figure_db)
     with np.errstate(divide="ignore"):
         sinr_db = 10.0 * np.log10(gamma)
@@ -95,8 +81,8 @@ class ScenarioRunResult:
     drops: int
 
 
-def run_scenarios(config: ExperimentConfig, kinds=SCENARIO_KINDS,
-                  allocator: str = "blind") -> dict[str, ScenarioRunResult]:
+def run_scenarios(config: ExperimentConfig,
+                  kinds=SCENARIO_KINDS) -> dict[str, ScenarioRunResult]:
     """Run every requested kind over the same drop seeds and pool per-UE samples.
 
     Drop j uses seed mix_seed(master_seed, j) for every kind, so deployments
@@ -111,7 +97,7 @@ def run_scenarios(config: ExperimentConfig, kinds=SCENARIO_KINDS,
     for kind in kinds:
         sinr_parts, rate_parts = [], []
         for j in range(config.drops):
-            out = run_drop(config, kind, mix_seed(config.master_seed, j), allocator)
+            out = run_drop(config, kind, mix_seed(config.master_seed, j))
             sinr_parts.append(out.sinr_db)
             rate_parts.append(out.rate_bps)
         sinr = np.concatenate(sinr_parts) if sinr_parts else np.empty(0)
@@ -140,8 +126,11 @@ def run_gap(config: ExperimentConfig, n_instances: int,
 
     Instance i draws its sizes and positions from mix_seed(master_seed, i):
     1..max_ues UEs with uniform operators and positions, and 1..max_bs
-    BSs per operator. Both allocators are scored with the same scalar
-    objective, so the upper bound dominates exactly.
+    BSs per operator. Access rights come from `access_matrix` seeded with
+    the instance seed. Both associations are scored with the same scalar
+    objective, so the upper bound dominates exactly. An instance beyond the
+    search limits raises InstanceSizeError (see `scenario` for when
+    SpectrumAccess does).
     """
     scn = config.scenario
     m_ops = scn.num_operators
@@ -158,19 +147,9 @@ def run_gap(config: ExperimentConfig, n_instances: int,
         bs_operator = np.repeat(np.arange(m_ops), n_bs_op)
         ue_operator = rng.integers(0, m_ops, size=n_ue)
 
-        allowed = np.arange(m_ops)[:, None] == bs_operator[None, :]
-        if scn.kind == "SpectrumAccess":
-            offsets = np.cumsum([0, *n_bs_op])
-            for m in range(m_ops):
-                opened = shared_bs_selection(
-                    int(n_bs_op[m]), scn.access_share_fraction,
-                    mix_seed(inst_seed, m_ops + m))
-                if len(opened):
-                    allowed[np.ix_(np.flatnonzero(np.arange(m_ops) != m),
-                                   offsets[m] + opened)] = True
         pools = SpectrumPools.for_scenario(scn)
         cochannel = pools.cochannel_mask(bs_operator, ue_operator)
-        access = allowed[ue_operator].T
+        access = access_matrix(scn, n_bs_op, inst_seed).for_ues(ue_operator)
         links = LinkTable.realize(
             bs_xy, ue_xy, config.region, config.tx_power_dbm, config.channel,
             config.antenna, mix_seed(inst_seed, 2 * m_ops))

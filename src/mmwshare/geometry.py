@@ -7,7 +7,7 @@ are free of edge effects; the flat metric is kept for debugging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,20 +92,6 @@ def wrapped_delta(p_xy: np.ndarray, q_xy: np.ndarray, region: Region) -> np.ndar
         d[..., 0] -= w * np.round(d[..., 0] / w)
         d[..., 1] -= h * np.round(d[..., 1] / h)
     return d
-
-
-def distance(p, q, region: Region) -> float:
-    """Distance in km between two points; minimum over torus images when wrapping."""
-    d = wrapped_delta(np.asarray(p, dtype=float), np.asarray(q, dtype=float), region)
-    return float(math.hypot(d[0], d[1]))
-
-
-def pairwise_distance_km(a_xy: np.ndarray, b_xy: np.ndarray, region: Region) -> np.ndarray:
-    """All pairwise distances (len(a), len(b)) in km under the region metric."""
-    a = np.asarray(a_xy, dtype=float)
-    b = np.asarray(b_xy, dtype=float)
-    d = wrapped_delta(a[:, None, :], b[None, :, :], region)
-    return np.hypot(d[..., 0], d[..., 1])
 
 
 def avg_cell_radius_m(density_per_km2: float) -> float:

@@ -106,8 +106,7 @@ class SweepResult:
             raise ValueError("outage fractions must lie in [0, 1]")
 
 
-def run_sweep(config: ExperimentConfig, densities, drops: int | None = None,
-              allocator: str = "blind") -> SweepResult:
+def run_sweep(config: ExperimentConfig, densities, drops: int | None = None) -> SweepResult:
     """Pooled per-UE statistics of the configured scenario at each BS density.
 
     Density index i runs `drops` drops seeded from
@@ -127,7 +126,7 @@ def run_sweep(config: ExperimentConfig, densities, drops: int | None = None,
     for i, rho in enumerate(densities):
         cfg = replace(config, bs_density_per_km2=rho)
         base = mix_seed(config.master_seed, _SWEEP_SEED_BASE + i)
-        parts = [run_drop(cfg, cfg.scenario.kind, mix_seed(base, j), allocator).rate_bps
+        parts = [run_drop(cfg, cfg.scenario.kind, mix_seed(base, j)).rate_bps
                  for j in range(n_drops)]
         rates = np.concatenate(parts)
         c = cdf(rates)

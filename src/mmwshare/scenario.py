@@ -7,12 +7,21 @@ Four arrangements of M operators over one region:
 - ``Spectrum``: same deployments, all licenses pooled into one band shared
   by everyone, so every base station can interfere with every user.
 - ``SpectrumInfra``: pooled spectrum and co-located towers; every
-  operator's base stations sit at operator 0's positions.
+  operator's base stations sit at operator 0's positions. Every operator
+  therefore also gets operator 0's BS count, so B is M times that count
+  rather than the sum of the operators' own draws (drop 0 of the default
+  config: 56 radios instead of 61).
 - ``SpectrumAccess``: pooled spectrum plus partial roaming; each operator
   opens a fraction of its base stations to all foreign users.
 
 Deployments depend only on the master seed and the operator index, never
 on the scenario kind, so kinds are directly comparable drop by drop.
+Access rights have one builder, `access_matrix`, shared by the drop engine
+and the coordination-gap instances. Under ``SpectrumAccess`` at the default
+``access_share_fraction=1.0`` every BS is open to every UE, so a gap
+instance that draws 5 or more BSs in total (up to 3 per operator) exceeds
+the search's limit of 4 accessible BSs per UE and the ``gap`` command exits
+with code 4.
 """
 from __future__ import annotations
 
@@ -111,6 +120,28 @@ def co_locate(deployments: list[Deployment]) -> list[Deployment]:
     ]
 
 
+def access_matrix(scenario: Scenario, n_bs_per_operator, seed: int) -> AccessMatrix:
+    """Access rights for BSs concatenated in operator order.
+
+    Operator m owns the next n_bs_per_operator[m] BSs. Home-operator BSs are
+    always accessible. Under SpectrumAccess, operator m also opens its
+    `shared_bs_selection`, drawn from mix_seed(seed, M + m), to every
+    foreign operator.
+    """
+    m_ops = scenario.num_operators
+    counts = [int(n) for n in n_bs_per_operator]
+    bs_operator = np.repeat(np.arange(m_ops), counts)
+    allowed = np.arange(m_ops)[:, None] == bs_operator[None, :]
+    if scenario.kind == "SpectrumAccess":
+        offsets = np.cumsum([0, *counts])
+        for m in range(m_ops):
+            opened = shared_bs_selection(
+                counts[m], scenario.access_share_fraction, mix_seed(seed, m_ops + m))
+            foreign = np.arange(m_ops) != m
+            allowed[np.ix_(foreign, offsets[m] + opened)] = True
+    return AccessMatrix(allowed)
+
+
 def shared_bs_selection(bs_points, fraction: float, seed: int) -> np.ndarray:
     """Indices of the round(fraction * N) BSs an operator opens to foreign UEs.
 
@@ -206,17 +237,8 @@ def build_scenario(
     ue_operator = np.concatenate(
         [np.full(d.n_ue, d.operator_id, dtype=np.int64) for d in deployments])
 
-    # home-operator BSs are always accessible
-    allowed = np.arange(m_ops)[:, None] == bs_operator[None, :]
-    if scenario.kind == "SpectrumAccess":
-        offsets = np.cumsum([0] + [d.n_bs for d in deployments])
-        for m, d in enumerate(deployments):
-            opened = shared_bs_selection(
-                d.n_bs, scenario.access_share_fraction, mix_seed(seed, m_ops + m))
-            foreign = np.arange(m_ops) != m
-            allowed[np.ix_(foreign, offsets[m] + opened)] = True
-
+    access = access_matrix(scenario, [d.n_bs for d in deployments], seed)
     return RealizedScenario(
-        scenario, region, deployments, AccessMatrix(allowed),
+        scenario, region, deployments, access,
         SpectrumPools.for_scenario(scenario),
         bs_xy, ue_xy, bs_operator, ue_operator)

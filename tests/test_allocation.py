@@ -36,7 +36,7 @@ def make_table(bs_xy, ue_xy, region=FLAT, state=None, shadow=None, tx=30.0):
     rx = np.where(ok, tx + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db
                   - pl - sh, -np.inf)
     return LinkTable(region, bs_xy, ue_xy, tx, params, antenna,
-                     dist_m, state, pl, sh, rx)
+                     delta, dist_m, state, pl, sh, rx)
 
 
 def test_blind_association_nearest_wins():

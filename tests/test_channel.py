@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mmwshare.channel import (AntennaModel, ChannelParams, LinkState, LinkTable,
                               beam_gain_db, draw_link_states, friis_intercept_db,
-                              link_state, noise_power_dbm, outage_radius_m,
-                              path_loss_db, realize_link, state_probabilities)
+                              noise_power_dbm, outage_radius_m, path_loss_db,
+                              state_probabilities)
 from mmwshare.geometry import Region
 
 FLAT = Region(10.0, 10.0, wraparound=False)
@@ -118,11 +118,12 @@ def test_link_state_frequencies_exponential():
 
 
 def test_single_link_state_draw():
+    # a scalar distance draws one state
     p = ChannelParams()
-    assert link_state(0.0, p, np.random.default_rng(0)) == LinkState.LOS
-    assert link_state(500.0, p, np.random.default_rng(0)) == LinkState.OUT
+    assert draw_link_states(0.0, p, np.random.default_rng(0)) == LinkState.LOS
+    assert draw_link_states(500.0, p, np.random.default_rng(0)) == LinkState.OUT
     with pytest.raises(ValueError):
-        link_state(-2.0, p, np.random.default_rng(0))
+        draw_link_states(-2.0, p, np.random.default_rng(0))
 
 
 def test_beam_gain_boundaries():
@@ -146,53 +147,38 @@ def test_noise_power_examples():
         noise_power_dbm(0.0, 7.0)
 
 
+def _one_link(bs, ue, params, region=FLAT, seed=0):
+    return LinkTable.realize(np.array([bs]), np.array([ue]), region, 30.0, params,
+                             AntennaModel(), seed)
+
+
 def test_realize_link_serving_budget():
     # 100 m LOS, zero shadowing: rx = 30 + 20 + 10 - 101.4 = -41.4 dBm
     p = ChannelParams(los_decay_per_m=0.0, hard_coverage_area_km2=0.05,
                       shadow_sigma_los_db=0.0, shadow_sigma_nlos_db=0.0)
-    s = realize_link((0.0, 0.0), (0.1, 0.0), True, 30.0, p, AntennaModel(),
-                     np.random.default_rng(0))
-    assert s.state == LinkState.LOS
-    assert (s.tx_gain_db, s.rx_gain_db) == (20.0, 10.0)
-    assert_allclose(s.rx_power_dbm, -41.4, rtol=1e-12)
+    links = _one_link((0.0, 0.0), (0.1, 0.0), p)
+    assert links.state[0, 0] == LinkState.LOS
+    assert_allclose(links.serving_rx_dbm[0, 0], -41.4, rtol=1e-12)
     # composition identity is exact, not approximate
-    assert s.rx_power_dbm == (30.0 + s.tx_gain_db + s.rx_gain_db
-                              - s.path_loss_db - s.shadowing_db)
+    assert links.serving_rx_dbm[0, 0] == (30.0 + 20.0 + 10.0 - links.path_loss_db[0, 0]
+                                          - links.shadowing_db[0, 0])
 
 
 def test_realize_link_out_is_minus_inf():
-    p = ChannelParams(hard_coverage_area_km2=1e-6)
-    s = realize_link((0.0, 0.0), (0.1, 0.0), True, 30.0, p, AntennaModel(),
-                     np.random.default_rng(0))
-    assert s.state == LinkState.OUT
-    assert s.rx_power_dbm == -math.inf
-
-
-def test_realize_link_interferer_gain_support():
-    # interfering links use randomly oriented sectored beams, so the gains
-    # take only mainlobe/sidelobe values on each side
-    p = ChannelParams(los_decay_per_m=0.0, hard_coverage_area_km2=0.05)
-    ant = AntennaModel()
-    rng = np.random.default_rng(42)
-    tx_seen, rx_seen = set(), set()
-    for _ in range(300):
-        s = realize_link((0.0, 0.0), (0.05, 0.0), False, 30.0, p, ant, rng)
-        tx_seen.add(s.tx_gain_db)
-        rx_seen.add(s.rx_gain_db)
-        assert s.rx_power_dbm == (30.0 + s.tx_gain_db + s.rx_gain_db
-                                  - s.path_loss_db - s.shadowing_db)
-    assert tx_seen <= {20.0, -10.0}
-    assert rx_seen <= {10.0, -10.0}
-    assert len(rx_seen) == 2   # both lobes show up at this sample size
+    links = _one_link((0.0, 0.0), (0.1, 0.0), ChannelParams(hard_coverage_area_km2=1e-6))
+    assert links.state[0, 0] == LinkState.OUT
+    assert links.path_loss_db[0, 0] == math.inf
+    assert links.serving_rx_dbm[0, 0] == -math.inf
 
 
 def test_realize_link_torus_region():
     p = ChannelParams(los_decay_per_m=0.0, hard_coverage_area_km2=0.05,
                       shadow_sigma_los_db=0.0)
-    s = realize_link((0.05, 0.5), (0.95, 0.5), True, 30.0, p, AntennaModel(),
-                     np.random.default_rng(1), region=Region(1.0, 1.0))
-    # wrapped distance is 100 m, not 900 m
-    assert_allclose(s.path_loss_db, 101.4, rtol=1e-12)
+    links = _one_link((0.05, 0.5), (0.95, 0.5), p, region=Region(1.0, 1.0), seed=1)
+    # wrapped distance is 100 m, not 900 m, reached across the x = 0 edge
+    assert_allclose(links.delta_km[0, 0], [-0.1, 0.0], atol=1e-15)
+    assert_allclose(links.dist_m[0, 0], 100.0, rtol=1e-12)
+    assert_allclose(links.path_loss_db[0, 0], 101.4, rtol=1e-12)
 
 
 def test_link_table_matches_field_composition():

@@ -170,6 +170,9 @@ def test_cli_exit_codes(tmp_path):
     assert main(["scenarios", "--config", str(bad),
                  "--out", str(tmp_path / "o2")]) == 2
     assert main(["sweep", "--drops", "0", "--out", str(tmp_path / "o3")]) == 2
-    # the exhaustive allocator refuses realistic instance sizes
-    assert main(["sweep", "--allocator", "ub", "--densities", "30",
-                 "--drops", "1", "--out", str(tmp_path / "o4")]) == 4
+    # full SpectrumAccess opens all 6 BSs of this instance to UE 0, above
+    # the exhaustive search's limit of 4 per UE
+    access = tmp_path / "access.json"
+    access.write_text('{"scenario": {"kind": "SpectrumAccess"}}')
+    assert main(["gap", "--config", str(access), "--seed", "3", "--drops", "1",
+                 "--out", str(tmp_path / "o4")]) == 4

@@ -27,11 +27,6 @@ def test_run_drop_deterministic():
     assert not np.array_equal(a.rate_bps, c.rate_bps)
 
 
-def test_run_drop_rejects_unknown_allocator():
-    with pytest.raises(ValueError):
-        run_drop(small_config(), "Spectrum", seed=0, allocator="greedy")
-
-
 def test_outcome_fields_consistent():
     out = run_drop(small_config(), "NoSharing", seed=7)
     served = out.serving_bs >= 0

@@ -6,11 +6,17 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
+from mmwshare.channel import AntennaModel, ChannelParams, LinkTable
 from mmwshare.geometry import (Region, avg_cell_radius_m, deploy_operator,
-                               deploy_ppp, distance, mix_seed,
-                               pairwise_distance_km, wrapped_delta)
+                               deploy_ppp, mix_seed, wrapped_delta)
 
 UNIT = Region(1.0, 1.0, wraparound=True)
+
+
+def distance(p, q, region):
+    """Distance in km (broadcasting) under the region metric."""
+    d = wrapped_delta(np.asarray(p, dtype=float), np.asarray(q, dtype=float), region)
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 def test_region_validation():
@@ -91,7 +97,7 @@ def test_nearest_neighbor_mean_distance():
         if len(bs) == 0:
             continue
         ue = deploy_ppp(200.0, UNIT, mix_seed(3, 2 * i + 1))
-        samples.append(pairwise_distance_km(bs, ue, UNIT).min(axis=0))
+        samples.append(distance(bs[:, None, :], ue[None, :, :], UNIT).min(axis=0))
     nearest = np.concatenate(samples)
     assert abs(nearest.mean() - oracle_km) < 0.004
 
@@ -128,11 +134,15 @@ def test_wrapped_delta_broadcast():
 
 
 def test_pairwise_distance_shape():
+    # the link table holds the drop's pairwise geometry
     bs = np.array([[0.0, 0.0], [0.5, 0.5]])
     ue = np.array([[0.1, 0.0]])
-    d = pairwise_distance_km(bs, ue, UNIT)
-    assert d.shape == (2, 1)
-    assert_allclose(d[0, 0], 0.1, rtol=1e-12)
+    links = LinkTable.realize(bs, ue, UNIT, 30.0, ChannelParams(), AntennaModel(), seed=0)
+    assert links.delta_km.shape == (2, 1, 2)
+    assert links.dist_m.shape == (2, 1)
+    assert_allclose(links.dist_m[0, 0], 100.0, rtol=1e-12)
+    assert_array_equal(links.dist_m,
+                       1000.0 * np.hypot(links.delta_km[..., 0], links.delta_km[..., 1]))
 
 
 def test_avg_cell_radius_reference_values():
