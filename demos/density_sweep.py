@@ -3,7 +3,7 @@ from dataclasses import replace
 
 from mmwshare.analytic import outage_fraction, rate_scaling_exponent
 from mmwshare.config import default_config
-from mmwshare.metrics import run_sweep
+from mmwshare.experiment import run_sweep
 
 densities = [5.0, 10.0, 20.0, 30.0, 50.0, 80.0]
 cfg = replace(default_config(), drops=30)

@@ -5,7 +5,8 @@ The library layers cleanly: `geometry` draws Poisson deployments on a
 torus, `channel` realizes link states and received powers, `scenario`
 encodes who shares what, `allocation` associates users and computes
 SINR/rates, `analytic` holds the closed-form scaling laws, `metrics`
-aggregates Monte Carlo samples, and `experiment`/`cli` orchestrate runs.
+aggregates Monte Carlo samples, `experiment` runs and pools drops, and
+`cli` writes the artifacts.
 """
 
 from .allocation import (NONE, Association, InstanceSizeError, RateParams,
@@ -21,12 +22,12 @@ from .channel import (AntennaModel, ChannelParams, LinkState, LinkTable,
                       state_probabilities)
 from .config import (SPEC_REVISION, ConfigError, ExperimentConfig, config_hash,
                      default_config, load_config, save_config)
-from .experiment import (DropOutcome, GapRow, ScenarioRunResult, run_drop,
-                         run_gap, run_scenarios)
+from .experiment import (DropOutcome, GapRow, ScenarioRunResult, SweepResult,
+                         run_drop, run_gap, run_scenarios, run_sweep)
 from .geometry import (Deployment, Region, avg_cell_radius_m, deploy_operator,
                        deploy_ppp, mix_seed, wrapped_delta)
-from .metrics import (EmpiricalCdf, SweepResult, cdf, fit_scaling_exponent,
-                      outage_rate, percentile, run_sweep)
+from .metrics import (EmpiricalCdf, cdf, fit_scaling_exponent, outage_rate,
+                      percentile)
 from .scenario import (SCENARIO_KINDS, AccessMatrix, RealizedScenario, Scenario,
                        SpectrumPools, access_matrix, build_scenario, co_locate,
                        shared_bs_selection)

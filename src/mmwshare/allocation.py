@@ -17,8 +17,8 @@ where the victim's receive mainlobe would otherwise point straight at
 the co-sited array). Per-UE
 SINR has a scalar reference implementation (`compute_sinr`,
 ascending-index accumulation in linear units) that the search optimizes;
-a vectorized equivalent (`network_sinr`) handles Monte Carlo volume and
-reads its geometry from the `LinkTable`.
+a vectorized equivalent (`network_sinr`) handles Monte Carlo volume.
+Both SINR paths read geometry from the `LinkTable` (`delta_km`).
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ import numpy as np
 
 from .channel import (THERMAL_NOISE_DBM_PER_HZ, LinkState, LinkTable,
                       beam_gain_db, noise_power_dbm)
-from .geometry import wrapped_delta
 
 NONE = -1   # serving_bs value for an unassociated UE
 
@@ -140,7 +139,7 @@ def compute_sinr(ue: int, assoc: Association, links: LinkTable,
     sig_mw = 10.0 ** (float(links.serving_rx_dbm[s, ue]) / 10.0)
     acc = 10.0 ** (noise_power_dbm(float(assoc.ue_bandwidth_hz[ue]), noise_figure_db) / 10.0)
     site_x, site_y = float(links.bs_xy[s, 0]), float(links.bs_xy[s, 1])
-    to_serving = wrapped_delta(links.ue_xy[ue], links.bs_xy[s], links.region)
+    delta = links.delta_km   # (B, U, 2), bs -> ue
     for b in range(links.n_bs):
         if assoc.load[b] == 0 or not cochannel_bu[b, ue]:
             continue
@@ -148,13 +147,11 @@ def compute_sinr(ue: int, assoc: Association, links: LinkTable,
             continue   # serving site (the server itself or a co-sited array)
         if links.state[b, ue] == LinkState.OUT:
             continue
-        bore = wrapped_delta(links.bs_xy[b], links.ue_xy[targets[b]], links.region)
-        to_victim = wrapped_delta(links.bs_xy[b], links.ue_xy[ue], links.region)
-        gt = beam_gain_db(_angle_between_deg(bore, to_victim),
+        gt = beam_gain_db(_angle_between_deg(delta[b, targets[b]], delta[b, ue]),
                           ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db,
                           ant.bs_beamwidth_deg)
-        to_interferer = wrapped_delta(links.ue_xy[ue], links.bs_xy[b], links.region)
-        gr = beam_gain_db(_angle_between_deg(to_serving, to_interferer),
+        # UE side: both vectors are negated (bs -> ue, not ue -> bs); the sign cancels
+        gr = beam_gain_db(_angle_between_deg(delta[s, ue], delta[b, ue]),
                           ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db,
                           ant.ue_beamwidth_deg)
         rx_dbm = (links.tx_power_dbm + gt + gr

@@ -18,6 +18,7 @@ the same config and seed, artifacts are byte-identical run to run.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from json import dumps
@@ -30,8 +31,8 @@ from .analytic import ScalingInputs
 from .analytic import summary as analytic_summary
 from .config import (SPEC_REVISION, ConfigError, ExperimentConfig, config_hash,
                      default_config, load_config)
-from .experiment import run_gap, run_scenarios
-from .metrics import cdf, percentile, run_sweep
+from .experiment import run_gap, run_scenarios, run_sweep
+from .metrics import cdf, percentile
 from .scenario import SCENARIO_KINDS
 
 
@@ -78,14 +79,27 @@ def write_gap_csv(path: Path, cfg: ExperimentConfig, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _finite_or_null(obj):
+    """`obj` with every non-finite float (nested in dicts and lists) as None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def write_summary_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
+    """Strict JSON: a non-finite statistic (NaN, +-inf) is written as null."""
     doc = {
         "spec_revision": SPEC_REVISION,
         "config_hash": config_hash(cfg),
         "master_seed": cfg.master_seed,
         **payload,
     }
-    _write_text(path, dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(path, dumps(_finite_or_null(doc), sort_keys=True, indent=2,
+                            allow_nan=False) + "\n")
 
 
 PLOT_SCRIPT = """\
@@ -147,8 +161,8 @@ def _parse_densities(text: str) -> list[float]:
         values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"--densities: {exc}") from None
-    if not values or any(d <= 0 for d in values):
-        raise ConfigError("--densities: need a comma-separated list of positive numbers")
+    if not values or not all(0 < d < math.inf for d in values):
+        raise ConfigError("--densities: need a comma-separated list of positive finite numbers")
     return values
 
 

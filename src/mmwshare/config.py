@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,7 +83,13 @@ def _coerce(value, annotation: type, path: str):
     if annotation is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:   # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return number
     if annotation is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")

@@ -1,4 +1,4 @@
-"""Monte Carlo drop engine.
+"""Monte Carlo drop engine and the run layer that pools drops.
 
 A drop realizes one scenario (deployments, link table, association, SINR,
 rates) from a single seed. Scenario comparisons reuse the same drop seeds
@@ -6,14 +6,18 @@ for every kind, so all kinds see identical operator deployments and, where
 geometry coincides, identical channel draws: differences between kinds are
 purely structural (common random numbers).
 
-Seed layout, all derived from the drop seed via mix_seed: operator m's
-deployment uses k=m, its shared-BS selection k=M+m, the link table k=2M.
+Seed layout, all via mix_seed: within a drop, operator m's deployment uses
+k=m of the drop seed, its shared-BS selection k=M+m, the link table k=2M.
+Drop j of a pooled run from base seed b uses mix_seed(b, j); `run_scenarios`
+pools every kind from b = master_seed, `run_sweep` density index i from
+b = mix_seed(master_seed, 1000000 + i).
 
 Every drop uses blind association. The exhaustive coordinated search runs
 only in `run_gap`, on instances small enough to enumerate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +28,7 @@ from .allocation import (assignment_objective, associate_blind,
 from .channel import LinkTable
 from .config import ExperimentConfig
 from .geometry import mix_seed
+from .metrics import cdf, fit_scaling_exponent, outage_rate, percentile
 from .scenario import (SCENARIO_KINDS, SpectrumPools, access_matrix,
                        build_scenario)
 
@@ -81,6 +86,22 @@ class ScenarioRunResult:
     drops: int
 
 
+def _pooled(config: ExperimentConfig, kind: str, base_seed: int) -> ScenarioRunResult:
+    """Pool `config.drops` drops of `kind`, drop j seeded mix_seed(base_seed, j)."""
+    sinr_parts, rate_parts = [], []
+    for j in range(config.drops):
+        out = run_drop(config, kind, mix_seed(base_seed, j))
+        sinr_parts.append(out.sinr_db)
+        rate_parts.append(out.rate_bps)
+    sinr = np.concatenate(sinr_parts)
+    rate = np.concatenate(rate_parts)
+    rate_cdf = cdf(rate)
+    return ScenarioRunResult(
+        kind, sinr, rate, outage_rate(rate, config.rate.target_rate_bps),
+        percentile(rate_cdf, 0.5), percentile(rate_cdf, 0.05),
+        percentile(cdf(sinr), 0.5), config.drops)
+
+
 def run_scenarios(config: ExperimentConfig,
                   kinds=SCENARIO_KINDS) -> dict[str, ScenarioRunResult]:
     """Run every requested kind over the same drop seeds and pool per-UE samples.
@@ -88,27 +109,64 @@ def run_scenarios(config: ExperimentConfig,
     Drop j uses seed mix_seed(master_seed, j) for every kind, so deployments
     are identical across kinds drop by drop.
     """
-    from .metrics import cdf, outage_rate, percentile
-
     for kind in kinds:
         if kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {kind!r}")
-    results: dict[str, ScenarioRunResult] = {}
-    for kind in kinds:
-        sinr_parts, rate_parts = [], []
-        for j in range(config.drops):
-            out = run_drop(config, kind, mix_seed(config.master_seed, j))
-            sinr_parts.append(out.sinr_db)
-            rate_parts.append(out.rate_bps)
-        sinr = np.concatenate(sinr_parts) if sinr_parts else np.empty(0)
-        rate = np.concatenate(rate_parts) if rate_parts else np.empty(0)
-        rate_cdf = cdf(rate)
-        results[kind] = ScenarioRunResult(
-            kind, sinr, rate,
-            outage_rate(rate, config.rate.target_rate_bps),
-            percentile(rate_cdf, 0.5), percentile(rate_cdf, 0.05),
-            percentile(cdf(sinr), 0.5), config.drops)
-    return results
+    return {kind: _pooled(config, kind, config.master_seed) for kind in kinds}
+
+
+# offset separating the sweep's per-density seed streams from the
+# scenario-comparison drop streams (which use k = drop index)
+_SWEEP_SEED_BASE = 1_000_000
+
+
+@dataclass
+class SweepResult:
+    densities: np.ndarray          # BS/km^2 per operator
+    median_rate_bps: np.ndarray
+    p05_rate_bps: np.ndarray
+    mean_rate_bps: np.ndarray
+    outage_fraction: np.ndarray
+    fitted_exponent: float         # log-log slope of mean rate vs density (nan if degenerate)
+
+    def __post_init__(self):
+        n = len(self.densities)
+        for name in ("median_rate_bps", "p05_rate_bps", "mean_rate_bps", "outage_fraction"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} length mismatch")
+        of = np.asarray(self.outage_fraction, dtype=float)
+        if np.any((of < 0) | (of > 1)):
+            raise ValueError("outage fractions must lie in [0, 1]")
+
+
+def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
+    """Pooled rate statistics of the configured scenario at each BS density.
+
+    Density index i pools `config.drops` drops from base seed
+    mix_seed(master_seed, 1000000 + i); the pooled samples are not kept.
+    """
+    densities = [float(d) for d in densities]
+    if not densities:
+        raise ValueError("need at least one density")
+    if any(d <= 0 for d in densities):
+        raise ValueError("densities must be > 0")
+
+    medians, p05s, means, outages = [], [], [], []
+    for i, rho in enumerate(densities):
+        res = _pooled(replace(config, bs_density_per_km2=rho), config.scenario.kind,
+                      mix_seed(config.master_seed, _SWEEP_SEED_BASE + i))
+        medians.append(res.median_rate_bps)
+        p05s.append(res.p05_rate_bps)
+        means.append(float(res.rate_bps.mean()))
+        outages.append(res.outage_fraction)
+
+    if len(densities) >= 3 and all(m > 0 for m in means):
+        exponent = fit_scaling_exponent(densities, means)
+    else:
+        exponent = math.nan
+    return SweepResult(np.asarray(densities), np.asarray(medians),
+                       np.asarray(p05s), np.asarray(means),
+                       np.asarray(outages), exponent)
 
 
 @dataclass

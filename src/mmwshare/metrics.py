@@ -1,25 +1,17 @@
-"""Aggregation of per-UE Monte Carlo samples.
+"""Pure aggregation of per-UE Monte Carlo samples.
 
 Empirical CDFs with nearest-rank percentiles (no interpolation, so results
-are bit-reproducible), rate-outage fractions, log-log scaling-exponent
-fits, and the density sweep that drives the capacity/outage-vs-density
-figures. UEs are pooled across drops in drop-index order; unassociated
-UEs stay in the population (rate 0, SINR -inf).
+are bit-reproducible), rate-outage fractions and log-log scaling-exponent
+fits. Nothing here runs a drop: the run layer pools the samples (in
+drop-index order, unassociated UEs kept with rate 0 and SINR -inf) and
+calls these functions on them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from .config import ExperimentConfig
-from .experiment import run_drop
-from .geometry import mix_seed
-
-# offset separating the sweep's per-density seed streams from the
-# scenario-comparison drop streams (which use k = drop index)
-_SWEEP_SEED_BASE = 1_000_000
 
 
 @dataclass
@@ -85,60 +77,3 @@ def fit_scaling_exponent(densities, values) -> float:
         raise ValueError("densities and values must be positive for a log-log fit")
     slope, _ = np.polyfit(np.log(d), np.log(v), 1)
     return float(slope)
-
-
-@dataclass
-class SweepResult:
-    densities: np.ndarray          # BS/km^2 per operator
-    median_rate_bps: np.ndarray
-    p05_rate_bps: np.ndarray
-    mean_rate_bps: np.ndarray
-    outage_fraction: np.ndarray
-    fitted_exponent: float         # log-log slope of mean rate vs density (nan if degenerate)
-
-    def __post_init__(self):
-        n = len(self.densities)
-        for name in ("median_rate_bps", "p05_rate_bps", "mean_rate_bps", "outage_fraction"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length mismatch")
-        of = np.asarray(self.outage_fraction, dtype=float)
-        if np.any((of < 0) | (of > 1)):
-            raise ValueError("outage fractions must lie in [0, 1]")
-
-
-def run_sweep(config: ExperimentConfig, densities, drops: int | None = None) -> SweepResult:
-    """Pooled per-UE statistics of the configured scenario at each BS density.
-
-    Density index i runs `drops` drops seeded from
-    mix_seed(mix_seed(master_seed, 1000000 + i), j); results are
-    deterministic given the config and master seed.
-    """
-    densities = [float(d) for d in densities]
-    if not densities:
-        raise ValueError("need at least one density")
-    if any(d <= 0 for d in densities):
-        raise ValueError("densities must be > 0")
-    n_drops = config.drops if drops is None else int(drops)
-    if n_drops < 1:
-        raise ValueError("drops must be >= 1")
-
-    medians, p05s, means, outages = [], [], [], []
-    for i, rho in enumerate(densities):
-        cfg = replace(config, bs_density_per_km2=rho)
-        base = mix_seed(config.master_seed, _SWEEP_SEED_BASE + i)
-        parts = [run_drop(cfg, cfg.scenario.kind, mix_seed(base, j)).rate_bps
-                 for j in range(n_drops)]
-        rates = np.concatenate(parts)
-        c = cdf(rates)
-        medians.append(percentile(c, 0.5))
-        p05s.append(percentile(c, 0.05))
-        means.append(float(rates.mean()))
-        outages.append(outage_rate(rates, config.rate.target_rate_bps))
-
-    if len(densities) >= 3 and all(m > 0 for m in means):
-        exponent = fit_scaling_exponent(densities, means)
-    else:
-        exponent = math.nan
-    return SweepResult(np.asarray(densities), np.asarray(medians),
-                       np.asarray(p05s), np.asarray(means),
-                       np.asarray(outages), exponent)

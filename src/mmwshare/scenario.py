@@ -142,15 +142,14 @@ def access_matrix(scenario: Scenario, n_bs_per_operator, seed: int) -> AccessMat
     return AccessMatrix(allowed)
 
 
-def shared_bs_selection(bs_points, fraction: float, seed: int) -> np.ndarray:
-    """Indices of the round(fraction * N) BSs an operator opens to foreign UEs.
+def shared_bs_selection(n: int, fraction: float, seed: int) -> np.ndarray:
+    """Indices of the round(fraction * n) BSs an operator opens to foreign UEs.
 
     The subset is a prefix of one seeded permutation, so selections are
     nested: a larger fraction opens a superset of a smaller one.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
-    n = bs_points if isinstance(bs_points, (int, np.integer)) else len(bs_points)
     k = int(round(fraction * n))
     perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[:k])

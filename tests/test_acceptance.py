@@ -17,9 +17,9 @@ from mmwshare.channel import (AntennaModel, ChannelParams, LinkState,
                               LinkTable, draw_link_states)
 from mmwshare.cli import main as cli_main
 from mmwshare.config import default_config
-from mmwshare.experiment import run_scenarios
+from mmwshare.experiment import run_scenarios, run_sweep
 from mmwshare.geometry import Region, avg_cell_radius_m, deploy_ppp, mix_seed
-from mmwshare.metrics import cdf, percentile, run_sweep
+from mmwshare.metrics import cdf, percentile
 from mmwshare.scenario import Scenario
 
 from test_allocation import _oracle_search
@@ -89,13 +89,13 @@ def test_criterion_05_rate_density_scaling():
                         hard_coverage_area_km2=1e6),
         tx_power_dbm=-40.0,
         interference_enabled=False)
-    s_noise = run_sweep(noise_cfg, densities, drops=200).fitted_exponent
+    s_noise = run_sweep(replace(noise_cfg, drops=200), densities).fitted_exponent
     # interference-dominant regime: narrow licenses make thermal noise
     # negligible; expect roughly linear scaling
     intf_cfg = replace(
         base, scenario=Scenario("NoSharing", num_operators=1,
                                 license_bandwidth_hz=5e5))
-    s_intf = run_sweep(intf_cfg, densities, drops=200).fitted_exponent
+    s_intf = run_sweep(replace(intf_cfg, drops=200), densities).fitted_exponent
     ok = 1.1 <= s_noise <= 1.6 and 0.75 <= s_intf <= 1.25
     _report(5, ok, f"mean-rate exponents: {s_noise:.3f} power-limited "
                    f"(want 1.1..1.6), {s_intf:.3f} interference-dominant "
@@ -108,7 +108,7 @@ def test_criterion_06_outage_falls_with_density():
                   scenario=Scenario("SpectrumAccess", access_share_fraction=1.0))
     densities = [5.0, 10.0, 20.0, 30.0, 50.0, 80.0]
     drops = 50
-    sweep = run_sweep(cfg, densities, drops=drops)
+    sweep = run_sweep(replace(cfg, drops=drops), densities)
     out = sweep.outage_fraction
     # ~400 UE samples per drop; allow adjacent pairs to move up only within
     # the sum of their 99% binomial half-widths

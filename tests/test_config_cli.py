@@ -65,6 +65,24 @@ def test_from_dict_rejects_unknown_and_mistyped():
         from_dict([1, 2])
 
 
+def test_from_dict_rejects_non_finite():
+    # Python's json reads NaN and Infinity; a NaN power used to run to exit 0
+    # with NaN medians and a wrong outage of 0
+    with pytest.raises(ConfigError, match="tx_power_dbm: expected a finite number"):
+        from_dict({"tx_power_dbm": float("nan")})
+    with pytest.raises(ConfigError, match="channel.carrier_ghz"):
+        from_dict({"channel": {"carrier_ghz": -float("inf")}})
+    with pytest.raises(ConfigError, match="noise_figure_db: expected a finite number"):
+        from_dict({"noise_figure_db": 10 ** 400})
+
+
+def test_load_config_rejects_infinite_density(tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text('{"densities": {"bs_per_km2": Infinity}}')
+    with pytest.raises(ConfigError, match=r"inf\.json: densities\.bs_per_km2"):
+        load_config(path)
+
+
 def test_config_value_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(drops=0)
@@ -170,9 +188,34 @@ def test_cli_exit_codes(tmp_path):
     assert main(["scenarios", "--config", str(bad),
                  "--out", str(tmp_path / "o2")]) == 2
     assert main(["sweep", "--drops", "0", "--out", str(tmp_path / "o3")]) == 2
+    for bad_density in ("nan", "inf"):
+        assert main(["sweep", "--densities", f"{bad_density},10,20", "--drops", "1",
+                     "--out", str(tmp_path / "o3")]) == 2
     # full SpectrumAccess opens all 6 BSs of this instance to UE 0, above
     # the exhaustive search's limit of 4 per UE
     access = tmp_path / "access.json"
     access.write_text('{"scenario": {"kind": "SpectrumAccess"}}')
     assert main(["gap", "--config", str(access), "--seed", "3", "--drops", "1",
                  "--out", str(tmp_path / "o4")]) == 4
+
+
+def _reject_constant(name):
+    raise AssertionError(f"artifact contains the non-JSON constant {name}")
+
+
+def test_cli_json_artifacts_are_strict(tmp_path):
+    # two densities leave the scaling exponent undefined (NaN)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--densities", "5,10", "--drops", "1", "--out", str(out)]) == 0
+    doc = json.loads((out / "sweep.json").read_text(), parse_constant=_reject_constant)
+    assert doc["fitted_exponent"] is None
+    assert doc["densities_bs_km2"] == [5.0, 10.0]
+    # at 3 BS/km^2 most UEs are in outage, so the median SINR is -inf
+    cfg = tmp_path / "sparse.json"
+    cfg.write_text('{"densities": {"bs_per_km2": 3}}')
+    out = tmp_path / "sc"
+    assert main(["scenarios", "--config", str(cfg), "--drops", "2", "--out", str(out)]) == 0
+    doc = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    for entry in doc["scenarios"].values():
+        assert entry["median_sinr_db"] is None
+        assert entry["median_rate_bps"] == 0.0

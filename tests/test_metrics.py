@@ -1,17 +1,19 @@
 """Empirical CDFs, percentiles, outage, log-log fits, density sweeps."""
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import mmwshare
 from mmwshare.config import default_config
-from mmwshare.experiment import run_drop
+from mmwshare.experiment import _SWEEP_SEED_BASE, SweepResult, run_drop, run_sweep
 from mmwshare.geometry import mix_seed
-from mmwshare.metrics import (_SWEEP_SEED_BASE, EmpiricalCdf, SweepResult, cdf,
-                              fit_scaling_exponent, outage_rate, percentile,
-                              run_sweep)
+from mmwshare.metrics import (EmpiricalCdf, cdf, fit_scaling_exponent, outage_rate,
+                              percentile)
 
 
 def test_cdf_matches_counting_oracle():
@@ -98,14 +100,14 @@ def test_sweep_result_validation():
 def test_run_sweep_shapes_and_determinism():
     cfg = replace(default_config(), drops=3, ue_density_per_km2=80.0)
     dens = [10.0, 20.0, 40.0]
-    a = run_sweep(cfg, dens, drops=3)
+    a = run_sweep(cfg, dens)
     assert_array_equal(a.densities, dens)
     for arr in (a.median_rate_bps, a.p05_rate_bps, a.mean_rate_bps,
                 a.outage_fraction):
         assert arr.shape == (3,)
     assert np.all((a.outage_fraction >= 0) & (a.outage_fraction <= 1))
     assert math.isfinite(a.fitted_exponent)
-    b = run_sweep(cfg, dens, drops=3)
+    b = run_sweep(cfg, dens)
     assert_array_equal(a.median_rate_bps, b.median_rate_bps)
     assert_array_equal(a.mean_rate_bps, b.mean_rate_bps)
     assert a.fitted_exponent == b.fitted_exponent
@@ -117,23 +119,21 @@ def test_run_sweep_argument_errors():
         run_sweep(cfg, [])
     with pytest.raises(ValueError):
         run_sweep(cfg, [-5.0])
-    with pytest.raises(ValueError):
-        run_sweep(cfg, [10.0], drops=0)
 
 
 def test_run_sweep_empty_population_error():
     # a region with no UEs cannot produce statistics
     cfg = replace(default_config(), drops=1, ue_density_per_km2=1e-12)
     with pytest.raises(ValueError, match="empty population"):
-        run_sweep(cfg, [30.0], drops=1)
+        run_sweep(cfg, [30.0])
 
 
 def test_doubling_drops_stays_within_bootstrap_ci():
     # estimator stability: the 2n-drop median lands inside the 99%
     # bootstrap interval of the n-drop median
     cfg = replace(default_config(), drops=10)
-    one = run_sweep(cfg, [30.0], drops=10)
-    two = run_sweep(cfg, [30.0], drops=20)
+    one = run_sweep(cfg, [30.0])
+    two = run_sweep(replace(cfg, drops=20), [30.0])
     base = mix_seed(cfg.master_seed, _SWEEP_SEED_BASE)
     rates = np.concatenate([
         run_drop(cfg, cfg.scenario.kind, mix_seed(base, j)).rate_bps
@@ -145,3 +145,20 @@ def test_doubling_drops_stays_within_bootstrap_ci():
         for _ in range(400)])
     lo, hi = np.percentile(boots, [0.5, 99.5])
     assert lo <= two.median_rate_bps[0] <= hi
+
+
+def test_metrics_loads_no_other_package_module():
+    # metrics is pure aggregation. The package __init__ imports every
+    # module, so the child process registers a bare `mmwshare` package and
+    # imports only `mmwshare.metrics`: the run layer must stay unloaded.
+    code = (
+        "import importlib, sys, types\n"
+        "pkg = types.ModuleType('mmwshare')\n"
+        f"pkg.__path__ = {list(mmwshare.__path__)!r}\n"
+        "sys.modules['mmwshare'] = pkg\n"
+        "importlib.import_module('mmwshare.metrics')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('mmwshare.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert "mmwshare.experiment" not in out
+    assert out.strip() == "['mmwshare.metrics']"
