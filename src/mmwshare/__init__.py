@@ -3,9 +3,10 @@ in multi-operator millimeter-wave cellular networks.
 
 The library layers cleanly: `geometry` draws Poisson deployments on a
 torus, `channel` realizes link states and received powers, `scenario`
-encodes who shares what, `allocation` associates users and computes
-SINR/rates, `analytic` holds the closed-form scaling laws, `metrics`
-aggregates Monte Carlo samples, `experiment` runs and pools drops, and
+turns positions into who may serve and who interferes with whom under each
+sharing kind, `allocation` associates users and computes SINR/rates,
+`analytic` holds the closed-form scaling laws, `metrics` aggregates Monte
+Carlo samples, `experiment` runs and pools drops and gap instances, and
 `cli` writes the artifacts.
 """
 
@@ -24,12 +25,11 @@ from .config import (SPEC_REVISION, ConfigError, ExperimentConfig, config_hash,
                      default_config, load_config, save_config)
 from .experiment import (DropOutcome, GapRow, ScenarioRunResult, SweepResult,
                          run_drop, run_gap, run_scenarios, run_sweep)
-from .geometry import (Deployment, Region, avg_cell_radius_m, deploy_operator,
-                       deploy_ppp, mix_seed, wrapped_delta)
+from .geometry import (Region, avg_cell_radius_m, deploy_operator, deploy_ppp,
+                       mix_seed, wrapped_delta)
 from .metrics import (EmpiricalCdf, cdf, fit_scaling_exponent, outage_rate,
                       percentile)
-from .scenario import (SCENARIO_KINDS, AccessMatrix, RealizedScenario, Scenario,
-                       SpectrumPools, access_matrix, build_scenario, co_locate,
-                       shared_bs_selection)
+from .scenario import (SCENARIO_KINDS, RealizedScenario, Scenario,
+                       build_scenario, realize_scenario, shared_bs_selection)
 
 __version__ = "0.1.0"

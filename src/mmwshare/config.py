@@ -46,8 +46,9 @@ class ExperimentConfig:
     full_bandwidth_per_ue: bool = False   # optimistic reading: no per-BS split
 
     def __post_init__(self):
-        if self.bs_density_per_km2 <= 0 or self.ue_density_per_km2 <= 0:
-            raise ConfigError("densities must be > 0")
+        for density in (self.bs_density_per_km2, self.ue_density_per_km2):
+            if not (math.isfinite(density) and density > 0):
+                raise ConfigError("densities must be finite and > 0")
         if self.drops < 1:
             raise ConfigError("drops must be >= 1")
         if not 0 <= self.master_seed < 2 ** 64:

@@ -8,6 +8,8 @@ purely structural (common random numbers).
 
 Seed layout, all via mix_seed: within a drop, operator m's deployment uses
 k=m of the drop seed, its shared-BS selection k=M+m, the link table k=2M.
+A gap instance uses the last two offsets of its instance seed, which also
+drives one generator for its sizes, positions and UE operators.
 Drop j of a pooled run from base seed b uses mix_seed(b, j); `run_scenarios`
 pools every kind from b = master_seed, `run_sweep` density index i from
 b = mix_seed(master_seed, 1000000 + i).
@@ -29,8 +31,8 @@ from .channel import LinkTable
 from .config import ExperimentConfig
 from .geometry import mix_seed
 from .metrics import cdf, fit_scaling_exponent, outage_rate, percentile
-from .scenario import (SCENARIO_KINDS, SpectrumPools, access_matrix,
-                       build_scenario)
+from .scenario import (SCENARIO_KINDS, RealizedScenario, build_scenario,
+                       realize_scenario)
 
 
 @dataclass
@@ -50,26 +52,35 @@ class DropOutcome:
         return len(self.rate_bps)
 
 
+def _links(config: ExperimentConfig, realized: RealizedScenario,
+           seed: int) -> tuple[LinkTable, np.ndarray]:
+    """Link table of one drop or gap instance, from mix_seed(seed, 2M), and
+    the co-channel mask that SINR sees (empty when interference is disabled)."""
+    links = LinkTable.realize(
+        realized.bs_xy, realized.ue_xy, config.region, config.tx_power_dbm,
+        config.channel, config.antenna,
+        mix_seed(seed, 2 * realized.scenario.num_operators))
+    cochannel = realized.cochannel_bu
+    if not config.interference_enabled:
+        cochannel = np.zeros_like(cochannel)
+    return links, cochannel
+
+
 def run_drop(config: ExperimentConfig, kind: str, seed: int) -> DropOutcome:
     """Realize and evaluate one drop of `kind` from one seed."""
     scn = replace(config.scenario, kind=kind)
     realized = build_scenario(scn, config.region, config.bs_density_per_km2,
                               config.ue_density_per_km2, seed)
-    links = LinkTable.realize(
-        realized.bs_xy, realized.ue_xy, config.region, config.tx_power_dbm,
-        config.channel, config.antenna, mix_seed(seed, 2 * scn.num_operators))
-    cochannel = realized.cochannel_bu
-    if not config.interference_enabled:
-        cochannel = np.zeros_like(cochannel)
+    links, cochannel = _links(config, realized, seed)
     assoc = split_bandwidth(associate_blind(links, realized.access_bu),
-                            realized.pool_bandwidth_hz, config.full_bandwidth_per_ue)
+                            scn.pool_hz, config.full_bandwidth_per_ue)
     gamma = network_sinr(links, assoc, cochannel, config.noise_figure_db)
     with np.errstate(divide="ignore"):
         sinr_db = 10.0 * np.log10(gamma)
     rate = user_rate(gamma, assoc.ue_bandwidth_hz, config.rate)
-    return DropOutcome(realized.kind, assoc.serving_bs, assoc.ue_bandwidth_hz,
+    return DropOutcome(kind, assoc.serving_bs, assoc.ue_bandwidth_hz,
                        sinr_db, rate, rate < config.rate.target_rate_bps,
-                       realized.n_bs)
+                       len(realized.bs_xy))
 
 
 @dataclass
@@ -148,8 +159,8 @@ def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
     densities = [float(d) for d in densities]
     if not densities:
         raise ValueError("need at least one density")
-    if any(d <= 0 for d in densities):
-        raise ValueError("densities must be > 0")
+    if not all(math.isfinite(d) and d > 0 for d in densities):
+        raise ValueError("densities must be finite and > 0")
 
     medians, p05s, means, outages = [], [], [], []
     for i, rho in enumerate(densities):
@@ -184,40 +195,35 @@ def run_gap(config: ExperimentConfig, n_instances: int,
 
     Instance i draws its sizes and positions from mix_seed(master_seed, i):
     1..max_ues UEs with uniform operators and positions, and 1..max_bs
-    BSs per operator. Access rights come from `access_matrix` seeded with
-    the instance seed. Both associations are scored with the same scalar
-    objective, so the upper bound dominates exactly. An instance beyond the
+    BSs per operator. The instance then goes through the same sharing rules
+    (`realize_scenario`), link table and interference toggle as a drop,
+    with the instance seed in place of the drop seed. Both associations are
+    scored with the same scalar objective, so the upper bound dominates
+    exactly. An instance beyond the
     search limits raises InstanceSizeError (see `scenario` for when
     SpectrumAccess does).
     """
     scn = config.scenario
     m_ops = scn.num_operators
+    size = np.array([config.region.width_km, config.region.height_km])
     rows = []
     for i in range(n_instances):
         inst_seed = mix_seed(config.master_seed, i)
         rng = np.random.default_rng(inst_seed)
         n_ue = int(rng.integers(1, max_ues + 1))
         n_bs_op = rng.integers(1, max_bs_per_operator + 1, size=m_ops)
-        n_bs = int(n_bs_op.sum())
-        size = np.array([config.region.width_km, config.region.height_km])
-        bs_xy = rng.random((n_bs, 2)) * size
+        bs_xy = rng.random((int(n_bs_op.sum()), 2)) * size
         ue_xy = rng.random((n_ue, 2)) * size
-        bs_operator = np.repeat(np.arange(m_ops), n_bs_op)
-        ue_operator = rng.integers(0, m_ops, size=n_ue)
+        realized = realize_scenario(scn, bs_xy, ue_xy, n_bs_op,
+                                    rng.integers(0, m_ops, size=n_ue), inst_seed)
+        links, cochannel = _links(config, realized, inst_seed)
 
-        pools = SpectrumPools.for_scenario(scn)
-        cochannel = pools.cochannel_mask(bs_operator, ue_operator)
-        access = access_matrix(scn, n_bs_op, inst_seed).for_ues(ue_operator)
-        links = LinkTable.realize(
-            bs_xy, ue_xy, config.region, config.tx_power_dbm, config.channel,
-            config.antenna, mix_seed(inst_seed, 2 * m_ops))
-
-        blind = associate_blind(links, access)
+        blind = associate_blind(links, realized.access_bu)
         blind_val = assignment_objective(
-            links, blind.serving_bs, cochannel, pools.pool_hz, config.rate,
+            links, blind.serving_bs, cochannel, scn.pool_hz, config.rate,
             config.noise_figure_db, objective, config.full_bandwidth_per_ue)
         _, ub_val = coordinated_upper_bound(
-            links, access, cochannel, pools.pool_hz, config.rate,
+            links, realized.access_bu, cochannel, scn.pool_hz, config.rate,
             config.noise_figure_db, objective=objective,
             full_bandwidth=config.full_bandwidth_per_ue)
         gap = 100.0 * (ub_val - blind_val) / ub_val if ub_val > 0 else 0.0

@@ -1,8 +1,10 @@
 """Spatial deployments: Poisson point processes on a rectangle with torus distance.
 
-Base stations and users are dropped as independent homogeneous PPPs. The
-default region wraps around (torus metric) so that interference statistics
-are free of edge effects; the flat metric is kept for debugging.
+Base stations and users are dropped as independent homogeneous PPPs and
+returned as plain (n, 2) position arrays; which operator owns which point
+is left to `scenario`. The default region wraps around (torus metric) so
+that interference statistics are free of edge effects; the flat metric is
+kept for debugging.
 """
 from __future__ import annotations
 
@@ -38,31 +40,13 @@ class Region:
     wraparound: bool = True
 
     def __post_init__(self):
-        if self.width_km <= 0 or self.height_km <= 0:
-            raise ValueError("region dimensions must be positive")
+        for side in (self.width_km, self.height_km):
+            if not (math.isfinite(side) and side > 0):
+                raise ValueError("region dimensions must be finite and positive")
 
     @property
     def area_km2(self) -> float:
         return self.width_km * self.height_km
-
-
-@dataclass
-class Deployment:
-    """One operator's realized BS and UE positions (km) plus the generating intensities."""
-
-    operator_id: int
-    bs_xy: np.ndarray  # (n_bs, 2) km
-    ue_xy: np.ndarray  # (n_ue, 2) km
-    bs_density_per_km2: float = 0.0
-    ue_density_per_km2: float = 0.0
-
-    @property
-    def n_bs(self) -> int:
-        return len(self.bs_xy)
-
-    @property
-    def n_ue(self) -> int:
-        return len(self.ue_xy)
 
 
 def deploy_ppp(density_per_km2: float, region: Region, seed: int) -> np.ndarray:
@@ -102,17 +86,14 @@ def avg_cell_radius_m(density_per_km2: float) -> float:
 
 
 def deploy_operator(
-    operator_id: int,
     bs_density_per_km2: float,
     ue_density_per_km2: float,
     region: Region,
     seed: int,
-) -> Deployment:
-    """Drop one operator's BSs and UEs from independent child streams of `seed`."""
-    return Deployment(
-        operator_id=operator_id,
-        bs_xy=deploy_ppp(bs_density_per_km2, region, mix_seed(seed, 0)),
-        ue_xy=deploy_ppp(ue_density_per_km2, region, mix_seed(seed, 1)),
-        bs_density_per_km2=bs_density_per_km2,
-        ue_density_per_km2=ue_density_per_km2,
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop one operator's BSs and UEs from independent child streams of `seed`.
+
+    Returns (bs_xy, ue_xy), drawn from mix_seed(seed, 0) and mix_seed(seed, 1).
+    """
+    return (deploy_ppp(bs_density_per_km2, region, mix_seed(seed, 0)),
+            deploy_ppp(ue_density_per_km2, region, mix_seed(seed, 1)))

@@ -1,5 +1,6 @@
 """Config schema round-trips and the command-line front end."""
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -88,6 +89,11 @@ def test_config_value_validation():
         ExperimentConfig(drops=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(bs_density_per_km2=-3.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(bs_density_per_km2=bad)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(ue_density_per_km2=bad)
     with pytest.raises(ConfigError):
         ExperimentConfig(master_seed=2 ** 64)
 

@@ -6,9 +6,9 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from mmwshare.config import default_config
-from mmwshare.experiment import run_drop, run_gap, run_scenarios
+from mmwshare.experiment import _links, run_drop, run_gap, run_scenarios
 from mmwshare.geometry import Region
-from mmwshare.scenario import Scenario
+from mmwshare.scenario import Scenario, build_scenario
 
 
 def small_config(**overrides):
@@ -83,3 +83,34 @@ def test_run_gap_rows():
         else:
             assert r.gap_percent == 0.0
         assert 0.0 <= r.gap_percent <= 100.0
+
+
+def test_run_gap_honours_interference_toggle():
+    cfg = replace(default_config(), region=Region(0.2, 0.2),
+                  scenario=Scenario("Spectrum"), drops=1, master_seed=5)
+    on = run_gap(cfg, n_instances=6)
+    off = run_gap(replace(cfg, interference_enabled=False), n_instances=6)
+    ub_on = np.array([r.ub_sum_rate_bps for r in on])
+    ub_off = np.array([r.ub_sum_rate_bps for r in off])
+    assert np.all(ub_off >= ub_on)
+    assert np.any(ub_off > ub_on)
+
+
+def test_kinds_share_link_tables_at_one_seed():
+    # common random numbers: the kinds differ only in their sharing rules, so
+    # every kind but SpectrumInfra realizes the same link table from a drop seed
+    cfg = default_config()
+    seed = 12
+
+    def drop(kind):
+        realized = build_scenario(replace(cfg.scenario, kind=kind), cfg.region,
+                                  cfg.bs_density_per_km2, cfg.ue_density_per_km2, seed)
+        return realized, _links(cfg, realized, seed)[0]
+
+    ref_real, ref = drop("NoSharing")
+    for kind in ("Spectrum", "SpectrumAccess"):
+        _, links = drop(kind)
+        for name in ("state", "shadowing_db", "serving_rx_dbm"):
+            assert_array_equal(getattr(links, name), getattr(ref, name))
+    infra_real, _ = drop("SpectrumInfra")
+    assert_array_equal(infra_real.ue_xy, ref_real.ue_xy)

@@ -24,6 +24,11 @@ def test_region_validation():
         Region(0.0, 1.0)
     with pytest.raises(ValueError):
         Region(1.0, -2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Region(bad, 1.0)
+        with pytest.raises(ValueError):
+            Region(1.0, bad)
     assert Region(2.0, 0.5).area_km2 == 1.0
 
 
@@ -160,13 +165,12 @@ def test_avg_cell_radius_formula():
 
 
 def test_deploy_operator_streams():
-    d = deploy_operator(3, 30.0, 200.0, UNIT, seed=77)
-    assert d.operator_id == 3
-    assert d.bs_density_per_km2 == 30.0
-    assert d.ue_density_per_km2 == 200.0
+    bs, ue = deploy_operator(30.0, 200.0, UNIT, seed=77)
     # bs and ue use distinct child streams of the same seed
-    again = deploy_operator(3, 30.0, 200.0, UNIT, seed=77)
-    assert_array_equal(d.bs_xy, again.bs_xy)
-    assert_array_equal(d.ue_xy, again.ue_xy)
-    same_density = deploy_operator(3, 200.0, 200.0, UNIT, seed=77)
-    assert not np.array_equal(same_density.bs_xy, same_density.ue_xy)
+    assert_array_equal(bs, deploy_ppp(30.0, UNIT, mix_seed(77, 0)))
+    assert_array_equal(ue, deploy_ppp(200.0, UNIT, mix_seed(77, 1)))
+    again_bs, again_ue = deploy_operator(30.0, 200.0, UNIT, seed=77)
+    assert_array_equal(bs, again_bs)
+    assert_array_equal(ue, again_ue)
+    same_bs, same_ue = deploy_operator(200.0, 200.0, UNIT, seed=77)
+    assert not np.array_equal(same_bs, same_ue)

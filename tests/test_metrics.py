@@ -119,6 +119,9 @@ def test_run_sweep_argument_errors():
         run_sweep(cfg, [])
     with pytest.raises(ValueError):
         run_sweep(cfg, [-5.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            run_sweep(cfg, [10.0, bad])
 
 
 def test_run_sweep_empty_population_error():

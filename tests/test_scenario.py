@@ -1,27 +1,42 @@
 """Sharing scenario construction: pools, access rights, co-location."""
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from mmwshare.geometry import Region, deploy_operator
-from mmwshare.scenario import (SCENARIO_KINDS, AccessMatrix, Scenario,
-                               SpectrumPools, build_scenario, co_locate,
-                               shared_bs_selection, validate_kind)
+from mmwshare.geometry import Region, mix_seed
+from mmwshare.scenario import (SCENARIO_KINDS, Scenario, build_scenario,
+                               realize_scenario, shared_bs_selection)
 
 UNIT = Region(1.0, 1.0)
 
 
+def realize(scenario, n_bs_per_operator, ue_operator, seed=0):
+    """Realize a scenario at dummy positions (the masks ignore them)."""
+    n_bs, n_ue = sum(n_bs_per_operator), len(ue_operator)
+    return realize_scenario(scenario, np.zeros((n_bs, 2)), np.zeros((n_ue, 2)),
+                            n_bs_per_operator, np.asarray(ue_operator), seed)
+
+
+def operator_bs_indices(real, m):
+    return np.flatnonzero(real.bs_operator == m)
+
+
 def test_kind_validation():
     for k in SCENARIO_KINDS:
-        validate_kind(k)
+        assert Scenario(k).kind == k
     with pytest.raises(ValueError):
-        validate_kind("Roaming")
+        Scenario("Roaming")
     with pytest.raises(ValueError):
         Scenario("nosharing")
     with pytest.raises(ValueError):
         Scenario("Spectrum", num_operators=0)
     with pytest.raises(ValueError):
         Scenario("SpectrumAccess", access_share_fraction=1.5)
+    for bad in (0.0, -5e8, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Scenario("Spectrum", license_bandwidth_hz=bad)
 
 
 def test_total_bandwidth():
@@ -31,48 +46,60 @@ def test_total_bandwidth():
 
 
 def test_pools_unshared():
-    pools = SpectrumPools.for_scenario(Scenario("NoSharing", num_operators=3))
-    assert pools.n_pools == 3
-    assert pools.pool_hz == 5e8
-    assert_array_equal(pools.pool_of_operator, [0, 1, 2])
+    sc = Scenario("NoSharing", num_operators=3)
+    assert sc.pool_hz == 5e8
+    # three disjoint pools: each operator's BSs reach only its own UEs
+    real = realize(sc, [1, 1, 1], [0, 1, 2])
+    assert_array_equal(real.cochannel_bu, np.eye(3, dtype=bool))
 
 
 def test_pools_shared():
     for kind in ("Spectrum", "SpectrumInfra", "SpectrumAccess"):
-        pools = SpectrumPools.for_scenario(Scenario(kind, num_operators=3))
-        assert pools.n_pools == 1
-        assert pools.pool_hz == 1.5e9
-        assert_array_equal(pools.pool_of_operator, [0, 0, 0])
+        sc = Scenario(kind, num_operators=3)
+        assert sc.pool_hz == 1.5e9
+        assert np.all(realize(sc, [1, 1, 1], [0, 1, 2]).cochannel_bu)
 
 
 def test_pools_conserve_bandwidth_exactly():
     for m in (1, 2, 3, 4, 5, 7):
         for kind in SCENARIO_KINDS:
             sc = Scenario(kind, num_operators=m, license_bandwidth_hz=5e8)
-            pools = SpectrumPools.for_scenario(sc)
-            assert pools.total_bandwidth_hz == sc.total_bandwidth_hz
+            # one BS and one UE per operator: the distinct co-channel rows
+            # are the pools
+            mask = realize(sc, [1] * m, list(range(m))).cochannel_bu
+            n_pools = len(np.unique(mask, axis=0))
+            assert sc.pool_hz * n_pools == sc.total_bandwidth_hz
 
 
 def test_cochannel_mask():
-    pools = SpectrumPools(np.array([5e8, 5e8]), np.array([0, 1]))
-    bs_op = np.array([0, 0, 1])
-    ue_op = np.array([0, 1, 1, 0])
-    mask = pools.cochannel_mask(bs_op, ue_op)
+    bs_counts = [2, 1]   # BS operators 0, 0, 1
+    ue_op = [0, 1, 1, 0]
+    mask = realize(Scenario("NoSharing"), bs_counts, ue_op).cochannel_bu
     # own-operator links only when pools are disjoint
     assert_array_equal(mask, [[True, False, False, True],
                               [True, False, False, True],
                               [False, True, True, False]])
-    shared = SpectrumPools(np.array([1e9]), np.array([0, 0]))
-    assert np.all(shared.cochannel_mask(bs_op, ue_op))
+    shared = realize(Scenario("Spectrum"), bs_counts, ue_op).cochannel_bu
+    assert shared.shape == (3, 4)
+    assert np.all(shared)
 
 
 def test_access_matrix_expansion():
-    allowed = np.array([[True, True, False], [False, True, True]])
-    am = AccessMatrix(allowed)
-    bu = am.for_ues(np.array([0, 1, 1]))
-    assert_array_equal(bu, [[True, False, False],
-                            [True, True, True],
-                            [False, True, True]])
+    # one (B, U) column per UE: its operator's row of access rights
+    own = realize(Scenario("NoSharing"), [2, 1], [0, 1, 1])
+    assert_array_equal(own.access_bu, [[True, False, False],
+                                       [True, False, False],
+                                       [False, True, True]])
+    # SpectrumAccess at 0.5: operator 0 opens round(1.0) = 1 of its 2 BSs,
+    # drawn from mix_seed(seed, M + 0); operator 1 opens round(0.5) = 0
+    seed = 4
+    real = realize(Scenario("SpectrumAccess", access_share_fraction=0.5),
+                   [2, 1], [0, 1, 1, 0], seed=seed)
+    opened = shared_bs_selection(2, 0.5, mix_seed(seed, 2))
+    row_op1 = np.isin(np.arange(3), [*opened, 2])
+    want = np.stack([[True, True, False], row_op1, row_op1,
+                     [True, True, False]], axis=1)
+    assert_array_equal(real.access_bu, want)
 
 
 def test_shared_selection_size_and_nesting():
@@ -91,23 +118,13 @@ def test_shared_selection_size_and_nesting():
         shared_bs_selection(5, 1.2, seed=0)
 
 
-def test_co_locate_stacks_on_first_operator():
-    ops = [deploy_operator(m, 30.0, 200.0, UNIT, seed=m) for m in range(3)]
-    merged = co_locate(ops)
-    for d in merged:
-        assert d.bs_xy is merged[0].bs_xy
-    # UE positions are untouched
-    for before, after in zip(ops, merged):
-        assert_array_equal(before.ue_xy, after.ue_xy)
-    assert len(co_locate(ops[:1])) == 1
-
-
 def test_build_scenario_counts_and_masks():
     real = build_scenario(Scenario("NoSharing"), UNIT, 30.0, 200.0, seed=0)
-    assert real.n_operators == 2
-    assert real.bs_operator.shape == (real.n_bs,)
-    assert real.ue_operator.shape == (real.n_ue,)
-    assert real.access_bu.shape == (real.n_bs, real.n_ue)
+    n_bs, n_ue = len(real.bs_xy), len(real.ue_xy)
+    assert set(real.bs_operator.tolist()) == set(real.ue_operator.tolist()) == {0, 1}
+    assert real.bs_operator.shape == (n_bs,)
+    assert real.ue_operator.shape == (n_ue,)
+    assert real.access_bu.shape == (n_bs, n_ue)
     # without sharing a UE may only use its own operator's sites
     own = real.bs_operator[:, None] == real.ue_operator[None, :]
     assert_array_equal(real.access_bu, own)
@@ -121,19 +138,28 @@ def test_build_scenario_spectrum_only_changes_pool():
     assert_array_equal(a.bs_xy, b.bs_xy)
     assert_array_equal(a.ue_xy, b.ue_xy)
     assert_array_equal(a.access_bu, b.access_bu)
-    assert a.pool_bandwidth_hz == 5e8
-    assert b.pool_bandwidth_hz == 1e9
+    assert a.scenario.pool_hz == 5e8
+    assert b.scenario.pool_hz == 1e9
     assert np.all(b.cochannel_bu)
 
 
 def test_build_scenario_infra_colocates():
-    real = build_scenario(Scenario("SpectrumInfra"), UNIT, 30.0, 200.0, seed=5)
-    assert_array_equal(real.bs_xy[real.operator_bs_indices(0)],
-                       real.bs_xy[real.operator_bs_indices(1)])
-    # access is still restricted to the owner's arrays
-    own = real.bs_operator[:, None] == real.ue_operator[None, :]
-    assert_array_equal(real.access_bu, own)
-    assert np.all(real.cochannel_bu)
+    for m_ops in (1, 2, 3):
+        infra = build_scenario(Scenario("SpectrumInfra", num_operators=m_ops),
+                               UNIT, 30.0, 200.0, seed=5)
+        spec = build_scenario(Scenario("Spectrum", num_operators=m_ops),
+                              UNIT, 30.0, 200.0, seed=5)
+        # every operator's BSs stack on operator 0's own draw
+        site0 = spec.bs_xy[operator_bs_indices(spec, 0)]
+        for m in range(m_ops):
+            assert_array_equal(infra.bs_xy[operator_bs_indices(infra, m)], site0)
+        # UE positions and owners are untouched
+        assert_array_equal(infra.ue_xy, spec.ue_xy)
+        assert_array_equal(infra.ue_operator, spec.ue_operator)
+        # access is still restricted to the owner's arrays
+        own = infra.bs_operator[:, None] == infra.ue_operator[None, :]
+        assert_array_equal(infra.access_bu, own)
+        assert np.all(infra.cochannel_bu)
 
 
 def test_build_scenario_access_opens_foreign_sites():
@@ -145,8 +171,8 @@ def test_build_scenario_access_opens_foreign_sites():
     own = part.bs_operator[:, None] == part.ue_operator[None, :]
     assert np.all(part.access_bu[own])
     opened = part.access_bu & ~own
-    for m in range(part.n_operators):
-        idx = part.operator_bs_indices(m)
+    for m in range(part.scenario.num_operators):
+        idx = operator_bs_indices(part, m)
         foreign_ues = part.ue_operator != m
         n_open = round(0.3 * idx.size)
         per_ue = opened[idx][:, foreign_ues].sum(axis=0)
