@@ -14,22 +14,31 @@ angles come from the true (torus) geometry. Transmitters mounted at the
 victim's serving site are scheduled orthogonally by the shared site and
 add no interference (this only triggers under co-located deployments,
 where the victim's receive mainlobe would otherwise point straight at
-the co-sited array). Per-UE
-SINR has a scalar reference implementation (`compute_sinr`,
-ascending-index accumulation in linear units) that the search optimizes;
-a vectorized equivalent (`network_sinr`) handles Monte Carlo volume.
-Both SINR paths read geometry from the `LinkTable` (`delta_km`).
+the co-sited array).
+
+Three implementations of that model share the `LinkTable`'s geometry
+(`delta_km`):
+- `compute_sinr`, the scalar reference: one UE, interferers accumulated
+  in ascending BS index in linear milliwatts. No engine path calls it;
+  the tests hold the kernel to it.
+- one batched objective kernel that scores blocks of complete
+  assignments and serves both the exhaustive search and the blind
+  baseline of the coordination-gap study (`assignment_objective` is a
+  one-row block). Per instance it tabulates every term `compute_sinr`
+  can form, then evaluates each assignment with the same IEEE operations
+  in the same order, so its values equal the scalar reference bit for bit.
+- `network_sinr`, vectorized over a whole drop for Monte Carlo volume,
+  equal to the reference only to rounding.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (THERMAL_NOISE_DBM_PER_HZ, LinkState, LinkTable,
-                      beam_gain_db, noise_power_dbm)
+                      beam_gain_db, noise_power_dbm, require_finite)
 
 NONE = -1   # serving_bs value for an unassociated UE
 
@@ -48,6 +57,7 @@ class RateParams:
     target_rate_bps: float = 1e7  # below this a user counts as in outage
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
         if not 0.0 < self.duty_factor <= 1.0:
@@ -130,6 +140,7 @@ def compute_sinr(ue: int, assoc: Association, links: LinkTable,
     the UE's allocated bandwidth; interference sums every loaded co-channel
     BS off the serving site with both sectored gains evaluated at the true
     geometry, accumulated in ascending BS index in linear milliwatts.
+    This is the scalar reference of the batched objective kernel.
     """
     s = int(assoc.serving_bs[ue])
     if s == NONE:
@@ -226,34 +237,131 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
     return gamma
 
 
+_BLOCK_ROWS = 4096   # assignments per kernel call: bounds the search's working memory
+
+
+def _mw(dbm) -> np.ndarray:
+    """dBm -> mW entry by entry with Python's float power, as `compute_sinr` does."""
+    dbm = np.asarray(dbm, dtype=float)
+    return np.array([10.0 ** (x / 10.0) for x in dbm.ravel().tolist()]).reshape(dbm.shape)
+
+
+@dataclass
+class _ObjectiveTables:
+    """Per-instance constants of the batched objective kernel, in mW and Hz.
+
+    `interference[b, t, u, s]` is what BS b adds at UE u when its mainlobe
+    tracks UE t and u is served by BS s; it is 0 where `compute_sinr` skips
+    b (other channel, OUT link, u's serving site) and at t = U, the slot of
+    an idle BS. `noise` and `width` are indexed by the serving BS's load.
+    """
+
+    interference: np.ndarray   # (B, U+1, U, B)
+    signal: np.ndarray         # (B, U), serving-link power
+    noise: np.ndarray          # (U+1,), entry 0 unused
+    width: np.ndarray          # (U+1,) Hz, entry 0 unused
+    params: RateParams
+    objective: str
+
+
+def _objective_tables(links: LinkTable, cochannel_bu: np.ndarray, pool_hz: float,
+                      params: RateParams, noise_figure_db: float, objective: str,
+                      full_bandwidth: bool) -> _ObjectiveTables:
+    """Precompute every term `compute_sinr` can form on this instance.
+
+    Gains come from the scalar angle function and one array `beam_gain_db`
+    call per side (its ops are exact); dB sums keep the scalar operand
+    order, so each table entry is bit-identical to the scalar path's value.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    if pool_hz <= 0:
+        raise ValueError("pool bandwidth must be > 0")
+    n_bs, n_ue = links.n_bs, links.n_ue
+    ant = links.antenna
+    delta = links.delta_km.tolist()   # (B, U, 2), bs -> ue
+    # BS side [b, t, u]: b tracks UE t, victim u
+    ang_bs = np.array([_angle_between_deg(delta[b][t], delta[b][u])
+                       for b in range(n_bs) for t in range(n_ue) for u in range(n_ue)])
+    gt = beam_gain_db(ang_bs.reshape(n_bs, n_ue, n_ue), ant.bs_mainlobe_gain_db,
+                      ant.bs_sidelobe_gain_db, ant.bs_beamwidth_deg)
+    # UE side [u, s, b]: victim u served by s, interferer b (the sign cancels)
+    ang_ue = np.array([_angle_between_deg(delta[s][u], delta[b][u])
+                       for u in range(n_ue) for s in range(n_bs) for b in range(n_bs)])
+    gr = beam_gain_db(ang_ue.reshape(n_ue, n_bs, n_bs), ant.ue_mainlobe_gain_db,
+                      ant.ue_sidelobe_gain_db, ant.ue_beamwidth_deg)
+
+    rx_dbm = ((((links.tx_power_dbm + gt[:, :, :, None])
+                + gr.transpose(2, 0, 1)[:, None, :, :])
+               - links.path_loss_db[:, None, :, None])
+              - links.shadowing_db[:, None, :, None])          # (B, U, U, B)
+    bs_xy = links.bs_xy
+    off_site = ~((bs_xy[:, None, 0] == bs_xy[None, :, 0])
+                 & (bs_xy[:, None, 1] == bs_xy[None, :, 1]))   # [b, s]
+    hears = np.asarray(cochannel_bu, dtype=bool) & (links.state != LinkState.OUT)
+    live = np.broadcast_to(hears[:, None, :, None] & off_site[:, None, None, :],
+                           rx_dbm.shape)
+    interference = np.zeros((n_bs, n_ue + 1, n_ue, n_bs))
+    interference[:, :n_ue][live] = _mw(rx_dbm[live])
+
+    width = np.zeros(n_ue + 1)
+    width[1:] = pool_hz if full_bandwidth else pool_hz / np.arange(1, n_ue + 1)
+    noise = np.zeros(n_ue + 1)
+    noise[1:] = _mw([noise_power_dbm(w, noise_figure_db) for w in width[1:].tolist()])
+    return _ObjectiveTables(interference, _mw(links.serving_rx_dbm), noise, width,
+                            params, objective)
+
+
+def _score_block(tables: _ObjectiveTables, serving: np.ndarray) -> np.ndarray:
+    """Objective of every row of an (R, U) block of assignments (NONE = unassociated).
+
+    Per row: loads and interferer targets from the assignment; per UE:
+    noise, then interferers in ascending BS order, then `user_rate`; the
+    objective adds UEs in ascending index. This is `compute_sinr`'s and
+    `assignment_objective`'s operation sequence, element by element.
+    """
+    n_rows, n_ue = serving.shape
+    served = serving != NONE
+    if not served.any():
+        return np.zeros(n_rows)   # nothing to score (also U = 0 or B = 0)
+    n_bs = len(tables.signal)
+    attached = serving[:, :, None] == np.arange(n_bs)          # (R, U, B)
+    load = attached.sum(axis=1)                                # (R, B)
+    target = np.where(load > 0, attached.argmax(axis=1), n_ue)  # lowest-index UE, U if idle
+    s = np.where(served, serving, 0)
+    ues = np.arange(n_ue)
+    own_load = np.maximum(np.take_along_axis(load, s, axis=1), 1)   # 1 where unserved
+    acc = tables.noise[own_load]
+    for b in range(n_bs):
+        acc = acc + tables.interference[b][target[:, b:b + 1], ues, s]
+    gamma = tables.signal[s, ues] / acc
+    rate = user_rate(gamma, tables.width[own_load], tables.params)
+    value = np.where(served, rate, 0.0)
+    if tables.objective == "sum_log_rate":
+        value[served] = [math.log(r) if r > 0.0 else -math.inf
+                         for r in rate[served].tolist()]
+    total = np.zeros(n_rows)
+    for u in range(n_ue):
+        total = total + value[:, u]
+    return total
+
+
 def assignment_objective(links: LinkTable, serving_bs: np.ndarray,
                          cochannel_bu: np.ndarray, pool_hz: float,
                          params: RateParams, noise_figure_db: float,
                          objective: str = "sum_rate",
                          full_bandwidth: bool = False) -> float:
-    """Objective value of a complete assignment, via the scalar SINR path.
+    """Objective value of a complete assignment: a one-row block of the kernel.
 
     sum_rate adds user rates in ascending UE index; sum_log_rate adds
     natural logs of the rates of assigned UEs (-inf if any such rate is 0).
     Unassociated UEs contribute rate 0 and are skipped by sum_log_rate.
+    The value equals the same sum over `compute_sinr` and `user_rate`.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    load = np.bincount(serving_bs[serving_bs != NONE], minlength=links.n_bs).astype(np.int64)
-    assoc = split_bandwidth(
-        Association(np.asarray(serving_bs, dtype=np.int64), np.zeros(links.n_ue), load),
-        pool_hz, full_bandwidth)
-    total = 0.0
-    for u in range(links.n_ue):
-        if assoc.serving_bs[u] == NONE:
-            continue
-        gamma = compute_sinr(u, assoc, links, cochannel_bu, noise_figure_db)
-        r = user_rate(gamma, float(assoc.ue_bandwidth_hz[u]), params)
-        if objective == "sum_rate":
-            total += r
-        else:
-            total += math.log(r) if r > 0.0 else -math.inf
-    return total
+    tables = _objective_tables(links, cochannel_bu, pool_hz, params,
+                               noise_figure_db, objective, full_bandwidth)
+    row = np.asarray(serving_bs, dtype=np.int64).reshape(1, links.n_ue)
+    return float(_score_block(tables, row)[0])
 
 
 def coordinated_upper_bound(
@@ -272,14 +380,16 @@ def coordinated_upper_bound(
 
     Every UE ranges over all of its accessible BSs (a UE whose accessible
     links are all blocked is fixed unassociated); loads, bandwidth splits
-    and interference are recomputed per assignment. Ties resolve to the
-    lexicographically smallest assignment. Instances beyond `max_ues` UEs
-    or `max_bs_per_ue` accessible BSs for some UE raise InstanceSizeError.
+    and interference are recomputed per assignment. Assignments are
+    scored in `itertools.product` order, blocks of `_BLOCK_ROWS` at a time.
+    Ties resolve to the lexicographically smallest assignment. Instances
+    beyond `max_ues` UEs or `max_bs_per_ue` accessible BSs for some UE
+    raise InstanceSizeError.
     """
     n_ue = links.n_ue
     if n_ue > max_ues:
         raise InstanceSizeError(f"{n_ue} UEs exceeds the search limit of {max_ues}")
-    candidates: list[list[int]] = []
+    candidates: list[np.ndarray] = []
     enumerated: list[int] = []
     fixed = np.full(n_ue, NONE, dtype=np.int64)
     for u in range(n_ue):
@@ -290,25 +400,31 @@ def coordinated_upper_bound(
         if len(acc) == 0 or np.all(links.state[acc, u] == LinkState.OUT):
             continue   # forced unassociated
         enumerated.append(u)
-        candidates.append([int(b) for b in acc])
+        candidates.append(acc)
+    tables = _objective_tables(links, cochannel_bu, pool_hz, params,
+                               noise_figure_db, objective, full_bandwidth)
 
+    shape = tuple(len(c) for c in candidates)
+    n_total = math.prod(shape)   # 1 with no enumerated UEs: the fixed assignment
     best_assignment = fixed
     best_value = None
-    # with no enumerated UEs, product() yields one empty combo: the fixed assignment
-    for combo in itertools.product(*candidates):
-        serving = fixed.copy()
+    for start in range(0, n_total, _BLOCK_ROWS):
+        index = np.arange(start, min(start + _BLOCK_ROWS, n_total))
+        block = np.tile(fixed, (len(index), 1))
         if enumerated:
-            serving[enumerated] = combo
-        value = assignment_objective(
-            links, serving, cochannel_bu, pool_hz, params, noise_figure_db,
-            objective, full_bandwidth)
-        if best_value is None or value > best_value:
-            # strict comparison: the first maximizer in product order wins,
+            # C-order digits: the last UE varies fastest, as in itertools.product
+            for u, cand, digit in zip(enumerated, candidates,
+                                      np.unravel_index(index, shape)):
+                block[:, u] = cand[digit]
+        values = _score_block(tables, block)
+        i = int(np.argmax(values))   # first maximum within the block
+        if best_value is None or values[i] > best_value:
+            # strict across blocks: the first maximizer in product order wins,
             # i.e. the lexicographically smallest assignment
-            best_value = value
-            best_assignment = serving
+            best_value = float(values[i])
+            best_assignment = block[i].copy()
     load = np.bincount(best_assignment[best_assignment != NONE],
                        minlength=links.n_bs).astype(np.int64)
     assoc = split_bandwidth(
         Association(best_assignment, np.zeros(n_ue), load), pool_hz, full_bandwidth)
-    return assoc, float(best_value)
+    return assoc, best_value

@@ -14,6 +14,7 @@ gains (geometric beam pointing, the only model) from it.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -23,6 +24,14 @@ import numpy as np
 from .geometry import Region
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
+
+
+def require_finite(params, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` if a float field of a parameter dataclass is NaN or infinite."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if f.type in ("float", float) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")
 
 
 class LinkState(IntEnum):
@@ -47,6 +56,7 @@ class ChannelParams:
     outage_rise_per_m: float = 1.0 / 200.0  # exponential mode only
 
     def __post_init__(self):
+        require_finite(self)
         if self.outage_model not in ("hard_radius", "exponential"):
             raise ValueError(f"unknown outage_model {self.outage_model!r}")
         if self.shadow_sigma_los_db < 0 or self.shadow_sigma_nlos_db < 0:
@@ -69,6 +79,7 @@ class AntennaModel:
     ue_beamwidth_deg: float = 30.0
 
     def __post_init__(self):
+        require_finite(self)
         for bw in (self.bs_beamwidth_deg, self.ue_beamwidth_deg):
             if not 0 < bw <= 360:
                 raise ValueError("beamwidths must be in (0, 360]")

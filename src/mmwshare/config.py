@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .allocation import RateParams
-from .channel import AntennaModel, ChannelParams
+from .channel import AntennaModel, ChannelParams, require_finite
 from .geometry import Region
 from .scenario import Scenario
 
@@ -49,6 +49,7 @@ class ExperimentConfig:
         for density in (self.bs_density_per_km2, self.ue_density_per_km2):
             if not (math.isfinite(density) and density > 0):
                 raise ConfigError("densities must be finite and > 0")
+        require_finite(self, ConfigError)
         if self.drops < 1:
             raise ConfigError("drops must be >= 1")
         if not 0 <= self.master_seed < 2 ** 64:

@@ -198,7 +198,7 @@ def run_gap(config: ExperimentConfig, n_instances: int,
     BSs per operator. The instance then goes through the same sharing rules
     (`realize_scenario`), link table and interference toggle as a drop,
     with the instance seed in place of the drop seed. Both associations are
-    scored with the same scalar objective, so the upper bound dominates
+    scored by the same objective kernel, so the upper bound dominates
     exactly. An instance beyond the
     search limits raises InstanceSizeError (see `scenario` for when
     SpectrumAccess does).

@@ -1,4 +1,5 @@
 """Association, bandwidth splits, SINR, rates, and the brute-force bound."""
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mmwshare import allocation
-from mmwshare.allocation import (NONE, Association, InstanceSizeError,
-                                 RateParams, assignment_objective,
+from mmwshare.allocation import (NONE, OBJECTIVES, Association,
+                                 InstanceSizeError, RateParams, assignment_objective,
                                  associate_blind, compute_sinr,
                                  coordinated_upper_bound, interferer_targets,
                                  network_sinr, split_bandwidth, user_rate)
@@ -204,6 +205,10 @@ def test_rate_params_validation():
         RateParams(duty_factor=1.5)
     with pytest.raises(ValueError):
         RateParams(overhead_beta=1.0)
+    for name in ("eta", "duty_factor", "overhead_beta", "target_rate_bps"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                RateParams(**{name: bad})
 
 
 def test_assignment_objective_matches_manual_sum():
@@ -392,17 +397,17 @@ def test_upper_bound_dominates_blind():
 def test_upper_bound_enumerates_every_combination(monkeypatch):
     links = make_table([[0.1, 0.1], [0.2, 0.1]],
                        [[0.11, 0.1], [0.15, 0.1], [0.19, 0.1]])
-    calls = {"n": 0}
-    real = allocation.assignment_objective
+    rows = []
+    real = allocation._score_block
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
+    def recording(tables, serving):
+        rows.extend(map(tuple, serving.tolist()))
+        return real(tables, serving)
 
-    monkeypatch.setattr(allocation, "assignment_objective", counting)
+    monkeypatch.setattr(allocation, "_score_block", recording)
     coordinated_upper_bound(links, np.ones((2, 3), bool), np.ones((2, 3), bool),
                             1e9, RateParams(), 7.0)
-    assert calls["n"] == 2 ** 3
+    assert rows == list(itertools.product([0, 1], repeat=3))
 
 
 def test_upper_bound_tie_breaks_lexicographically():
@@ -432,3 +437,136 @@ def test_upper_bound_size_refusals():
     with pytest.raises(InstanceSizeError):
         coordinated_upper_bound(big_bs, np.ones((5, 1), bool),
                                 np.ones((5, 1), bool), 1e9, RateParams(), 7.0)
+
+
+# --- the batched objective kernel against the scalar reference
+
+
+def _scalar_objective(links, serving, coch, pool_hz, params, nf, objective,
+                      full_bandwidth):
+    """Reference objective: `compute_sinr` and `user_rate` per UE, ascending."""
+    load = np.bincount(serving[serving != NONE], minlength=links.n_bs)
+    assoc = split_bandwidth(Association(serving, np.zeros(links.n_ue), load),
+                            pool_hz, full_bandwidth)
+    total = 0.0
+    for u in range(links.n_ue):
+        if serving[u] == NONE:
+            continue
+        r = user_rate(compute_sinr(u, assoc, links, coch, nf),
+                      float(assoc.ue_bandwidth_hz[u]), params)
+        if objective == "sum_rate":
+            total += r
+        else:
+            total += math.log(r) if r > 0.0 else -math.inf
+    return total
+
+
+def test_kernel_equals_scalar_reference_on_every_assignment():
+    rng = np.random.default_rng(2024)
+    region = Region(0.25, 0.25)
+    params = RateParams()
+    seen = {"cosited": 0, "out": 0, "all_false": 0, "partial": 0}
+    for trial in range(24):
+        n_bs = int(rng.integers(2, 5))
+        n_ue = int(rng.integers(1, 5))
+        bs = rng.random((n_bs, 2)) * 0.25
+        if trial % 4 == 0:
+            bs[1] = bs[0]
+            seen["cosited"] += 1
+        # a small coverage area blocks some links
+        links = LinkTable.realize(bs, rng.random((n_ue, 2)) * 0.25, region, 30.0,
+                                  ChannelParams(hard_coverage_area_km2=0.01),
+                                  AntennaModel(), seed=500 + trial)
+        seen["out"] += int((links.state == LinkState.OUT).any())
+        coch = rng.random((n_bs, n_ue)) < (0.0 if trial % 3 == 0 else 0.6)
+        seen["all_false" if not coch.any() else "partial"] += 1
+        objective = OBJECTIVES[trial % 2]
+        full = bool(trial // 2 % 2)
+        pool = float(rng.choice([1e9, 7.3e8]))
+        # every assignment, unassociated included, one kernel block
+        block = np.array(list(itertools.product(range(NONE, n_bs), repeat=n_ue)),
+                         dtype=np.int64)
+        tables = allocation._objective_tables(links, coch, pool, params, 7.0,
+                                              objective, full)
+        got = allocation._score_block(tables, block)
+        for row, value in zip(block, got):
+            want = _scalar_objective(links, row, coch, pool, params, 7.0,
+                                     objective, full)
+            assert value == want
+        row = block[int(rng.integers(len(block)))]
+        assert assignment_objective(links, row, coch, pool, params, 7.0, objective,
+                                    full) == _scalar_objective(
+            links, row, coch, pool, params, 7.0, objective, full)
+    assert min(seen.values()) > 0
+
+
+def test_upper_bound_tie_across_blocks_keeps_earlier_assignment():
+    # four arrays on one tower: no interference, so relabelling BSs leaves
+    # every value bit-identical. With 4**7 assignments, block k of 4**6
+    # rows is UE 0 on BS k, and each maximizer has a mirror in block 1.
+    links = make_table([[0.5, 0.5]] * 4,
+                       [[0.5 + 0.01 * (u + 1), 0.5 + 0.003 * u] for u in range(7)])
+    assert 4 ** 7 > allocation._BLOCK_ROWS == 4 ** 6
+    access = coch = np.ones((4, 7), bool)
+    params = RateParams()
+    assoc, value = coordinated_upper_bound(links, access, coch, 1e9, params, 7.0)
+    want_a, want_v = _oracle_search(links, access, coch, 1e9, params, 7.0,
+                                    "sum_rate")
+    assert value == want_v
+    assert_array_equal(assoc.serving_bs, want_a)
+    assert assoc.serving_bs[0] == 0
+    mirror = np.where(assoc.serving_bs == 0, 1,
+                      np.where(assoc.serving_bs == 1, 0, assoc.serving_bs))
+    assert assignment_objective(links, mirror, coch, 1e9, params, 7.0) == value
+
+
+def test_upper_bound_eight_ues_two_plus_two_bss_matches_oracle():
+    rng = np.random.default_rng(8)
+    region = Region(0.2, 0.2)
+    links = LinkTable.realize(rng.random((4, 2)) * 0.2, rng.random((8, 2)) * 0.2,
+                              region, 30.0, ChannelParams(hard_coverage_area_km2=0.02),
+                              AntennaModel(), seed=88)
+    # operator 0 owns BSs 0-1 and UEs 0-3, operator 1 the rest; one pool
+    access = np.zeros((4, 8), bool)
+    access[:2, :4] = access[2:, 4:] = True
+    coch = np.ones((4, 8), bool)
+    params = RateParams()
+    # every UE on either home BS, blocked links included: 8 summed rates per row
+    block = np.array(list(itertools.product(*([(0, 1)] * 4 + [(2, 3)] * 4))))
+    for objective in OBJECTIVES:
+        tables = allocation._objective_tables(links, coch, 1e9, params, 7.0,
+                                              objective, False)
+        for row, value in zip(block, allocation._score_block(tables, block)):
+            assert value == _oracle_value(links, row, coch, 1e9, params, 7.0,
+                                          objective)
+        assoc, value = coordinated_upper_bound(links, access, coch, 1e9, params, 7.0,
+                                               objective=objective)
+        want_a, want_v = _oracle_search(links, access, coch, 1e9, params, 7.0,
+                                        objective)
+        assert value == want_v
+        assert_array_equal(assoc.serving_bs, want_a)
+
+
+def test_upper_bound_full_default_size_completes(monkeypatch):
+    # max_ues=8 UEs x 4 BSs, all accessible and unblocked: 4**8 assignments
+    rng = np.random.default_rng(65536)
+    links = LinkTable.realize(rng.random((4, 2)) * 0.1, rng.random((8, 2)) * 0.1,
+                              Region(0.1, 0.1), 30.0,
+                              ChannelParams(hard_coverage_area_km2=1.0),
+                              AntennaModel(), seed=1)
+    assert (links.state != LinkState.OUT).all()
+    blocks = []
+    real = allocation._score_block
+
+    def recording(tables, serving):
+        blocks.append(len(serving))
+        return real(tables, serving)
+
+    monkeypatch.setattr(allocation, "_score_block", recording)
+    access = coch = np.ones((4, 8), bool)
+    assoc, value = coordinated_upper_bound(links, access, coch, 1e9, RateParams(), 7.0)
+    assert sum(blocks) == 4 ** 8
+    assert max(blocks) <= allocation._BLOCK_ROWS
+    assert (assoc.serving_bs != NONE).all()
+    assert value == assignment_objective(links, assoc.serving_bs, coch, 1e9,
+                                         RateParams(), 7.0)

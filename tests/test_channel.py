@@ -1,4 +1,5 @@
 """Link states, path loss, shadowing, sectored gains, received power."""
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,14 @@ def test_params_validation():
         AntennaModel(bs_mainlobe_gain_db=-10.0, bs_sidelobe_gain_db=-10.0)
     with pytest.raises(ValueError):
         AntennaModel(ue_beamwidth_deg=0.0)
+    # every float field must be finite
+    for cls in (ChannelParams, AntennaModel):
+        names = [f.name for f in dataclasses.fields(cls) if f.type == "float"]
+        assert len(names) >= 6
+        for name in names:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    cls(**{name: bad})
 
 
 def test_outage_radius_hand_value():

@@ -94,6 +94,10 @@ def test_config_value_validation():
             ExperimentConfig(bs_density_per_km2=bad)
         with pytest.raises(ConfigError):
             ExperimentConfig(ue_density_per_km2=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(tx_power_dbm=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(noise_figure_db=bad)
     with pytest.raises(ConfigError):
         ExperimentConfig(master_seed=2 ** 64)
 
