@@ -27,8 +27,12 @@ Three implementations of that model share the `LinkTable`'s geometry
   one-row block). Per instance it tabulates every term `compute_sinr`
   can form, then evaluates each assignment with the same IEEE operations
   in the same order, so its values equal the scalar reference bit for bit.
-- `network_sinr`, vectorized over a whole drop for Monte Carlo volume,
-  equal to the reference only to rounding.
+- `network_sinr`, vectorized over a whole drop for Monte Carlo volume.
+  It evaluates live links only (co-channel, loaded, off the victim's
+  serving site, not OUT; a few percent of a default drop's entries) and
+  adds them per UE in ascending BS order from +0.0, the same sequence
+  as a dense sum over every BS with zeros elsewhere. It equals the
+  reference only to rounding.
 """
 from __future__ import annotations
 
@@ -184,10 +188,15 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
                  noise_figure_db: float) -> np.ndarray:
     """Vectorized linear SINR for every UE (0 where unassociated).
 
-    Same model as `compute_sinr`; linear sums run in numpy order, so
-    agreement with the scalar path is to rounding, not bit-exact. All
-    geometry comes from `links.delta_km`; arccos angles already lie in
-    [0, 180], so `beam_gain_db` applies the sectored pattern unchanged.
+    Same model as `compute_sinr`, evaluated on live links only: a loaded
+    co-channel BS off the served victim's serving site whose link is not
+    OUT. Every other (BS, UE) entry adds exactly 0 mW, so it is skipped.
+    Live entries are taken in row-major order (ascending BS per UE) and
+    accumulated per UE from +0.0, which is the operation sequence of a
+    dense axis-0 sum over all BSs; agreement with the scalar path is to
+    rounding, not bit-exact. All geometry comes from `links.delta_km`;
+    arccos angles already lie in [0, 180], so `beam_gain_db` applies the
+    sectored pattern unchanged.
     """
     n_bs, n_ue = links.n_bs, links.n_ue
     gamma = np.zeros(n_ue)
@@ -198,36 +207,38 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
     s = assoc.serving_bs
     targets = interferer_targets(s, n_bs)
     active = assoc.load > 0
+    s_safe = np.where(served, s, 0)
 
-    delta = links.delta_km                        # (B, U, 2), bs -> ue
-    norm = np.hypot(delta[..., 0], delta[..., 1])
+    # serving-site mask subsumes b == s and drops co-sited arrays
+    same_site = ((links.bs_xy[:, 0][:, None] == links.bs_xy[s_safe, 0][None, :])
+                 & (links.bs_xy[:, 1][:, None] == links.bs_xy[s_safe, 1][None, :]))
+    live = (cochannel_bu & active[:, None] & served[None, :] & ~same_site
+            & (links.state != LinkState.OUT))
+    b, u = np.nonzero(live)                       # ascending b within each UE
 
-    bore = delta[np.arange(n_bs), np.clip(targets, 0, None)]   # (B, 2)
+    delta = links.delta_km[b, u]                  # (L, 2), bs -> ue
+    norm = np.hypot(delta[:, 0], delta[:, 1])
+    bore = links.delta_km[b, targets[b]]          # interferer's mainlobe direction
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_bs = (np.einsum("bk,buk->bu", bore, delta)
-                  / (np.hypot(bore[:, 0], bore[:, 1])[:, None] * norm))
+        cos_bs = (np.einsum("lk,lk->l", bore, delta)
+                  / (np.hypot(bore[:, 0], bore[:, 1]) * norm))
     ang_bs = np.degrees(np.arccos(np.clip(np.nan_to_num(cos_bs, nan=1.0), -1.0, 1.0)))
     gt = beam_gain_db(ang_bs, ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db,
                       ant.bs_beamwidth_deg)
 
     # UE boresight: towards serving BS. Both UE-side vectors are negated
     # bs->ue deltas, so the sign cancels in the cosine.
-    s_safe = np.where(served, s, 0)
-    bore_ue = delta[s_safe, np.arange(n_ue)]                   # (U, 2)
+    bore_ue = links.delta_km[s[u], u]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_ue = (np.einsum("uk,buk->bu", bore_ue, delta)
-                  / (np.hypot(bore_ue[:, 0], bore_ue[:, 1])[None, :] * norm))
+        cos_ue = (np.einsum("lk,lk->l", bore_ue, delta)
+                  / (np.hypot(bore_ue[:, 0], bore_ue[:, 1]) * norm))
     ang_ue = np.degrees(np.arccos(np.clip(np.nan_to_num(cos_ue, nan=1.0), -1.0, 1.0)))
     gr = beam_gain_db(ang_ue, ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db,
                       ant.ue_beamwidth_deg)
 
     rx_dbm = (links.tx_power_dbm + gt + gr
-              - links.path_loss_db - links.shadowing_db)       # -inf where OUT
-    # serving-site mask subsumes b == s and drops co-sited arrays
-    same_site = ((links.bs_xy[:, 0][:, None] == links.bs_xy[s_safe, 0][None, :])
-                 & (links.bs_xy[:, 1][:, None] == links.bs_xy[s_safe, 1][None, :]))
-    interferes = cochannel_bu & active[:, None] & served[None, :] & ~same_site
-    i_mw = np.where(interferes, 10.0 ** (rx_dbm / 10.0), 0.0).sum(axis=0)
+              - links.path_loss_db[b, u] - links.shadowing_db[b, u])
+    i_mw = np.bincount(u, weights=10.0 ** (rx_dbm / 10.0), minlength=n_ue)
 
     w = assoc.ue_bandwidth_hz[served]
     noise_dbm = THERMAL_NOISE_DBM_PER_HZ + 10.0 * np.log10(w) + noise_figure_db
@@ -238,6 +249,8 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
 
 
 _BLOCK_ROWS = 4096   # assignments per kernel call: bounds the search's working memory
+_MAX_UES = 8          # default search limits of `coordinated_upper_bound` and `run_gap`
+_MAX_BS_PER_UE = 4
 
 
 def _mw(dbm) -> np.ndarray:
@@ -364,34 +377,20 @@ def assignment_objective(links: LinkTable, serving_bs: np.ndarray,
     return float(_score_block(tables, row)[0])
 
 
-def coordinated_upper_bound(
-    links: LinkTable,
-    access_bu: np.ndarray,
-    cochannel_bu: np.ndarray,
-    pool_hz: float,
-    params: RateParams,
-    noise_figure_db: float,
-    max_ues: int = 8,
-    max_bs_per_ue: int = 4,
-    objective: str = "sum_rate",
-    full_bandwidth: bool = False,
-) -> tuple[Association, float]:
-    """Exhaustive-search association maximizing the declared objective.
+def _search_space(links: LinkTable, access_bu: np.ndarray, max_ues: int,
+                  max_bs_per_ue: int) -> tuple[list[int], list[np.ndarray]]:
+    """The UEs the search enumerates and each one's candidate BSs.
 
-    Every UE ranges over all of its accessible BSs (a UE whose accessible
-    links are all blocked is fixed unassociated); loads, bandwidth splits
-    and interference are recomputed per assignment. Assignments are
-    scored in `itertools.product` order, blocks of `_BLOCK_ROWS` at a time.
-    Ties resolve to the lexicographically smallest assignment. Instances
-    beyond `max_ues` UEs or `max_bs_per_ue` accessible BSs for some UE
-    raise InstanceSizeError.
+    A UE whose accessible links are all blocked is left out (fixed
+    unassociated). Raises InstanceSizeError beyond the search limits;
+    `coordinated_upper_bound` checks them before it builds the
+    per-instance tables, whose size grows as B^2 U^2.
     """
     n_ue = links.n_ue
     if n_ue > max_ues:
         raise InstanceSizeError(f"{n_ue} UEs exceeds the search limit of {max_ues}")
     candidates: list[np.ndarray] = []
     enumerated: list[int] = []
-    fixed = np.full(n_ue, NONE, dtype=np.int64)
     for u in range(n_ue):
         acc = np.flatnonzero(access_bu[:, u])
         if len(acc) > max_bs_per_ue:
@@ -401,9 +400,18 @@ def coordinated_upper_bound(
             continue   # forced unassociated
         enumerated.append(u)
         candidates.append(acc)
-    tables = _objective_tables(links, cochannel_bu, pool_hz, params,
-                               noise_figure_db, objective, full_bandwidth)
+    return enumerated, candidates
 
+
+def _best_assignment(tables: _ObjectiveTables, n_ue: int, enumerated: list[int],
+                     candidates: list[np.ndarray]) -> tuple[np.ndarray, float]:
+    """Maximize the objective over every assignment of the search space.
+
+    Assignments are scored in `itertools.product` order, blocks of
+    `_BLOCK_ROWS` at a time; ties resolve to the lexicographically
+    smallest assignment.
+    """
+    fixed = np.full(n_ue, NONE, dtype=np.int64)
     shape = tuple(len(c) for c in candidates)
     n_total = math.prod(shape)   # 1 with no enumerated UEs: the fixed assignment
     best_assignment = fixed
@@ -423,6 +431,36 @@ def coordinated_upper_bound(
             # i.e. the lexicographically smallest assignment
             best_value = float(values[i])
             best_assignment = block[i].copy()
+    return best_assignment, best_value
+
+
+def coordinated_upper_bound(
+    links: LinkTable,
+    access_bu: np.ndarray,
+    cochannel_bu: np.ndarray,
+    pool_hz: float,
+    params: RateParams,
+    noise_figure_db: float,
+    max_ues: int = _MAX_UES,
+    max_bs_per_ue: int = _MAX_BS_PER_UE,
+    objective: str = "sum_rate",
+    full_bandwidth: bool = False,
+) -> tuple[Association, float]:
+    """Exhaustive-search association maximizing the declared objective.
+
+    Every UE ranges over all of its accessible BSs (a UE whose accessible
+    links are all blocked is fixed unassociated); loads, bandwidth splits
+    and interference are recomputed per assignment. Assignments are
+    scored in `itertools.product` order, blocks of `_BLOCK_ROWS` at a time.
+    Ties resolve to the lexicographically smallest assignment. Instances
+    beyond `max_ues` UEs or `max_bs_per_ue` accessible BSs for some UE
+    raise InstanceSizeError.
+    """
+    n_ue = links.n_ue
+    enumerated, candidates = _search_space(links, access_bu, max_ues, max_bs_per_ue)
+    tables = _objective_tables(links, cochannel_bu, pool_hz, params,
+                               noise_figure_db, objective, full_bandwidth)
+    best_assignment, best_value = _best_assignment(tables, n_ue, enumerated, candidates)
     load = np.bincount(best_assignment[best_assignment != NONE],
                        minlength=links.n_bs).astype(np.int64)
     assoc = split_bandwidth(

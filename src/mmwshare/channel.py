@@ -10,7 +10,12 @@ smooth exponential ramp. The antenna pattern is flat-top sectored
 
 Links are realized one way, in bulk per drop, by `LinkTable.realize`. The
 table carries the drop's geometry; `allocation` derives the interference
-gains (geometric beam pointing, the only model) from it.
+gains (geometric beam pointing, the only model) from it. Geometry and the
+random draws are full-shaped (one uniform and one normal per site link,
+in that order); the transcendental work runs only on the links it can
+affect: LOS probabilities on candidate links (inside the hard radius, or
+all links under the exponential model), path loss and received power on
+links that are not OUT. Most links of a default drop are OUT.
 """
 from __future__ import annotations
 
@@ -136,12 +141,23 @@ def state_probabilities(distance_m, params: ChannelParams):
 
 
 def draw_link_states(distance_m, params: ChannelParams, rng: np.random.Generator):
-    """Draw LOS/NLOS/OUT states for an array of distances (one uniform per link)."""
-    p_los, p_nlos, _ = state_probabilities(np.asarray(distance_m, dtype=float), params)
-    u = rng.random(np.shape(distance_m))
-    states = np.full(np.shape(distance_m), LinkState.OUT, dtype=np.int8)
-    states[u < p_los + p_nlos] = LinkState.NLOS
-    states[u < p_los] = LinkState.LOS
+    """Draw LOS/NLOS/OUT states for an array of distances (one uniform per link).
+
+    The uniforms are drawn full-shaped, one per link, whatever the states;
+    LOS/NLOS probabilities are computed only for candidate links, those that
+    can be anything but OUT: inside the hard radius, or every link under the
+    exponential outage model. The rest are OUT.
+    """
+    d = np.asarray(distance_m, dtype=float)
+    reach_m = outage_radius_m(params) if params.outage_model == "hard_radius" else math.inf
+    candidate = d <= reach_m
+    p_los, p_nlos, _ = state_probabilities(d[candidate], params)
+    u = rng.random(d.shape)[candidate]
+    drawn = np.full(u.shape, LinkState.OUT, dtype=np.int8)
+    drawn[u < p_los + p_nlos] = LinkState.NLOS
+    drawn[u < p_los] = LinkState.LOS
+    states = np.full(d.shape, LinkState.OUT, dtype=np.int8)
+    states[candidate] = drawn
     return states
 
 
@@ -180,6 +196,12 @@ class LinkTable:
     gains on both ends (the blind association metric); blocked links are -inf.
     The table also carries the drop's torus geometry: `delta_km` is computed
     once here, and SINR evaluation reads its interference angles from it.
+
+    `realize` fills `delta_km`, `dist_m` and `state` on every entry; path
+    loss, shadowing and `serving_rx_dbm` are computed only where the link
+    is not OUT, and the OUT entries hold +inf, 0 and -inf. The uniform
+    (state) and normal (shadowing) draws stay full-shaped per site link,
+    so the random streams do not depend on which links are live.
     """
 
     region: Region
@@ -223,19 +245,23 @@ class LinkTable:
                                             return_inverse=True)
         site_of_bs = site_of_bs.reshape(-1)
         site_states = draw_link_states(dist_m[first_bs], params, rng)
-        site_sigma = np.where(site_states == LinkState.LOS,
-                              params.shadow_sigma_los_db, params.shadow_sigma_nlos_db)
-        site_shadow = rng.normal(0.0, 1.0, (len(first_bs), n_ue)) * site_sigma
+        normal = rng.normal(0.0, 1.0, (len(first_bs), n_ue))
         states = site_states[site_of_bs]
-        shadow = site_shadow[site_of_bs]
 
-        blocked = states == LinkState.OUT
-        exponent = np.where(states == LinkState.LOS,
-                            params.pl_exponent_los, params.pl_exponent_nlos)
-        pl = params.pl_intercept_db + 10.0 * exponent * np.log10(np.maximum(dist_m, 1.0))
-        pl[blocked] = np.inf
-        shadow[blocked] = 0.0
-        rx = (tx_power_dbm + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db
-              - pl - shadow)
+        # path loss, shadowing and received power only where the link is not OUT
+        live = np.nonzero(states != LinkState.OUT)
+        los = states[live] == LinkState.LOS
+        sigma = np.where(los, params.shadow_sigma_los_db, params.shadow_sigma_nlos_db)
+        exponent = np.where(los, params.pl_exponent_los, params.pl_exponent_nlos)
+        pl_live = (params.pl_intercept_db
+                   + 10.0 * exponent * np.log10(np.maximum(dist_m[live], 1.0)))
+        shadow_live = normal[site_of_bs[live[0]], live[1]] * sigma
+        pl = np.full(dist_m.shape, np.inf)
+        shadow = np.zeros(dist_m.shape)
+        rx = np.full(dist_m.shape, -np.inf)
+        pl[live] = pl_live
+        shadow[live] = shadow_live
+        rx[live] = (tx_power_dbm + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db
+                    - pl_live - shadow_live)
         return cls(region, bs_xy, ue_xy, tx_power_dbm, params, antenna,
                    delta_km, dist_m, states, pl, shadow, rx)

@@ -1,6 +1,7 @@
 """Association, bandwidth splits, SINR, rates, and the brute-force bound."""
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from mmwshare.allocation import (NONE, OBJECTIVES, Association,
                                  associate_blind, compute_sinr,
                                  coordinated_upper_bound, interferer_targets,
                                  network_sinr, split_bandwidth, user_rate)
-from mmwshare.channel import (AntennaModel, ChannelParams, LinkState,
-                              LinkTable, noise_power_dbm, path_loss_db)
+from mmwshare.channel import (THERMAL_NOISE_DBM_PER_HZ, AntennaModel, ChannelParams,
+                              LinkState, LinkTable, beam_gain_db, noise_power_dbm,
+                              path_loss_db)
+from mmwshare.config import default_config
+from mmwshare.experiment import _links
 from mmwshare.geometry import Region, wrapped_delta
+from mmwshare.scenario import SCENARIO_KINDS, build_scenario
 
 FLAT = Region(1.0, 1.0, wraparound=False)
 
@@ -183,6 +188,96 @@ def test_network_sinr_matches_scalar():
             noise = 10.0 ** (noise_power_dbm(float(assoc.ue_bandwidth_hz[u]), 7.0) / 10.0)
             snr = 10.0 ** (float(links.serving_rx_dbm[s, u]) / 10.0) / noise
             assert vec[u] <= snr * (1.0 + 1e-12)
+
+
+def _dense_network_sinr(links, assoc, cochannel_bu, noise_figure_db):
+    """Reference: the dense (B, U) formulation, every entry evaluated and
+    non-interfering ones zeroed before one axis-0 sum over BSs."""
+    n_bs, n_ue = links.n_bs, links.n_ue
+    gamma = np.zeros(n_ue)
+    served = assoc.serving_bs != NONE
+    if n_bs == 0 or not served.any():
+        return gamma
+    ant = links.antenna
+    s = assoc.serving_bs
+    targets = interferer_targets(s, n_bs)
+    active = assoc.load > 0
+    delta = links.delta_km
+    norm = np.hypot(delta[..., 0], delta[..., 1])
+    bore = delta[np.arange(n_bs), np.clip(targets, 0, None)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_bs = (np.einsum("bk,buk->bu", bore, delta)
+                  / (np.hypot(bore[:, 0], bore[:, 1])[:, None] * norm))
+    ang_bs = np.degrees(np.arccos(np.clip(np.nan_to_num(cos_bs, nan=1.0), -1.0, 1.0)))
+    gt = beam_gain_db(ang_bs, ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db,
+                      ant.bs_beamwidth_deg)
+    s_safe = np.where(served, s, 0)
+    bore_ue = delta[s_safe, np.arange(n_ue)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_ue = (np.einsum("uk,buk->bu", bore_ue, delta)
+                  / (np.hypot(bore_ue[:, 0], bore_ue[:, 1])[None, :] * norm))
+    ang_ue = np.degrees(np.arccos(np.clip(np.nan_to_num(cos_ue, nan=1.0), -1.0, 1.0)))
+    gr = beam_gain_db(ang_ue, ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db,
+                      ant.ue_beamwidth_deg)
+    rx_dbm = links.tx_power_dbm + gt + gr - links.path_loss_db - links.shadowing_db
+    same_site = ((links.bs_xy[:, 0][:, None] == links.bs_xy[s_safe, 0][None, :])
+                 & (links.bs_xy[:, 1][:, None] == links.bs_xy[s_safe, 1][None, :]))
+    interferes = cochannel_bu & active[:, None] & served[None, :] & ~same_site
+    i_mw = np.where(interferes, 10.0 ** (rx_dbm / 10.0), 0.0).sum(axis=0)
+    w = assoc.ue_bandwidth_hz[served]
+    noise_mw = 10.0 ** ((THERMAL_NOISE_DBM_PER_HZ + 10.0 * np.log10(w)
+                         + noise_figure_db) / 10.0)
+    sig_mw = 10.0 ** (links.serving_rx_dbm[s[served], np.flatnonzero(served)] / 10.0)
+    gamma[served] = sig_mw / (noise_mw + i_mw[served])
+    return gamma
+
+
+def test_network_sinr_equals_dense_reference():
+    # live-link evaluation adds the same terms in the same order as the
+    # dense sum, so whole drops agree bit for bit
+    base = default_config()
+    checked = {"cosited": 0, "interfered": 0, "quiet": 0}
+    for model in ("hard_radius", "exponential"):
+        for interference in (True, False):
+            cfg = replace(base, channel=replace(base.channel, outage_model=model),
+                          interference_enabled=interference)
+            for seed in (3, 4):
+                for kind in SCENARIO_KINDS:
+                    scn = replace(cfg.scenario, kind=kind)
+                    realized = build_scenario(scn, cfg.region, cfg.bs_density_per_km2,
+                                              cfg.ue_density_per_km2, seed)
+                    links, coch = _links(cfg, realized, seed)
+                    assoc = split_bandwidth(associate_blind(links, realized.access_bu),
+                                            scn.pool_hz)
+                    got = network_sinr(links, assoc, coch, cfg.noise_figure_db)
+                    want = _dense_network_sinr(links, assoc, coch, cfg.noise_figure_db)
+                    assert got.tobytes() == want.tobytes()
+                    checked["cosited"] += len(np.unique(links.bs_xy, axis=0)) < links.n_bs
+                    snr = _dense_network_sinr(links, assoc, np.zeros_like(coch),
+                                              cfg.noise_figure_db)
+                    checked["interfered" if (got < snr).any() else "quiet"] += 1
+    assert min(checked.values()) > 0
+
+    # edge cases: no BS, no UE, no served UE, no live interferer
+    sole = make_table([[0.5, 0.5]], [[0.52, 0.5], [0.5, 0.53]])
+    blocked = make_table([[0.5, 0.5], [0.6, 0.5]], [[0.52, 0.5]],
+                         state=[[LinkState.OUT], [LinkState.OUT]])
+    apart = make_table([[0.2, 0.5], [0.6, 0.5]], [[0.22, 0.5], [0.62, 0.5]])
+    cases = [
+        (make_table(np.zeros((0, 2)), [[0.5, 0.5]]), np.zeros((0, 1), bool)),
+        (make_table([[0.5, 0.5]], np.zeros((0, 2))), np.ones((1, 0), bool)),
+        (blocked, np.ones((2, 1), bool)),
+        (sole, np.ones((1, 2), bool)),                   # only the serving BS
+        (apart, np.eye(2, dtype=bool)),                  # interferers off-channel
+    ]
+    for links, coch in cases:
+        assoc = split_bandwidth(associate_blind(links, np.ones(coch.shape, bool)), 1e9)
+        got = network_sinr(links, assoc, coch, 7.0)
+        assert got.shape == (links.n_ue,)
+        assert got.tobytes() == _dense_network_sinr(links, assoc, coch, 7.0).tobytes()
+    assert (network_sinr(apart, split_bandwidth(
+        associate_blind(apart, np.ones((2, 2), bool)), 1e9), np.eye(2, dtype=bool),
+        7.0) > 0).all()
 
 
 def test_user_rate_examples():

@@ -10,7 +10,7 @@ from mmwshare.channel import (AntennaModel, ChannelParams, LinkState, LinkTable,
                               beam_gain_db, draw_link_states, friis_intercept_db,
                               noise_power_dbm, outage_radius_m, path_loss_db,
                               state_probabilities)
-from mmwshare.geometry import Region
+from mmwshare.geometry import Region, wrapped_delta
 
 FLAT = Region(10.0, 10.0, wraparound=False)
 
@@ -237,6 +237,62 @@ def test_link_table_colocated_share_propagation():
     assert_array_equal(links.state[:4], links.state[4:])
     assert_array_equal(links.shadowing_db[:4], links.shadowing_db[4:])
     assert_array_equal(links.serving_rx_dbm[:4], links.serving_rx_dbm[4:])
+
+
+def _dense_realize(bs_xy, ue_xy, region, tx_power_dbm, params, antenna, seed):
+    """Reference: every link's probabilities, path loss and received power
+    computed densely, then OUT entries overwritten. Returns
+    (state, shadowing_db, path_loss_db, serving_rx_dbm)."""
+    rng = np.random.default_rng(seed)
+    delta = wrapped_delta(bs_xy[:, None, :], ue_xy[None, :, :], region)
+    dist_m = 1000.0 * np.hypot(delta[..., 0], delta[..., 1])
+    _, first_bs, site_of_bs = np.unique(bs_xy, axis=0, return_index=True,
+                                        return_inverse=True)
+    site_of_bs = site_of_bs.reshape(-1)
+    p_los, p_nlos, _ = state_probabilities(dist_m[first_bs], params)
+    u = rng.random(dist_m[first_bs].shape)
+    site_states = np.full(u.shape, LinkState.OUT, dtype=np.int8)
+    site_states[u < p_los + p_nlos] = LinkState.NLOS
+    site_states[u < p_los] = LinkState.LOS
+    site_sigma = np.where(site_states == LinkState.LOS,
+                          params.shadow_sigma_los_db, params.shadow_sigma_nlos_db)
+    site_shadow = rng.normal(0.0, 1.0, (len(first_bs), len(ue_xy))) * site_sigma
+    states = site_states[site_of_bs]
+    shadow = site_shadow[site_of_bs]
+    blocked = states == LinkState.OUT
+    exponent = np.where(states == LinkState.LOS,
+                        params.pl_exponent_los, params.pl_exponent_nlos)
+    pl = params.pl_intercept_db + 10.0 * exponent * np.log10(np.maximum(dist_m, 1.0))
+    pl[blocked] = np.inf
+    shadow[blocked] = 0.0
+    rx = (tx_power_dbm + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db
+          - pl - shadow)
+    return states, shadow, pl, rx
+
+
+def test_link_table_equals_dense_reference():
+    # candidate-only probabilities and live-only path loss leave every array
+    # bit-identical, which also pins the full-shaped uniform and normal draws
+    rng = np.random.default_rng(31)
+    region = Region(1.0, 1.0)
+    antenna = AntennaModel()
+    for model in ("hard_radius", "exponential"):
+        params = ChannelParams(outage_model=model)
+        for trial in range(3):
+            site = rng.random((40, 2))
+            bs = np.vstack([site, site[:25]])   # 25 towers carry two arrays
+            ue = rng.random((400, 2))
+            links = LinkTable.realize(bs, ue, region, 30.0, params, antenna,
+                                      seed=100 + trial)
+            want = _dense_realize(bs, ue, region, 30.0, params, antenna, 100 + trial)
+            got = (links.state, links.shadowing_db, links.path_loss_db,
+                   links.serving_rx_dbm)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+            states = links.state
+            assert (states == LinkState.LOS).any() and (states == LinkState.NLOS).any()
+            assert (states == LinkState.OUT).any()
 
 
 def test_shadowing_moments_los():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from mmwshare import allocation, experiment
 from mmwshare.config import default_config
 from mmwshare.experiment import _links, run_drop, run_gap, run_scenarios
 from mmwshare.geometry import Region
@@ -94,6 +95,24 @@ def test_run_gap_honours_interference_toggle():
     ub_off = np.array([r.ub_sum_rate_bps for r in off])
     assert np.all(ub_off >= ub_on)
     assert np.any(ub_off > ub_on)
+
+
+def test_run_gap_builds_objective_tables_once_per_instance(monkeypatch):
+    calls = []
+    real = allocation._objective_tables
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    # both names through which a gap instance could reach `_objective_tables`
+    monkeypatch.setattr(allocation, "_objective_tables", counting)
+    monkeypatch.setattr(experiment, "_objective_tables", counting)
+    cfg = replace(default_config(), region=Region(0.2, 0.2),
+                  scenario=Scenario("Spectrum"), drops=1)
+    rows = run_gap(cfg, n_instances=7)
+    assert len(rows) == 7
+    assert len(calls) == 7
 
 
 def test_kinds_share_link_tables_at_one_seed():
