@@ -11,9 +11,8 @@ Carlo samples, `experiment` runs and pools drops and gap instances, and
 """
 
 from .allocation import (NONE, Association, InstanceSizeError, RateParams,
-                         assignment_objective, associate_blind, compute_sinr,
-                         coordinated_upper_bound, network_sinr, split_bandwidth,
-                         user_rate)
+                         associate_blind, compute_sinr, coordinated_upper_bound,
+                         network_sinr, split_bandwidth, user_rate)
 from .analytic import (REGIMES, ScalingInputs, bandwidth_per_ue,
                        nearest_distance_scaling, outage_fraction,
                        rate_scaling_exponent)

@@ -22,11 +22,12 @@ Three implementations of that model share the `LinkTable`'s geometry
   in ascending BS index in linear milliwatts. No engine path calls it;
   the tests hold the kernel to it.
 - one batched objective kernel that scores blocks of complete
-  assignments and serves both the exhaustive search and the blind
-  baseline of the coordination-gap study (`assignment_objective` is a
-  one-row block). Per instance it tabulates every term `compute_sinr`
-  can form, then evaluates each assignment with the same IEEE operations
-  in the same order, so its values equal the scalar reference bit for bit.
+  assignments. Its one caller is `coordinated_upper_bound`, which scores
+  the blind baseline of the coordination-gap study as a one-row block and
+  the exhaustive search in blocks of `_BLOCK_ROWS`. Per instance it
+  tabulates every term `compute_sinr` can form, then evaluates each
+  assignment with the same IEEE operations in the same order, so its
+  values equal the scalar reference bit for bit.
 - `network_sinr`, vectorized over a whole drop for Monte Carlo volume.
   It evaluates live links only (co-channel, loaded, off the victim's
   serving site, not OUT; a few percent of a default drop's entries) and
@@ -249,7 +250,7 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
 
 
 _BLOCK_ROWS = 4096   # assignments per kernel call: bounds the search's working memory
-_MAX_UES = 8          # default search limits of `coordinated_upper_bound` and `run_gap`
+_MAX_UES = 8          # search limits of `coordinated_upper_bound`
 _MAX_BS_PER_UE = 4
 
 
@@ -330,8 +331,11 @@ def _score_block(tables: _ObjectiveTables, serving: np.ndarray) -> np.ndarray:
 
     Per row: loads and interferer targets from the assignment; per UE:
     noise, then interferers in ascending BS order, then `user_rate`; the
-    objective adds UEs in ascending index. This is `compute_sinr`'s and
-    `assignment_objective`'s operation sequence, element by element.
+    objective adds UEs in ascending index. This is the operation sequence
+    of `compute_sinr` and `user_rate` summed per UE, element by element:
+    sum_rate adds user rates; sum_log_rate adds natural logs of the rates
+    of assigned UEs (-inf if any such rate is 0). Unassociated UEs
+    contribute rate 0 and are skipped by sum_log_rate.
     """
     n_rows, n_ue = serving.shape
     served = serving != NONE
@@ -359,58 +363,53 @@ def _score_block(tables: _ObjectiveTables, serving: np.ndarray) -> np.ndarray:
     return total
 
 
-def assignment_objective(links: LinkTable, serving_bs: np.ndarray,
-                         cochannel_bu: np.ndarray, pool_hz: float,
-                         params: RateParams, noise_figure_db: float,
-                         objective: str = "sum_rate",
-                         full_bandwidth: bool = False) -> float:
-    """Objective value of a complete assignment: a one-row block of the kernel.
+def coordinated_upper_bound(
+    links: LinkTable,
+    access_bu: np.ndarray,
+    cochannel_bu: np.ndarray,
+    pool_hz: float,
+    params: RateParams,
+    noise_figure_db: float,
+    objective: str = "sum_rate",
+    full_bandwidth: bool = False,
+) -> tuple[np.ndarray, float, float]:
+    """Exhaustive-search assignment maximizing the declared objective.
 
-    sum_rate adds user rates in ascending UE index; sum_log_rate adds
-    natural logs of the rates of assigned UEs (-inf if any such rate is 0).
-    Unassociated UEs contribute rate 0 and are skipped by sum_log_rate.
-    The value equals the same sum over `compute_sinr` and `user_rate`.
-    """
-    tables = _objective_tables(links, cochannel_bu, pool_hz, params,
-                               noise_figure_db, objective, full_bandwidth)
-    row = np.asarray(serving_bs, dtype=np.int64).reshape(1, links.n_ue)
-    return float(_score_block(tables, row)[0])
+    Every UE ranges over all of its accessible BSs (a UE whose accessible
+    links are all blocked is fixed unassociated); loads, bandwidth splits
+    and interference are recomputed per assignment. An instance beyond
+    `_MAX_UES` UEs or `_MAX_BS_PER_UE` accessible BSs for some UE raises
+    InstanceSizeError before the per-instance tables, whose size grows as
+    B^2 U^2, are built. The tables then score the blind assignment
+    (`associate_blind`) as one row and every search assignment in
+    `itertools.product` order, blocks of `_BLOCK_ROWS` at a time. Ties
+    resolve to the lexicographically smallest assignment.
 
-
-def _search_space(links: LinkTable, access_bu: np.ndarray, max_ues: int,
-                  max_bs_per_ue: int) -> tuple[list[int], list[np.ndarray]]:
-    """The UEs the search enumerates and each one's candidate BSs.
-
-    A UE whose accessible links are all blocked is left out (fixed
-    unassociated). Raises InstanceSizeError beyond the search limits;
-    `coordinated_upper_bound` checks them before it builds the
-    per-instance tables, whose size grows as B^2 U^2.
+    Returns `(serving_bs, value, blind_value)`: the best (U,) assignment
+    (NONE where unassociated), its objective, and the blind assignment's
+    objective. Both values come from the same tables, and the blind
+    assignment is one the search scores, so `value >= blind_value` exactly.
     """
     n_ue = links.n_ue
-    if n_ue > max_ues:
-        raise InstanceSizeError(f"{n_ue} UEs exceeds the search limit of {max_ues}")
+    if n_ue > _MAX_UES:
+        raise InstanceSizeError(f"{n_ue} UEs exceeds the search limit of {_MAX_UES}")
     candidates: list[np.ndarray] = []
     enumerated: list[int] = []
     for u in range(n_ue):
         acc = np.flatnonzero(access_bu[:, u])
-        if len(acc) > max_bs_per_ue:
+        if len(acc) > _MAX_BS_PER_UE:
             raise InstanceSizeError(
-                f"UE {u} has {len(acc)} accessible BSs, limit {max_bs_per_ue}")
+                f"UE {u} has {len(acc)} accessible BSs, limit {_MAX_BS_PER_UE}")
         if len(acc) == 0 or np.all(links.state[acc, u] == LinkState.OUT):
             continue   # forced unassociated
         enumerated.append(u)
         candidates.append(acc)
-    return enumerated, candidates
 
+    tables = _objective_tables(links, cochannel_bu, pool_hz, params,
+                               noise_figure_db, objective, full_bandwidth)
+    blind = associate_blind(links, access_bu).serving_bs
+    blind_value = float(_score_block(tables, blind[None, :])[0])
 
-def _best_assignment(tables: _ObjectiveTables, n_ue: int, enumerated: list[int],
-                     candidates: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Maximize the objective over every assignment of the search space.
-
-    Assignments are scored in `itertools.product` order, blocks of
-    `_BLOCK_ROWS` at a time; ties resolve to the lexicographically
-    smallest assignment.
-    """
     fixed = np.full(n_ue, NONE, dtype=np.int64)
     shape = tuple(len(c) for c in candidates)
     n_total = math.prod(shape)   # 1 with no enumerated UEs: the fixed assignment
@@ -431,38 +430,4 @@ def _best_assignment(tables: _ObjectiveTables, n_ue: int, enumerated: list[int],
             # i.e. the lexicographically smallest assignment
             best_value = float(values[i])
             best_assignment = block[i].copy()
-    return best_assignment, best_value
-
-
-def coordinated_upper_bound(
-    links: LinkTable,
-    access_bu: np.ndarray,
-    cochannel_bu: np.ndarray,
-    pool_hz: float,
-    params: RateParams,
-    noise_figure_db: float,
-    max_ues: int = _MAX_UES,
-    max_bs_per_ue: int = _MAX_BS_PER_UE,
-    objective: str = "sum_rate",
-    full_bandwidth: bool = False,
-) -> tuple[Association, float]:
-    """Exhaustive-search association maximizing the declared objective.
-
-    Every UE ranges over all of its accessible BSs (a UE whose accessible
-    links are all blocked is fixed unassociated); loads, bandwidth splits
-    and interference are recomputed per assignment. Assignments are
-    scored in `itertools.product` order, blocks of `_BLOCK_ROWS` at a time.
-    Ties resolve to the lexicographically smallest assignment. Instances
-    beyond `max_ues` UEs or `max_bs_per_ue` accessible BSs for some UE
-    raise InstanceSizeError.
-    """
-    n_ue = links.n_ue
-    enumerated, candidates = _search_space(links, access_bu, max_ues, max_bs_per_ue)
-    tables = _objective_tables(links, cochannel_bu, pool_hz, params,
-                               noise_figure_db, objective, full_bandwidth)
-    best_assignment, best_value = _best_assignment(tables, n_ue, enumerated, candidates)
-    load = np.bincount(best_assignment[best_assignment != NONE],
-                       minlength=links.n_bs).astype(np.int64)
-    assoc = split_bandwidth(
-        Association(best_assignment, np.zeros(n_ue), load), pool_hz, full_bandwidth)
-    return assoc, best_value
+    return best_assignment, best_value, blind_value

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import require_finite
+
 REGIMES = ("InterferenceLimited", "PowerLimited")
 
 
@@ -28,6 +30,7 @@ class ScalingInputs:
     A_c_km2: float = 0.03
 
     def __post_init__(self):
+        require_finite(self)
         if self.rho < 0 or self.W_hz <= 0 or self.alpha_pl <= 0 or self.A_c_km2 <= 0:
             raise ValueError("rho must be >= 0; W, alpha, A_c must be > 0")
         if self.M < 1 or self.N_UE < 1 or self.N_BS < 1:

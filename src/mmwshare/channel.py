@@ -250,11 +250,10 @@ class LinkTable:
 
         # path loss, shadowing and received power only where the link is not OUT
         live = np.nonzero(states != LinkState.OUT)
-        los = states[live] == LinkState.LOS
-        sigma = np.where(los, params.shadow_sigma_los_db, params.shadow_sigma_nlos_db)
-        exponent = np.where(los, params.pl_exponent_los, params.pl_exponent_nlos)
-        pl_live = (params.pl_intercept_db
-                   + 10.0 * exponent * np.log10(np.maximum(dist_m[live], 1.0)))
+        state_live = states[live]
+        sigma = np.where(state_live == LinkState.LOS,
+                         params.shadow_sigma_los_db, params.shadow_sigma_nlos_db)
+        pl_live = path_loss_db(dist_m[live], state_live, params)
         shadow_live = normal[site_of_bs[live[0]], live[1]] * sigma
         pl = np.full(dist_m.shape, np.inf)
         shadow = np.zeros(dist_m.shape)

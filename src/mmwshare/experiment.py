@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allocation import (_MAX_BS_PER_UE, _MAX_UES, _best_assignment,
-                         _objective_tables, _score_block, _search_space,
-                         associate_blind, network_sinr, split_bandwidth, user_rate)
+from .allocation import (associate_blind, coordinated_upper_bound, network_sinr,
+                         split_bandwidth, user_rate)
 from .channel import LinkTable
 from .config import ExperimentConfig
 from .geometry import mix_seed
@@ -197,12 +196,12 @@ def run_gap(config: ExperimentConfig, n_instances: int,
     1..max_ues UEs with uniform operators and positions, and 1..max_bs
     BSs per operator. The instance then goes through the same sharing rules
     (`realize_scenario`), link table and interference toggle as a drop,
-    with the instance seed in place of the drop seed. The objective
-    kernel's tables are built once per instance and score both the blind
-    assignment (one row) and the exhaustive search, so the upper bound
-    dominates exactly. An instance beyond the search limits of
-    `coordinated_upper_bound` raises InstanceSizeError (see `scenario` for
-    when SpectrumAccess does).
+    with the instance seed in place of the drop seed. One
+    `coordinated_upper_bound` call per instance returns both the blind
+    value and the upper bound from the same tables, so the bound dominates
+    exactly. An instance beyond the search limits raises InstanceSizeError
+    before its tables are built (see `scenario` for when SpectrumAccess
+    does).
     """
     scn = config.scenario
     m_ops = scn.num_operators
@@ -218,16 +217,10 @@ def run_gap(config: ExperimentConfig, n_instances: int,
         realized = realize_scenario(scn, bs_xy, ue_xy, n_bs_op,
                                     rng.integers(0, m_ops, size=n_ue), inst_seed)
         links, cochannel = _links(config, realized, inst_seed)
-
-        # one table build per instance serves the blind row and the search
-        tables = _objective_tables(links, cochannel, scn.pool_hz, config.rate,
-                                   config.noise_figure_db, objective,
-                                   config.full_bandwidth_per_ue)
-        blind = associate_blind(links, realized.access_bu)
-        blind_val = float(_score_block(tables, blind.serving_bs[None, :])[0])
-        enumerated, candidates = _search_space(links, realized.access_bu,
-                                               _MAX_UES, _MAX_BS_PER_UE)
-        _, ub_val = _best_assignment(tables, links.n_ue, enumerated, candidates)
+        _, ub_val, blind_val = coordinated_upper_bound(
+            links, realized.access_bu, cochannel, scn.pool_hz, config.rate,
+            config.noise_figure_db, objective=objective,
+            full_bandwidth=config.full_bandwidth_per_ue)
         gap = 100.0 * (ub_val - blind_val) / ub_val if ub_val > 0 else 0.0
         rows.append(GapRow(i, blind_val, ub_val, gap))
     return rows

@@ -9,9 +9,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mmwshare import allocation
 from mmwshare.allocation import (NONE, OBJECTIVES, Association,
-                                 InstanceSizeError, RateParams, assignment_objective,
-                                 associate_blind, compute_sinr,
-                                 coordinated_upper_bound, interferer_targets,
+                                 InstanceSizeError, RateParams, associate_blind,
+                                 compute_sinr, coordinated_upper_bound, interferer_targets,
                                  network_sinr, split_bandwidth, user_rate)
 from mmwshare.channel import (THERMAL_NOISE_DBM_PER_HZ, AntennaModel, ChannelParams,
                               LinkState, LinkTable, beam_gain_db, noise_power_dbm,
@@ -306,13 +305,22 @@ def test_rate_params_validation():
                 RateParams(**{name: bad})
 
 
+def _one_row(links, serving_bs, coch, pool_hz, params, objective="sum_rate",
+             full_bandwidth=False):
+    """Objective of one complete assignment: a one-row block of the kernel."""
+    tables = allocation._objective_tables(links, coch, pool_hz, params, 7.0,
+                                          objective, full_bandwidth)
+    row = np.asarray(serving_bs, dtype=np.int64)[None, :]
+    return float(allocation._score_block(tables, row)[0])
+
+
 def test_assignment_objective_matches_manual_sum():
     links = make_table([[0.1, 0.1], [0.25, 0.1]],
                        [[0.12, 0.1], [0.24, 0.1], [0.26, 0.1]])
     serving = np.array([0, 1, 1])
     coch = np.ones((2, 3), bool)
     params = RateParams()
-    got = assignment_objective(links, serving, coch, 1e9, params, 7.0)
+    got = _one_row(links, serving, coch, 1e9, params)
     assoc = split_bandwidth(Association(serving, np.zeros(3), np.array([1, 2])), 1e9)
     manual = 0.0
     for u in range(3):
@@ -320,8 +328,8 @@ def test_assignment_objective_matches_manual_sum():
         manual += user_rate(g, float(assoc.ue_bandwidth_hz[u]), params)
     assert got == manual
     with pytest.raises(ValueError):
-        assignment_objective(links, serving, coch, 1e9, params, 7.0,
-                             objective="max_min")
+        allocation._objective_tables(links, coch, 1e9, params, 7.0, "max_min",
+                                     False)
 
 
 def test_sum_log_objective():
@@ -331,15 +339,13 @@ def test_sum_log_objective():
     coch = np.ones((2, 2), bool)
     params = RateParams()
     # unassociated UEs are skipped, not counted as zero rate
-    one = assignment_objective(links, np.array([0, NONE]), coch, 1e9, params,
-                               7.0, objective="sum_log_rate")
+    one = _one_row(links, [0, NONE], coch, 1e9, params, "sum_log_rate")
     assoc = split_bandwidth(Association(np.array([0, NONE]), np.zeros(2),
                                         np.array([1, 0])), 1e9)
     g = compute_sinr(0, assoc, links, coch, 7.0)
     assert one == math.log(user_rate(g, 1e9, params))
     # an assigned UE on a blocked link has rate 0: objective collapses
-    bad = assignment_objective(links, np.array([0, 1]), coch, 1e9, params,
-                               7.0, objective="sum_log_rate")
+    bad = _one_row(links, [0, 1], coch, 1e9, params, "sum_log_rate")
     assert bad == -math.inf
 
 
@@ -459,13 +465,13 @@ def test_upper_bound_matches_independent_enumeration():
         access = rng.random((n_bs, n_ue)) < 0.85
         coch = np.ones((n_bs, n_ue), bool)
         objective = "sum_rate" if trial % 3 else "sum_log_rate"
-        assoc, value = coordinated_upper_bound(
+        serving, value, _ = coordinated_upper_bound(
             links, access, coch, 1e9, params, 7.0, objective=objective)
         want_a, want_v = _oracle_search(links, access, coch, 1e9, params, 7.0,
                                         objective)
         assert value == want_v
-        assert_array_equal(assoc.serving_bs, want_a)
-        checked_none += int((assoc.serving_bs == NONE).any())
+        assert_array_equal(serving, want_a)
+        checked_none += int((serving == NONE).any())
     assert checked_none > 0   # blocked/forced-unassociated cases did occur
 
 
@@ -483,9 +489,9 @@ def test_upper_bound_dominates_blind():
         access = np.ones((n_bs, n_ue), bool)
         coch = np.ones((n_bs, n_ue), bool)
         blind = associate_blind(links, access)
-        blind_v = assignment_objective(links, blind.serving_bs, coch, 1e9,
-                                       params, 7.0)
-        _, ub_v = coordinated_upper_bound(links, access, coch, 1e9, params, 7.0)
+        _, ub_v, blind_v = coordinated_upper_bound(links, access, coch, 1e9,
+                                                   params, 7.0)
+        assert blind_v == _one_row(links, blind.serving_bs, coch, 1e9, params)
         assert ub_v >= blind_v
 
 
@@ -500,27 +506,28 @@ def test_upper_bound_enumerates_every_combination(monkeypatch):
         return real(tables, serving)
 
     monkeypatch.setattr(allocation, "_score_block", recording)
-    coordinated_upper_bound(links, np.ones((2, 3), bool), np.ones((2, 3), bool),
-                            1e9, RateParams(), 7.0)
-    assert rows == list(itertools.product([0, 1], repeat=3))
+    access = np.ones((2, 3), bool)
+    coordinated_upper_bound(links, access, access, 1e9, RateParams(), 7.0)
+    # the blind row first, then every assignment in product order
+    assert rows[0] == tuple(associate_blind(links, access).serving_bs.tolist())
+    assert rows[1:] == list(itertools.product([0, 1], repeat=3))
 
 
 def test_upper_bound_tie_breaks_lexicographically():
     # co-sited arrays give identical objectives; the search must keep BS 0
     links = make_table([[0.1, 0.1], [0.1, 0.1]], [[0.12, 0.1]])
-    assoc, _ = coordinated_upper_bound(links, np.ones((2, 1), bool),
-                                       np.ones((2, 1), bool), 1e9,
-                                       RateParams(), 7.0)
-    assert assoc.serving_bs[0] == 0
+    serving, _, _ = coordinated_upper_bound(links, np.ones((2, 1), bool),
+                                            np.ones((2, 1), bool), 1e9,
+                                            RateParams(), 7.0)
+    assert serving[0] == 0
 
 
 def test_upper_bound_forces_unassociated_when_blocked():
     links = make_table([[0.1, 0.1]], [[0.12, 0.1]], state=[[LinkState.OUT]])
-    assoc, value = coordinated_upper_bound(links, np.ones((1, 1), bool),
-                                           np.ones((1, 1), bool), 1e9,
-                                           RateParams(), 7.0)
-    assert assoc.serving_bs[0] == NONE
-    assert value == 0.0
+    serving, value, blind_value = coordinated_upper_bound(
+        links, np.ones((1, 1), bool), np.ones((1, 1), bool), 1e9, RateParams(), 7.0)
+    assert serving[0] == NONE
+    assert value == blind_value == 0.0
 
 
 def test_upper_bound_size_refusals():
@@ -589,8 +596,8 @@ def test_kernel_equals_scalar_reference_on_every_assignment():
                                      objective, full)
             assert value == want
         row = block[int(rng.integers(len(block)))]
-        assert assignment_objective(links, row, coch, pool, params, 7.0, objective,
-                                    full) == _scalar_objective(
+        assert _one_row(links, row, coch, pool, params, objective,
+                        full) == _scalar_objective(
             links, row, coch, pool, params, 7.0, objective, full)
     assert min(seen.values()) > 0
 
@@ -604,15 +611,14 @@ def test_upper_bound_tie_across_blocks_keeps_earlier_assignment():
     assert 4 ** 7 > allocation._BLOCK_ROWS == 4 ** 6
     access = coch = np.ones((4, 7), bool)
     params = RateParams()
-    assoc, value = coordinated_upper_bound(links, access, coch, 1e9, params, 7.0)
+    serving, value, _ = coordinated_upper_bound(links, access, coch, 1e9, params, 7.0)
     want_a, want_v = _oracle_search(links, access, coch, 1e9, params, 7.0,
                                     "sum_rate")
     assert value == want_v
-    assert_array_equal(assoc.serving_bs, want_a)
-    assert assoc.serving_bs[0] == 0
-    mirror = np.where(assoc.serving_bs == 0, 1,
-                      np.where(assoc.serving_bs == 1, 0, assoc.serving_bs))
-    assert assignment_objective(links, mirror, coch, 1e9, params, 7.0) == value
+    assert_array_equal(serving, want_a)
+    assert serving[0] == 0
+    mirror = np.where(serving == 0, 1, np.where(serving == 1, 0, serving))
+    assert _one_row(links, mirror, coch, 1e9, params) == value
 
 
 def test_upper_bound_eight_ues_two_plus_two_bss_matches_oracle():
@@ -634,12 +640,12 @@ def test_upper_bound_eight_ues_two_plus_two_bss_matches_oracle():
         for row, value in zip(block, allocation._score_block(tables, block)):
             assert value == _oracle_value(links, row, coch, 1e9, params, 7.0,
                                           objective)
-        assoc, value = coordinated_upper_bound(links, access, coch, 1e9, params, 7.0,
-                                               objective=objective)
+        serving, value, _ = coordinated_upper_bound(links, access, coch, 1e9, params,
+                                                    7.0, objective=objective)
         want_a, want_v = _oracle_search(links, access, coch, 1e9, params, 7.0,
                                         objective)
         assert value == want_v
-        assert_array_equal(assoc.serving_bs, want_a)
+        assert_array_equal(serving, want_a)
 
 
 def test_upper_bound_full_default_size_completes(monkeypatch):
@@ -659,9 +665,10 @@ def test_upper_bound_full_default_size_completes(monkeypatch):
 
     monkeypatch.setattr(allocation, "_score_block", recording)
     access = coch = np.ones((4, 8), bool)
-    assoc, value = coordinated_upper_bound(links, access, coch, 1e9, RateParams(), 7.0)
-    assert sum(blocks) == 4 ** 8
+    serving, value, _ = coordinated_upper_bound(links, access, coch, 1e9,
+                                                RateParams(), 7.0)
+    assert blocks[0] == 1   # the blind row
+    assert sum(blocks[1:]) == 4 ** 8
     assert max(blocks) <= allocation._BLOCK_ROWS
-    assert (assoc.serving_bs != NONE).all()
-    assert value == assignment_objective(links, assoc.serving_bs, coch, 1e9,
-                                         RateParams(), 7.0)
+    assert (serving != NONE).all()
+    assert value == _one_row(links, serving, coch, 1e9, RateParams())

@@ -94,3 +94,7 @@ def test_scaling_inputs_validation():
         ScalingInputs(rho=30.0, M=0)
     with pytest.raises(ValueError):
         ScalingInputs(rho=30.0, A_c_km2=0.0)
+    for name in ("rho", "W_hz", "alpha_pl", "A_c_km2"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ScalingInputs(**{"rho": 30.0, name: bad})

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from mmwshare import allocation, experiment
+from mmwshare.allocation import InstanceSizeError
 from mmwshare.config import default_config
 from mmwshare.experiment import _links, run_drop, run_gap, run_scenarios
 from mmwshare.geometry import Region
@@ -105,14 +106,33 @@ def test_run_gap_builds_objective_tables_once_per_instance(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    # both names through which a gap instance could reach `_objective_tables`
+    # the only name through which a gap instance reaches `_objective_tables`
     monkeypatch.setattr(allocation, "_objective_tables", counting)
-    monkeypatch.setattr(experiment, "_objective_tables", counting)
     cfg = replace(default_config(), region=Region(0.2, 0.2),
                   scenario=Scenario("Spectrum"), drops=1)
     rows = run_gap(cfg, n_instances=7)
     assert len(rows) == 7
     assert len(calls) == 7
+
+
+def test_run_gap_refuses_oversized_instance_before_tabulating(monkeypatch):
+    built = []
+    real = allocation._objective_tables
+
+    def recording(links, *args, **kwargs):
+        built.append(links.n_ue)
+        return real(links, *args, **kwargs)
+
+    # every module-level name through which run_gap could reach the tables
+    for module in (allocation, experiment):
+        if getattr(module, "_objective_tables", None) is real:
+            monkeypatch.setattr(module, "_objective_tables", recording)
+    cfg = replace(default_config(), region=Region(0.2, 0.2),
+                  scenario=Scenario("Spectrum"), drops=1, master_seed=0)
+    with pytest.raises(InstanceSizeError):
+        run_gap(cfg, n_instances=20, max_ues=12)
+    assert built   # instances within the limits ran first
+    assert max(built) <= allocation._MAX_UES
 
 
 def test_kinds_share_link_tables_at_one_seed():
