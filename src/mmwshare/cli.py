@@ -18,6 +18,7 @@ the same config and seed, artifacts are byte-identical run to run.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -53,12 +54,22 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+@functools.lru_cache(maxsize=1)
+def _cum_prob_column(n: int) -> tuple[str, ...]:
+    """The formatted cum_prob column (i + 1) / n of an n-row CDF file.
+
+    Every CDF file of a `scenarios` run has the same n (every kind pools
+    the same UEs), so the column is formatted once per command;
+    `cmd_scenarios` clears the cache after its last file.
+    """
+    return tuple(_fmt((i + 1) / n) for i in range(n))
+
+
 def write_cdf_csv(path: Path, cfg: ExperimentConfig, values) -> None:
     """CSV of an empirical CDF: columns value,cum_prob (one row per sample)."""
     v = np.sort(np.asarray(values, dtype=float), kind="stable")
-    n = len(v)
     lines = _header_lines(cfg) + ["value,cum_prob"]
-    lines += [f"{_fmt(v[i])},{_fmt((i + 1) / n)}" for i in range(n)]
+    lines += [f"{_fmt(x)},{p}" for x, p in zip(v, _cum_prob_column(len(v)))]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -242,6 +253,7 @@ def cmd_scenarios(args) -> int:
         }
         print(f"{kind}: median rate {res.median_rate_bps / 1e6:.1f} Mb/s, "
               f"outage {res.outage_fraction:.3f}")
+    _cum_prob_column.cache_clear()
     write_summary_json(out / "summary.json", cfg, {"scenarios": summary})
     return 0
 

@@ -15,7 +15,8 @@ Four arrangements of M operators over one region:
   opens a fraction of its base stations to all foreign users.
 
 Deployments depend only on the master seed and the operator index, never
-on the scenario kind, so kinds are directly comparable drop by drop.
+on the scenario kind, so kinds are directly comparable drop by drop, and
+`build_scenario` draws them once per drop for every requested kind.
 Which BSs may serve a UE and which interfere with it has one builder,
 `realize_scenario`, shared by the drop engine (`build_scenario`) and the
 coordination-gap instances. Under ``SpectrumAccess`` at the default
@@ -27,6 +28,7 @@ with code 4.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,28 +137,42 @@ def realize_scenario(scenario: Scenario, bs_xy, ue_xy, n_bs_per_operator,
 
 
 def build_scenario(
-    scenario: Scenario,
+    scenarios: Sequence[Scenario],
     region: Region,
     bs_density_per_km2: float,
     ue_density_per_km2: float,
     seed: int,
-) -> RealizedScenario:
-    """Draw all operators from Poisson point processes and realize the scenario.
+) -> list[RealizedScenario]:
+    """Draw all operators once from Poisson point processes and realize
+    every scenario in `scenarios` on that one draw, in the given order.
 
     Operator m's point processes use mix_seed(seed, m); its shared-BS
     selection (SpectrumAccess) uses mix_seed(seed, M + m). Neither depends
-    on the scenario kind. SpectrumInfra gives every operator operator 0's
-    BS array and keeps each operator's own UEs.
+    on the scenario kind, so the scenarios must agree on M. SpectrumInfra
+    gives every operator operator 0's BS array and keeps each operator's
+    own UEs. Every scenario shares one `ue_xy` array, and every kind but
+    SpectrumInfra one `bs_xy` array: two realized scenarios with the same
+    `bs_xy` object have the same geometry, hence the same link table.
     """
+    scenarios = list(scenarios)
+    if not scenarios:
+        return []
+    m_ops = scenarios[0].num_operators
+    if any(s.num_operators != m_ops for s in scenarios):
+        raise ValueError("scenarios realized on one draw need the same num_operators")
     drawn = [deploy_operator(bs_density_per_km2, ue_density_per_km2, region,
                              mix_seed(seed, m))
-             for m in range(scenario.num_operators)]
-    if scenario.kind == "SpectrumInfra":
-        drawn = [(drawn[0][0], ue) for _, ue in drawn]
-    return realize_scenario(
-        scenario,
-        np.concatenate([bs for bs, _ in drawn]),
-        np.concatenate([ue for _, ue in drawn]),
-        [len(bs) for bs, _ in drawn],
-        np.repeat(np.arange(scenario.num_operators), [len(ue) for _, ue in drawn]),
-        seed)
+             for m in range(m_ops)]
+    ue_xy = np.concatenate([ue for _, ue in drawn])
+    ue_operator = np.repeat(np.arange(m_ops), [len(ue) for _, ue in drawn])
+    own = [bs for bs, _ in drawn]
+    sites = {}   # co-located towers? -> (bs_xy, BS count per operator)
+    realized = []
+    for scn in scenarios:
+        colocated = scn.kind == "SpectrumInfra"
+        if colocated not in sites:
+            layout = [own[0]] * m_ops if colocated else own
+            sites[colocated] = (np.concatenate(layout), [len(bs) for bs in layout])
+        bs_xy, n_bs = sites[colocated]
+        realized.append(realize_scenario(scn, bs_xy, ue_xy, n_bs, ue_operator, seed))
+    return realized

@@ -16,7 +16,7 @@ from mmwshare.channel import (THERMAL_NOISE_DBM_PER_HZ, AntennaModel, ChannelPar
                               LinkState, LinkTable, beam_gain_db, noise_power_dbm,
                               path_loss_db)
 from mmwshare.config import default_config
-from mmwshare.experiment import _links
+from mmwshare.experiment import _cochannel, _links
 from mmwshare.geometry import Region, wrapped_delta
 from mmwshare.scenario import SCENARIO_KINDS, build_scenario
 
@@ -243,9 +243,9 @@ def test_network_sinr_equals_dense_reference():
             for seed in (3, 4):
                 for kind in SCENARIO_KINDS:
                     scn = replace(cfg.scenario, kind=kind)
-                    realized = build_scenario(scn, cfg.region, cfg.bs_density_per_km2,
-                                              cfg.ue_density_per_km2, seed)
-                    links, coch = _links(cfg, realized, seed)
+                    [realized] = build_scenario([scn], cfg.region, cfg.bs_density_per_km2,
+                                                cfg.ue_density_per_km2, seed)
+                    links, coch = _links(cfg, realized, seed), _cochannel(cfg, realized)
                     assoc = split_bandwidth(associate_blind(links, realized.access_bu),
                                             scn.pool_hz)
                     got = network_sinr(links, assoc, coch, cfg.noise_figure_db)

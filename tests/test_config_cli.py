@@ -5,13 +5,14 @@ from dataclasses import replace
 
 import pytest
 
+from mmwshare import cli
 from mmwshare.channel import ChannelParams
 from mmwshare.cli import main
 from mmwshare.config import (ConfigError, ExperimentConfig, canonical_json,
                              config_hash, default_config, from_dict,
                              load_config, save_config, to_dict)
 from mmwshare.geometry import Region
-from mmwshare.scenario import Scenario
+from mmwshare.scenario import SCENARIO_KINDS, Scenario
 
 
 def custom_config() -> ExperimentConfig:
@@ -156,6 +157,18 @@ def test_cli_scenarios_byte_identical(tmp_path):
                      "summary.json"]
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_cli_single_kind_matches_four_kind_run(tmp_path):
+    every = tmp_path / "all"
+    assert main(["scenarios", "--drops", "2", "--seed", "5", "--out", str(every)]) == 0
+    assert cli._cum_prob_column.cache_info().currsize == 0   # not kept past the command
+    for kind in SCENARIO_KINDS:
+        one = tmp_path / kind
+        assert main(["scenarios", "--drops", "2", "--seed", "5", "--scenario", kind,
+                     "--out", str(one)]) == 0
+        for name in (f"cdf_sinr_{kind}.csv", f"cdf_rate_{kind}.csv"):
+            assert (one / name).read_bytes() == (every / name).read_bytes()
 
 
 def test_cli_sweep_artifacts(tmp_path):

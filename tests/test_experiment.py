@@ -1,16 +1,18 @@
 """Drop engine: determinism, interference toggle, coordination gap rows."""
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from mmwshare import allocation, experiment
+from mmwshare import allocation, experiment, scenario
 from mmwshare.allocation import InstanceSizeError
+from mmwshare.channel import LinkTable
 from mmwshare.config import default_config
 from mmwshare.experiment import _links, run_drop, run_gap, run_scenarios
 from mmwshare.geometry import Region
-from mmwshare.scenario import Scenario, build_scenario
+from mmwshare.scenario import SCENARIO_KINDS, Scenario, build_scenario
 
 
 def small_config(**overrides):
@@ -20,17 +22,17 @@ def small_config(**overrides):
 
 def test_run_drop_deterministic():
     cfg = small_config()
-    a = run_drop(cfg, "Spectrum", seed=42)
-    b = run_drop(cfg, "Spectrum", seed=42)
+    a = run_drop(cfg, ("Spectrum",), seed=42)["Spectrum"]
+    b = run_drop(cfg, ("Spectrum",), seed=42)["Spectrum"]
     assert_array_equal(a.serving_bs, b.serving_bs)
     assert_array_equal(a.sinr_db, b.sinr_db)
     assert_array_equal(a.rate_bps, b.rate_bps)
-    c = run_drop(cfg, "Spectrum", seed=43)
+    c = run_drop(cfg, ("Spectrum",), seed=43)["Spectrum"]
     assert not np.array_equal(a.rate_bps, c.rate_bps)
 
 
 def test_outcome_fields_consistent():
-    out = run_drop(small_config(), "NoSharing", seed=7)
+    out = run_drop(small_config(), ("NoSharing",), seed=7)["NoSharing"]
     served = out.serving_bs >= 0
     assert np.all(np.isneginf(out.sinr_db[~served]))
     assert np.all(out.rate_bps[~served] == 0.0)
@@ -42,8 +44,8 @@ def test_outcome_fields_consistent():
 
 def test_interference_toggle_only_raises_sinr():
     cfg = small_config()
-    on = run_drop(cfg, "Spectrum", seed=3)
-    off = run_drop(replace(cfg, interference_enabled=False), "Spectrum", seed=3)
+    on = run_drop(cfg, ("Spectrum",), seed=3)["Spectrum"]
+    off = run_drop(replace(cfg, interference_enabled=False), ("Spectrum",), seed=3)["Spectrum"]
     assert_array_equal(on.serving_bs, off.serving_bs)
     served = on.serving_bs >= 0
     assert np.all(off.sinr_db[served] >= on.sinr_db[served])
@@ -52,8 +54,8 @@ def test_interference_toggle_only_raises_sinr():
 
 def test_full_bandwidth_mode_never_slower():
     cfg = small_config(interference_enabled=False)
-    split = run_drop(cfg, "Spectrum", seed=11)
-    full = run_drop(replace(cfg, full_bandwidth_per_ue=True), "Spectrum", seed=11)
+    split = run_drop(cfg, ("Spectrum",), seed=11)["Spectrum"]
+    full = run_drop(replace(cfg, full_bandwidth_per_ue=True), ("Spectrum",), seed=11)["Spectrum"]
     served = split.serving_bs >= 0
     assert np.all(full.rate_bps[served] >= split.rate_bps[served])
 
@@ -68,6 +70,61 @@ def test_run_scenarios_common_deployments():
     assert not np.array_equal(no.rate_bps, sp.rate_bps)
     with pytest.raises(ValueError):
         run_scenarios(cfg, kinds=("Spectrum", "Leasing"))
+
+
+def test_run_scenarios_realizes_one_table_per_geometry_per_drop(monkeypatch):
+    calls = {"realize": 0, "deploy_operator": 0}
+    realize = LinkTable.realize.__func__
+    deploy = scenario.deploy_operator
+
+    def counting_realize(cls, *args, **kwargs):
+        calls["realize"] += 1
+        return realize(cls, *args, **kwargs)
+
+    def counting_deploy(*args, **kwargs):
+        calls["deploy_operator"] += 1
+        return deploy(*args, **kwargs)
+
+    monkeypatch.setattr(LinkTable, "realize", classmethod(counting_realize))
+    monkeypatch.setattr(scenario, "deploy_operator", counting_deploy)
+    shared = ("NoSharing", "Spectrum", "SpectrumAccess")   # one geometry
+    cases = [(SCENARIO_KINDS, 2), (("SpectrumInfra",), 1)]
+    cases += [(kinds, 1) for n in (1, 2, 3) for kinds in combinations(shared, n)]
+    for m_ops in (2, 3):
+        cfg = replace(small_config(), drops=3,
+                      scenario=Scenario("Spectrum", num_operators=m_ops))
+        for kinds, tables in cases:
+            calls.update(realize=0, deploy_operator=0)
+            run_scenarios(cfg, kinds)
+            assert calls == {"realize": tables * cfg.drops,
+                             "deploy_operator": m_ops * cfg.drops}, kinds
+
+
+def test_run_scenarios_kind_subsets_match_each_kind_alone():
+    # every stage seeds its own generator, so neither the other kinds of a
+    # drop nor their order moves a kind's samples
+    base = small_config()
+    configs = [
+        base,
+        replace(base, interference_enabled=False),
+        replace(base, channel=replace(base.channel, outage_model="exponential")),
+        replace(base, scenario=Scenario("Spectrum", num_operators=3)),
+        replace(base, scenario=Scenario("Spectrum", access_share_fraction=0.5)),
+    ]
+    subsets = [SCENARIO_KINDS, SCENARIO_KINDS[::-1],
+               ("SpectrumInfra", "NoSharing"),
+               ("SpectrumAccess", "Spectrum", "SpectrumAccess"),
+               ("Spectrum", "SpectrumInfra", "Spectrum", "SpectrumInfra")]
+    for cfg in configs:
+        alone = {kind: run_scenarios(cfg, (kind,))[kind] for kind in SCENARIO_KINDS}
+        for kinds in subsets:
+            res = run_scenarios(cfg, kinds)
+            # a duplicated kind keeps its first position and is pooled once
+            assert list(res) == list(dict.fromkeys(kinds))
+            for kind, got in res.items():
+                assert got.drops == cfg.drops
+                assert got.sinr_db.tobytes() == alone[kind].sinr_db.tobytes()
+                assert got.rate_bps.tobytes() == alone[kind].rate_bps.tobytes()
 
 
 def test_run_gap_rows():
@@ -142,9 +199,9 @@ def test_kinds_share_link_tables_at_one_seed():
     seed = 12
 
     def drop(kind):
-        realized = build_scenario(replace(cfg.scenario, kind=kind), cfg.region,
-                                  cfg.bs_density_per_km2, cfg.ue_density_per_km2, seed)
-        return realized, _links(cfg, realized, seed)[0]
+        [realized] = build_scenario([replace(cfg.scenario, kind=kind)], cfg.region,
+                                    cfg.bs_density_per_km2, cfg.ue_density_per_km2, seed)
+        return realized, _links(cfg, realized, seed)
 
     ref_real, ref = drop("NoSharing")
     for kind in ("Spectrum", "SpectrumAccess"):

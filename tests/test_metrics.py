@@ -139,7 +139,7 @@ def test_doubling_drops_stays_within_bootstrap_ci():
     two = run_sweep(replace(cfg, drops=20), [30.0])
     base = mix_seed(cfg.master_seed, _SWEEP_SEED_BASE)
     rates = np.concatenate([
-        run_drop(cfg, cfg.scenario.kind, mix_seed(base, j)).rate_bps
+        run_drop(cfg, (cfg.scenario.kind,), mix_seed(base, j))[cfg.scenario.kind].rate_bps
         for j in range(10)])
     assert percentile(cdf(rates), 0.5) == one.median_rate_bps[0]
     rng = np.random.default_rng(8)

@@ -119,7 +119,7 @@ def test_shared_selection_size_and_nesting():
 
 
 def test_build_scenario_counts_and_masks():
-    real = build_scenario(Scenario("NoSharing"), UNIT, 30.0, 200.0, seed=0)
+    [real] = build_scenario([Scenario("NoSharing")], UNIT, 30.0, 200.0, seed=0)
     n_bs, n_ue = len(real.bs_xy), len(real.ue_xy)
     assert set(real.bs_operator.tolist()) == set(real.ue_operator.tolist()) == {0, 1}
     assert real.bs_operator.shape == (n_bs,)
@@ -132,8 +132,8 @@ def test_build_scenario_counts_and_masks():
 
 
 def test_build_scenario_spectrum_only_changes_pool():
-    a = build_scenario(Scenario("NoSharing"), UNIT, 30.0, 200.0, seed=3)
-    b = build_scenario(Scenario("Spectrum"), UNIT, 30.0, 200.0, seed=3)
+    [a] = build_scenario([Scenario("NoSharing")], UNIT, 30.0, 200.0, seed=3)
+    [b] = build_scenario([Scenario("Spectrum")], UNIT, 30.0, 200.0, seed=3)
     # common random numbers: same seed gives the same deployment
     assert_array_equal(a.bs_xy, b.bs_xy)
     assert_array_equal(a.ue_xy, b.ue_xy)
@@ -145,10 +145,10 @@ def test_build_scenario_spectrum_only_changes_pool():
 
 def test_build_scenario_infra_colocates():
     for m_ops in (1, 2, 3):
-        infra = build_scenario(Scenario("SpectrumInfra", num_operators=m_ops),
-                               UNIT, 30.0, 200.0, seed=5)
-        spec = build_scenario(Scenario("Spectrum", num_operators=m_ops),
-                              UNIT, 30.0, 200.0, seed=5)
+        [infra] = build_scenario([Scenario("SpectrumInfra", num_operators=m_ops)],
+                                 UNIT, 30.0, 200.0, seed=5)
+        [spec] = build_scenario([Scenario("Spectrum", num_operators=m_ops)],
+                                UNIT, 30.0, 200.0, seed=5)
         # every operator's BSs stack on operator 0's own draw
         site0 = spec.bs_xy[operator_bs_indices(spec, 0)]
         for m in range(m_ops):
@@ -163,11 +163,11 @@ def test_build_scenario_infra_colocates():
 
 
 def test_build_scenario_access_opens_foreign_sites():
-    full = build_scenario(Scenario("SpectrumAccess", access_share_fraction=1.0),
-                          UNIT, 30.0, 200.0, seed=2)
+    [full] = build_scenario([Scenario("SpectrumAccess", access_share_fraction=1.0)],
+                            UNIT, 30.0, 200.0, seed=2)
     assert np.all(full.access_bu)
-    part = build_scenario(Scenario("SpectrumAccess", access_share_fraction=0.3),
-                          UNIT, 30.0, 200.0, seed=2)
+    [part] = build_scenario([Scenario("SpectrumAccess", access_share_fraction=0.3)],
+                            UNIT, 30.0, 200.0, seed=2)
     own = part.bs_operator[:, None] == part.ue_operator[None, :]
     assert np.all(part.access_bu[own])
     opened = part.access_bu & ~own
@@ -181,16 +181,40 @@ def test_build_scenario_access_opens_foreign_sites():
 
 def test_access_does_not_gate_interference():
     # co-channel coupling covers every pool member even when access is partial
-    real = build_scenario(Scenario("SpectrumAccess", access_share_fraction=0.3),
-                          UNIT, 30.0, 200.0, seed=6)
+    [real] = build_scenario([Scenario("SpectrumAccess", access_share_fraction=0.3)],
+                            UNIT, 30.0, 200.0, seed=6)
     assert not np.all(real.access_bu)
     assert np.all(real.cochannel_bu)
 
 
 def test_build_scenario_deterministic():
-    a = build_scenario(Scenario("SpectrumAccess", access_share_fraction=0.5),
-                       UNIT, 30.0, 200.0, seed=9)
-    b = build_scenario(Scenario("SpectrumAccess", access_share_fraction=0.5),
-                       UNIT, 30.0, 200.0, seed=9)
+    [a] = build_scenario([Scenario("SpectrumAccess", access_share_fraction=0.5)],
+                         UNIT, 30.0, 200.0, seed=9)
+    [b] = build_scenario([Scenario("SpectrumAccess", access_share_fraction=0.5)],
+                         UNIT, 30.0, 200.0, seed=9)
     assert_array_equal(a.bs_xy, b.bs_xy)
     assert_array_equal(a.access_bu, b.access_bu)
+
+
+def test_build_scenario_draws_once_for_every_kind():
+    scns = [Scenario(kind, num_operators=3, access_share_fraction=0.5)
+            for kind in SCENARIO_KINDS]
+    joint = build_scenario(scns, UNIT, 30.0, 200.0, seed=4)
+    assert [r.scenario for r in joint] == scns
+    for scn, real in zip(scns, joint):
+        [alone] = build_scenario([scn], UNIT, 30.0, 200.0, seed=4)
+        for name in ("bs_xy", "ue_xy", "bs_operator", "ue_operator",
+                     "access_bu", "cochannel_bu"):
+            assert_array_equal(getattr(real, name), getattr(alone, name))
+    # one array per geometry: the kinds that keep the drawn sites share
+    # `bs_xy`, SpectrumInfra's co-located towers do not, all share `ue_xy`
+    by_kind = dict(zip(SCENARIO_KINDS, joint))
+    sites = by_kind["NoSharing"].bs_xy
+    assert by_kind["Spectrum"].bs_xy is sites
+    assert by_kind["SpectrumAccess"].bs_xy is sites
+    assert by_kind["SpectrumInfra"].bs_xy is not sites
+    assert all(r.ue_xy is joint[0].ue_xy for r in joint)
+    assert build_scenario([], UNIT, 30.0, 200.0, seed=4) == []
+    with pytest.raises(ValueError):
+        build_scenario([Scenario("Spectrum"), Scenario("NoSharing", num_operators=3)],
+                       UNIT, 30.0, 200.0, seed=4)
