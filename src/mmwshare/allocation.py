@@ -121,10 +121,10 @@ def split_bandwidth(assoc: Association, pool_hz: float,
 def interferer_targets(serving_bs: np.ndarray, n_bs: int) -> np.ndarray:
     """Per BS, the UE its mainlobe tracks: the lowest-index attached UE (-1 if idle)."""
     targets = np.full(n_bs, -1, dtype=np.int64)
-    for u in range(len(serving_bs) - 1, -1, -1):
-        s = serving_bs[u]
-        if s != NONE:
-            targets[s] = u
+    served = np.flatnonzero(serving_bs != NONE)
+    # np.unique's first occurrences are the lowest-index UEs
+    bs, first = np.unique(serving_bs[served], return_index=True)
+    targets[bs] = served[first]
     return targets
 
 

@@ -18,7 +18,6 @@ the same config and seed, artifacts are byte-identical run to run.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from dataclasses import replace
@@ -54,22 +53,14 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-@functools.lru_cache(maxsize=1)
-def _cum_prob_column(n: int) -> tuple[str, ...]:
-    """The formatted cum_prob column (i + 1) / n of an n-row CDF file.
+def write_cdf_csv(path: Path, cfg: ExperimentConfig, values, cum_prob) -> None:
+    """CSV of an empirical CDF: columns value,cum_prob (one row per sample).
 
-    Every CDF file of a `scenarios` run has the same n (every kind pools
-    the same UEs), so the column is formatted once per command;
-    `cmd_scenarios` clears the cache after its last file.
+    `cum_prob` is the formatted (i + 1) / n column, one entry per sample.
     """
-    return tuple(_fmt((i + 1) / n) for i in range(n))
-
-
-def write_cdf_csv(path: Path, cfg: ExperimentConfig, values) -> None:
-    """CSV of an empirical CDF: columns value,cum_prob (one row per sample)."""
     v = np.sort(np.asarray(values, dtype=float), kind="stable")
     lines = _header_lines(cfg) + ["value,cum_prob"]
-    lines += [f"{_fmt(x)},{p}" for x, p in zip(v, _cum_prob_column(len(v)))]
+    lines += [f"{_fmt(x)},{p}" for x, p in zip(v, cum_prob, strict=True)]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -239,10 +230,13 @@ def cmd_scenarios(args) -> int:
     out = _outdir(args)
     kinds = (args.scenario,) if args.scenario else SCENARIO_KINDS
     results = run_scenarios(cfg, kinds)
+    # every kind pools the same UEs, so one cum_prob column serves every file
+    n = len(next(iter(results.values())).rate_bps)
+    cum_prob = [_fmt((i + 1) / n) for i in range(n)]
     summary = {}
     for kind, res in results.items():
-        write_cdf_csv(out / f"cdf_sinr_{kind}.csv", cfg, res.sinr_db)
-        write_cdf_csv(out / f"cdf_rate_{kind}.csv", cfg, res.rate_bps)
+        write_cdf_csv(out / f"cdf_sinr_{kind}.csv", cfg, res.sinr_db, cum_prob)
+        write_cdf_csv(out / f"cdf_rate_{kind}.csv", cfg, res.rate_bps, cum_prob)
         summary[kind] = {
             "median_rate_bps": res.median_rate_bps,
             "p05_rate_bps": res.p05_rate_bps,
@@ -253,7 +247,6 @@ def cmd_scenarios(args) -> int:
         }
         print(f"{kind}: median rate {res.median_rate_bps / 1e6:.1f} Mb/s, "
               f"outage {res.outage_fraction:.3f}")
-    _cum_prob_column.cache_clear()
     write_summary_json(out / "summary.json", cfg, {"scenarios": summary})
     return 0
 

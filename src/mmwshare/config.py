@@ -3,10 +3,13 @@
 One document controls a whole run. Defaults reproduce the two-operator
 urban setup the simulator targets: 30 BS/km^2 and 200 UE/km^2 per
 operator, 500 MHz licenses (1 GHz pooled), 30 dBm transmit power, 7 dB
-noise figure, 28 GHz carrier, 100 drops. Unknown keys anywhere are hard
-errors so a typo cannot silently fall back to a default. Parsing and
-serialization round-trip exactly, and the canonical serialization is
-hashed into every artifact for provenance.
+noise figure, 28 GHz carrier, 100 drops. The layout comes from the
+dataclasses: one key per `ExperimentConfig` field, one object per section
+(`region`, `channel`, `antenna`, `scenario`, `rate`), typed by the field
+annotations. `densities` is the one renamed group (`_DENSITIES`). Unknown
+keys anywhere are hard errors so a typo cannot silently fall back to a
+default. Parsing and serialization round-trip exactly, and the canonical
+serialization is hashed into every artifact for provenance.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,25 +64,16 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
+# The document's one departure from the fields: field -> key in the
+# "densities" group. It drives both `to_dict` and `from_dict`.
+_DENSITIES = {"bs_density_per_km2": "bs_per_km2", "ue_density_per_km2": "ue_per_km2"}
+
+
 def to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical nested-dict form (the JSON document layout)."""
-    return {
-        "region": dataclasses.asdict(cfg.region),
-        "densities": {
-            "bs_per_km2": cfg.bs_density_per_km2,
-            "ue_per_km2": cfg.ue_density_per_km2,
-        },
-        "channel": dataclasses.asdict(cfg.channel),
-        "antenna": dataclasses.asdict(cfg.antenna),
-        "scenario": dataclasses.asdict(cfg.scenario),
-        "rate": dataclasses.asdict(cfg.rate),
-        "tx_power_dbm": cfg.tx_power_dbm,
-        "noise_figure_db": cfg.noise_figure_db,
-        "drops": cfg.drops,
-        "master_seed": cfg.master_seed,
-        "interference_enabled": cfg.interference_enabled,
-        "full_bandwidth_per_ue": cfg.full_bandwidth_per_ue,
-    }
+    doc = dataclasses.asdict(cfg)
+    doc["densities"] = {key: doc.pop(name) for name, key in _DENSITIES.items()}
+    return doc
 
 
 def _coerce(value, annotation: type, path: str):
@@ -107,66 +102,50 @@ def _coerce(value, annotation: type, path: str):
     raise ConfigError(f"{path}: unsupported field type {annotation}")
 
 
-_SECTION_TYPES = {"region": Region, "channel": ChannelParams, "antenna": AntennaModel,
-                  "scenario": Scenario, "rate": RateParams}
+def _read(doc, types: dict, path: str) -> dict:
+    """The values of the document object `doc`, checked against `types`.
 
-
-def _build_section(cls, doc: dict, path: str):
+    `types` maps each allowed key to a scalar type, a dataclass (a section,
+    built by `_build`) or a dict of types (a group). `path` names the
+    object in errors; "" is the config root.
+    """
+    where = path or "config root"
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object")
-    known = {f.name: f.type for f in dataclasses.fields(cls)}
-    types = {"float": float, "int": int, "bool": bool, "str": str}
-    unknown = set(doc) - set(known)
+        raise ConfigError(f"{where}: expected an object")
+    unknown = set(doc) - set(types)
     if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-    kwargs = {}
-    for name, value in doc.items():
-        ann = known[name]
-        ann = types.get(ann, ann) if isinstance(ann, str) else ann
-        kwargs[name] = _coerce(value, ann, f"{path}.{name}")
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+    values = {}
+    for key, value in doc.items():
+        ann, at = types[key], f"{path}.{key}" if path else key
+        if isinstance(ann, dict):
+            values[key] = _read(value, ann, at)
+        elif dataclasses.is_dataclass(ann):
+            values[key] = _build(ann, value, at)
+        else:
+            values[key] = _coerce(value, ann, at)
+    return values
+
+
+def _build(cls, doc, path: str = ""):
+    """`cls` from its document object, each field typed by its annotation."""
+    types = typing.get_type_hints(cls)
+    group = {key: types.pop(name) for name, key in _DENSITIES.items() if name in types}
+    if group:
+        types["densities"] = group
+    kwargs = _read(doc, types, path)
+    grouped = kwargs.pop("densities", {})
+    kwargs.update((name, grouped[key]) for name, key in _DENSITIES.items() if key in grouped)
     try:
         return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-_TOP_KEYS = ("region", "densities", "channel", "antenna", "scenario", "rate",
-             "tx_power_dbm", "noise_figure_db", "drops", "master_seed",
-             "interference_enabled", "full_bandwidth_per_ue")
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def from_dict(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root: expected an object")
-    unknown = set(doc) - set(_TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"config root: unknown key(s) {sorted(unknown)}")
-    kwargs = {}
-    for key, cls in _SECTION_TYPES.items():
-        if key in doc:
-            kwargs[key] = _build_section(cls, doc[key], key)
-    if "densities" in doc:
-        d = doc["densities"]
-        if not isinstance(d, dict):
-            raise ConfigError("densities: expected an object")
-        unknown = set(d) - {"bs_per_km2", "ue_per_km2"}
-        if unknown:
-            raise ConfigError(f"densities: unknown key(s) {sorted(unknown)}")
-        if "bs_per_km2" in d:
-            kwargs["bs_density_per_km2"] = _coerce(d["bs_per_km2"], float, "densities.bs_per_km2")
-        if "ue_per_km2" in d:
-            kwargs["ue_density_per_km2"] = _coerce(d["ue_per_km2"], float, "densities.ue_per_km2")
-    for key, ann in (("tx_power_dbm", float), ("noise_figure_db", float),
-                     ("drops", int), ("master_seed", int),
-                     ("interference_enabled", bool), ("full_bandwidth_per_ue", bool)):
-        if key in doc:
-            kwargs[key] = _coerce(doc[key], ann, key)
-    try:
-        return ExperimentConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return _build(ExperimentConfig, doc)
 
 
 def canonical_json(cfg: ExperimentConfig) -> str:

@@ -235,8 +235,7 @@ class GapRow:
 
 
 def run_gap(config: ExperimentConfig, n_instances: int,
-            max_ues: int = 6, max_bs_per_operator: int = 3,
-            objective: str = "sum_rate") -> list[GapRow]:
+            max_ues: int = 6, max_bs_per_operator: int = 3) -> list[GapRow]:
     """Blind vs brute-force coordinated association on small random instances.
 
     Instance i draws its sizes and positions from mix_seed(master_seed, i):
@@ -266,8 +265,7 @@ def run_gap(config: ExperimentConfig, n_instances: int,
         _, ub_val, blind_val = coordinated_upper_bound(
             _links(config, realized, inst_seed), realized.access_bu,
             _cochannel(config, realized), scn.pool_hz, config.rate,
-            config.noise_figure_db, objective=objective,
-            full_bandwidth=config.full_bandwidth_per_ue)
+            config.noise_figure_db, full_bandwidth=config.full_bandwidth_per_ue)
         gap = 100.0 * (ub_val - blind_val) / ub_val if ub_val > 0 else 0.0
         rows.append(GapRow(i, blind_val, ub_val, gap))
     return rows

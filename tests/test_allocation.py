@@ -97,6 +97,25 @@ def test_split_bandwidth_full_mode_and_errors():
 def test_interferer_targets_lowest_index():
     serving = np.array([2, 0, 0, NONE, 1])
     assert_array_equal(interferer_targets(serving, 4), [1, 4, 0, -1])
+    cases = [
+        (np.array([], dtype=np.int64), 3, [-1, -1, -1]),           # no UE
+        (np.array([NONE, NONE]), 0, []),                            # no BS
+        (np.array([NONE, NONE, NONE]), 2, [-1, -1]),                # all unassociated
+        (np.array([NONE, 1, 1, 0, 1, 1]), 3, [3, 1, -1]),          # one BS, many UEs
+    ]
+    for serving, n_bs, expected in cases:
+        targets = interferer_targets(serving, n_bs)
+        assert targets.dtype == np.int64
+        assert_array_equal(targets, expected)
+    rng = np.random.default_rng(9)
+    for _ in range(200):   # against the per-UE loop: the last write is the lowest UE
+        n_bs, n_ue = int(rng.integers(1, 70)), int(rng.integers(0, 500))
+        serving = rng.integers(NONE, n_bs, size=n_ue)
+        expected = np.full(n_bs, -1)
+        for u in range(n_ue - 1, -1, -1):
+            if serving[u] != NONE:
+                expected[serving[u]] = u
+        assert_array_equal(interferer_targets(serving, n_bs), expected)
 
 
 def test_sinr_worked_example():

@@ -1,11 +1,12 @@
 """Config schema round-trips and the command-line front end."""
+import copy
+import dataclasses
 import json
 import math
 from dataclasses import replace
 
 import pytest
 
-from mmwshare import cli
 from mmwshare.channel import ChannelParams
 from mmwshare.cli import main
 from mmwshare.config import (ConfigError, ExperimentConfig, canonical_json,
@@ -31,6 +32,75 @@ def custom_config() -> ExperimentConfig:
 def test_dict_round_trip_identity():
     for cfg in (default_config(), custom_config()):
         assert from_dict(to_dict(cfg)) == cfg
+
+
+# canonical_json(custom_config()) as written before the document layout was
+# derived from the dataclass fields; a non-default value in every section
+CUSTOM_CANONICAL = (
+    '{"antenna":{"bs_beamwidth_deg":10.0,"bs_mainlobe_gain_db":20.0,'
+    '"bs_sidelobe_gain_db":-10.0,"ue_beamwidth_deg":30.0,'
+    '"ue_mainlobe_gain_db":10.0,"ue_sidelobe_gain_db":-10.0},'
+    '"channel":{"carrier_ghz":28.0,"hard_coverage_area_km2":0.03,'
+    '"los_decay_per_m":0.01490312965722802,"outage_model":"exponential",'
+    '"outage_rise_per_m":0.005,"pl_exponent_los":2.0,'
+    '"pl_exponent_nlos":2.7,"pl_intercept_db":61.4,'
+    '"shadow_sigma_los_db":3.0,"shadow_sigma_nlos_db":7.0},'
+    '"densities":{"bs_per_km2":12.0,"ue_per_km2":90.0},"drops":7,'
+    '"full_bandwidth_per_ue":true,"interference_enabled":true,'
+    '"master_seed":9223372036854775808,"noise_figure_db":7.0,'
+    '"rate":{"duty_factor":0.5,"eta":0.5,"overhead_beta":0.2,'
+    '"target_rate_bps":10000000.0},"region":{"height_km":0.5,'
+    '"width_km":2.0,"wraparound":false},'
+    '"scenario":{"access_share_fraction":0.4,"kind":"SpectrumAccess",'
+    '"license_bandwidth_hz":500000000.0,"num_operators":2},'
+    '"tx_power_dbm":30.0}')
+
+
+def _leaves(doc, path=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _other(path, value):
+    """Another valid value for the document leaf at `path`."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2
+    return {"outage_model": "exponential", "kind": "Spectrum"}[path[-1]]
+
+
+def _n_scalar_fields(obj):
+    """Scalar fields of a config dataclass, its sections' fields included."""
+    values = (getattr(obj, f.name) for f in dataclasses.fields(obj))
+    return sum(_n_scalar_fields(v) if dataclasses.is_dataclass(v) else 1 for v in values)
+
+
+def test_every_field_reaches_the_hash():
+    base = to_dict(default_config())
+    leaves = list(_leaves(base))
+    assert len(leaves) == _n_scalar_fields(default_config()) == 35
+    for path, value in leaves:
+        doc = copy.deepcopy(base)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = _other(path, value)
+        cfg = from_dict(doc)
+        assert to_dict(cfg) == doc, path
+        assert config_hash(cfg) != config_hash(default_config()), path
+    for name in ("bs_density_per_km2", "ue_density_per_km2"):
+        with pytest.raises(ConfigError, match=rf"config root: unknown key\(s\) \['{name}'\]"):
+            from_dict({name: 10.0})
+
+
+def test_custom_layout_is_pinned():
+    assert canonical_json(custom_config()) == CUSTOM_CANONICAL
 
 
 def test_partial_document_fills_defaults():
@@ -162,7 +232,6 @@ def test_cli_scenarios_byte_identical(tmp_path):
 def test_cli_single_kind_matches_four_kind_run(tmp_path):
     every = tmp_path / "all"
     assert main(["scenarios", "--drops", "2", "--seed", "5", "--out", str(every)]) == 0
-    assert cli._cum_prob_column.cache_info().currsize == 0   # not kept past the command
     for kind in SCENARIO_KINDS:
         one = tmp_path / kind
         assert main(["scenarios", "--drops", "2", "--seed", "5", "--scenario", kind,
