@@ -4,8 +4,9 @@ The drop engine associates users one way, blindly: each UE attaches to
 the accessible BS with the highest long-term received power, ignoring
 interference. A brute-force coordinated upper bound (exhaustive search
 over all UE -> accessible-BS assignments, re-evaluating loads, bandwidth
-splits and interference for each, maximizing a declared objective) serves
-only the small instances of the coordination-gap study.
+splits and interference for each, maximizing the sum rate) serves only
+the small instances of the coordination-gap study: at most `_MAX_UES`
+UEs and `_MAX_ASSIGNMENTS` assignments.
 
 Interference has one model, deterministic given positions and an
 association: every loaded BS aims its mainlobe at its lowest-index
@@ -47,8 +48,6 @@ from .channel import (THERMAL_NOISE_DBM_PER_HZ, LinkState, LinkTable,
 
 NONE = -1   # serving_bs value for an unassociated UE
 
-OBJECTIVES = ("sum_rate", "sum_log_rate")
-
 
 class InstanceSizeError(ValueError):
     """Raised when an instance exceeds the brute-force search limits."""
@@ -82,8 +81,8 @@ class Association:
     load: np.ndarray            # (B,) int64
 
 
-def associate_blind(links: LinkTable, access_bu: np.ndarray) -> Association:
-    """Attach each UE to its strongest accessible BS, interference ignored.
+def associate_blind(links: LinkTable, access_bu: np.ndarray) -> np.ndarray:
+    """(U,) int64 serving vector: each UE's strongest accessible BS, interference ignored.
 
     The metric is long-term received power with shadowing (blocked links
     are -inf). Ties break to the lowest BS index; a UE whose accessible
@@ -96,26 +95,30 @@ def associate_blind(links: LinkTable, access_bu: np.ndarray) -> Association:
         best = np.argmax(rx, axis=0)   # first max wins: lowest index on ties
         reachable = ~np.isneginf(rx[best, np.arange(n_ue)])
         serving[reachable] = best[reachable]
-    load = np.bincount(serving[serving != NONE], minlength=n_bs)
-    return Association(serving, np.zeros(n_ue), load.astype(np.int64))
+    return serving
 
 
-def split_bandwidth(assoc: Association, pool_hz: float,
-                    full_bandwidth: bool = False) -> Association:
-    """Divide each BS's pool equally among its attached UEs.
-
-    With `full_bandwidth` every served UE is optimistically granted the
-    whole pool (no per-BS conservation in that mode).
-    """
+def _bandwidth_share_hz(load: np.ndarray, pool_hz: float,
+                        full_bandwidth: bool) -> np.ndarray:
+    """Bandwidth of a served UE at a BS of `load` UEs: an equal split of the
+    pool, or with `full_bandwidth` the whole pool (no per-BS conservation)."""
     if pool_hz <= 0:
         raise ValueError("pool bandwidth must be > 0")
-    served = assoc.serving_bs != NONE
-    w = np.zeros(len(assoc.serving_bs))
     if full_bandwidth:
-        w[served] = pool_hz
-    else:
-        w[served] = pool_hz / assoc.load[assoc.serving_bs[served]]
-    return Association(assoc.serving_bs.copy(), w, assoc.load.copy())
+        return np.full(np.shape(load), float(pool_hz))
+    return pool_hz / load
+
+
+def split_bandwidth(serving_bs: np.ndarray, n_bs: int, pool_hz: float,
+                    full_bandwidth: bool = False) -> Association:
+    """Association of a (U,) serving vector: per-BS loads, and each served
+    UE's bandwidth by `_bandwidth_share_hz` (0 Hz where unassociated)."""
+    serving_bs = np.asarray(serving_bs, dtype=np.int64)
+    served = serving_bs != NONE
+    load = np.bincount(serving_bs[served], minlength=n_bs)
+    w = np.zeros(len(serving_bs))
+    w[served] = _bandwidth_share_hz(load[serving_bs[served]], pool_hz, full_bandwidth)
+    return Association(serving_bs, w, load)
 
 
 def interferer_targets(serving_bs: np.ndarray, n_bs: int) -> np.ndarray:
@@ -250,8 +253,8 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
 
 
 _BLOCK_ROWS = 4096   # assignments per kernel call: bounds the search's working memory
-_MAX_UES = 8          # search limits of `coordinated_upper_bound`
-_MAX_BS_PER_UE = 4
+_MAX_UES = 8                      # search limits: the tables grow as B^2 U^2,
+_MAX_ASSIGNMENTS = 4 ** _MAX_UES  # the work with the number of assignments
 
 
 def _mw(dbm) -> np.ndarray:
@@ -275,11 +278,10 @@ class _ObjectiveTables:
     noise: np.ndarray          # (U+1,), entry 0 unused
     width: np.ndarray          # (U+1,) Hz, entry 0 unused
     params: RateParams
-    objective: str
 
 
 def _objective_tables(links: LinkTable, cochannel_bu: np.ndarray, pool_hz: float,
-                      params: RateParams, noise_figure_db: float, objective: str,
+                      params: RateParams, noise_figure_db: float,
                       full_bandwidth: bool) -> _ObjectiveTables:
     """Precompute every term `compute_sinr` can form on this instance.
 
@@ -287,10 +289,6 @@ def _objective_tables(links: LinkTable, cochannel_bu: np.ndarray, pool_hz: float
     call per side (its ops are exact); dB sums keep the scalar operand
     order, so each table entry is bit-identical to the scalar path's value.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    if pool_hz <= 0:
-        raise ValueError("pool bandwidth must be > 0")
     n_bs, n_ue = links.n_bs, links.n_ue
     ant = links.antenna
     delta = links.delta_km.tolist()   # (B, U, 2), bs -> ue
@@ -319,23 +317,21 @@ def _objective_tables(links: LinkTable, cochannel_bu: np.ndarray, pool_hz: float
     interference[:, :n_ue][live] = _mw(rx_dbm[live])
 
     width = np.zeros(n_ue + 1)
-    width[1:] = pool_hz if full_bandwidth else pool_hz / np.arange(1, n_ue + 1)
+    width[1:] = _bandwidth_share_hz(np.arange(1, n_ue + 1), pool_hz, full_bandwidth)
     noise = np.zeros(n_ue + 1)
     noise[1:] = _mw([noise_power_dbm(w, noise_figure_db) for w in width[1:].tolist()])
     return _ObjectiveTables(interference, _mw(links.serving_rx_dbm), noise, width,
-                            params, objective)
+                            params)
 
 
 def _score_block(tables: _ObjectiveTables, serving: np.ndarray) -> np.ndarray:
-    """Objective of every row of an (R, U) block of assignments (NONE = unassociated).
+    """Sum rate of every row of an (R, U) block of assignments (NONE = unassociated).
 
     Per row: loads and interferer targets from the assignment; per UE:
     noise, then interferers in ascending BS order, then `user_rate`; the
-    objective adds UEs in ascending index. This is the operation sequence
-    of `compute_sinr` and `user_rate` summed per UE, element by element:
-    sum_rate adds user rates; sum_log_rate adds natural logs of the rates
-    of assigned UEs (-inf if any such rate is 0). Unassociated UEs
-    contribute rate 0 and are skipped by sum_log_rate.
+    rates add up in ascending UE index, unassociated UEs contributing 0.
+    This is the operation sequence of `compute_sinr` and `user_rate`
+    summed per UE, element by element.
     """
     n_rows, n_ue = serving.shape
     served = serving != NONE
@@ -354,9 +350,6 @@ def _score_block(tables: _ObjectiveTables, serving: np.ndarray) -> np.ndarray:
     gamma = tables.signal[s, ues] / acc
     rate = user_rate(gamma, tables.width[own_load], tables.params)
     value = np.where(served, rate, 0.0)
-    if tables.objective == "sum_log_rate":
-        value[served] = [math.log(r) if r > 0.0 else -math.inf
-                         for r in rate[served].tolist()]
     total = np.zeros(n_rows)
     for u in range(n_ue):
         total = total + value[:, u]
@@ -370,24 +363,24 @@ def coordinated_upper_bound(
     pool_hz: float,
     params: RateParams,
     noise_figure_db: float,
-    objective: str = "sum_rate",
     full_bandwidth: bool = False,
 ) -> tuple[np.ndarray, float, float]:
-    """Exhaustive-search assignment maximizing the declared objective.
+    """Exhaustive-search assignment maximizing the sum rate.
 
     Every UE ranges over all of its accessible BSs (a UE whose accessible
     links are all blocked is fixed unassociated); loads, bandwidth splits
-    and interference are recomputed per assignment. An instance beyond
-    `_MAX_UES` UEs or `_MAX_BS_PER_UE` accessible BSs for some UE raises
-    InstanceSizeError before the per-instance tables, whose size grows as
-    B^2 U^2, are built. The tables then score the blind assignment
-    (`associate_blind`) as one row and every search assignment in
-    `itertools.product` order, blocks of `_BLOCK_ROWS` at a time. Ties
+    and interference are recomputed per assignment. An instance with more
+    than `_MAX_UES` UEs, or whose assignments (the product of the
+    candidate counts of the UEs it enumerates) exceed `_MAX_ASSIGNMENTS`,
+    raises InstanceSizeError before the per-instance tables, whose size
+    grows as B^2 U^2, are built. The tables then score the blind
+    assignment (`associate_blind`) as one row and every search assignment
+    in `itertools.product` order, blocks of `_BLOCK_ROWS` at a time. Ties
     resolve to the lexicographically smallest assignment.
 
     Returns `(serving_bs, value, blind_value)`: the best (U,) assignment
-    (NONE where unassociated), its objective, and the blind assignment's
-    objective. Both values come from the same tables, and the blind
+    (NONE where unassociated), its sum rate, and the blind assignment's
+    sum rate. Both values come from the same tables, and the blind
     assignment is one the search scores, so `value >= blind_value` exactly.
     """
     n_ue = links.n_ue
@@ -397,22 +390,22 @@ def coordinated_upper_bound(
     enumerated: list[int] = []
     for u in range(n_ue):
         acc = np.flatnonzero(access_bu[:, u])
-        if len(acc) > _MAX_BS_PER_UE:
-            raise InstanceSizeError(
-                f"UE {u} has {len(acc)} accessible BSs, limit {_MAX_BS_PER_UE}")
         if len(acc) == 0 or np.all(links.state[acc, u] == LinkState.OUT):
             continue   # forced unassociated
         enumerated.append(u)
         candidates.append(acc)
+    shape = tuple(len(c) for c in candidates)
+    n_total = math.prod(shape)   # 1 with no enumerated UEs: the fixed assignment
+    if n_total > _MAX_ASSIGNMENTS:
+        raise InstanceSizeError(
+            f"{n_total} assignments exceeds the search limit of {_MAX_ASSIGNMENTS}")
 
     tables = _objective_tables(links, cochannel_bu, pool_hz, params,
-                               noise_figure_db, objective, full_bandwidth)
-    blind = associate_blind(links, access_bu).serving_bs
+                               noise_figure_db, full_bandwidth)
+    blind = associate_blind(links, access_bu)
     blind_value = float(_score_block(tables, blind[None, :])[0])
 
     fixed = np.full(n_ue, NONE, dtype=np.int64)
-    shape = tuple(len(c) for c in candidates)
-    n_total = math.prod(shape)   # 1 with no enumerated UEs: the fixed assignment
     best_assignment = fixed
     best_value = None
     for start in range(0, n_total, _BLOCK_ROWS):

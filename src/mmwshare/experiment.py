@@ -79,7 +79,7 @@ def _evaluate(config: ExperimentConfig, realized: RealizedScenario,
               links: LinkTable) -> DropOutcome:
     """Blind association, SINR and rates of one realized kind on its link table."""
     scn = realized.scenario
-    assoc = split_bandwidth(associate_blind(links, realized.access_bu),
+    assoc = split_bandwidth(associate_blind(links, realized.access_bu), links.n_bs,
                             scn.pool_hz, config.full_bandwidth_per_ue)
     gamma = network_sinr(links, assoc, _cochannel(config, realized), config.noise_figure_db)
     with np.errstate(divide="ignore"):
@@ -246,8 +246,8 @@ def run_gap(config: ExperimentConfig, n_instances: int,
     `coordinated_upper_bound` call per instance returns both the blind
     value and the upper bound from the same tables, so the bound dominates
     exactly. An instance beyond the search limits raises InstanceSizeError
-    before its tables are built (see `scenario` for when SpectrumAccess
-    does).
+    before its tables are built; SpectrumAccess at the default config
+    stays within them (see `scenario`).
     """
     scn = config.scenario
     m_ops = scn.num_operators

@@ -21,9 +21,9 @@ Which BSs may serve a UE and which interfere with it has one builder,
 `realize_scenario`, shared by the drop engine (`build_scenario`) and the
 coordination-gap instances. Under ``SpectrumAccess`` at the default
 ``access_share_fraction=1.0`` every BS is open to every UE, so a gap
-instance that draws 5 or more BSs in total (up to 3 per operator) exceeds
-the search's limit of 4 accessible BSs per UE and the ``gap`` command exits
-with code 4.
+instance's search ranges over all of its unblocked BSs. At the default
+config that stays within the search's limits; three operators on a
+0.2 km region can exceed them, and the ``gap`` command then exits with 4.
 """
 from __future__ import annotations
 

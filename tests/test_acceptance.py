@@ -165,13 +165,11 @@ def test_criterion_08_coordination_gap():
                                   antenna, seed=i)
         serving, ub_v, blind_v = coordinated_upper_bound(links, access, coch,
                                                          pool, params, 7.0)
-        want_a, want_v = _oracle_search(links, access, coch, pool, params,
-                                        7.0, "sum_rate")
+        want_a, want_v = _oracle_search(links, access, coch, pool, params, 7.0)
         blind = associate_blind(links, access)
         oracle_ok = (oracle_ok and ub_v == want_v
                      and np.array_equal(serving, want_a)
-                     and blind_v == _oracle_value(links, blind.serving_bs, coch,
-                                                  pool, params, 7.0, "sum_rate"))
+                     and blind_v == _oracle_value(links, blind, coch, pool, params, 7.0))
         violations += ub_v < blind_v
         gaps.append(100.0 * (ub_v - blind_v) / ub_v if ub_v > 0 else 0.0)
     median_gap = percentile(cdf(gaps), 0.5)

@@ -8,10 +8,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mmwshare import allocation
-from mmwshare.allocation import (NONE, OBJECTIVES, Association,
-                                 InstanceSizeError, RateParams, associate_blind,
-                                 compute_sinr, coordinated_upper_bound, interferer_targets,
-                                 network_sinr, split_bandwidth, user_rate)
+from mmwshare.allocation import (NONE, Association, InstanceSizeError, RateParams,
+                                 associate_blind, compute_sinr, coordinated_upper_bound,
+                                 interferer_targets, network_sinr, split_bandwidth,
+                                 user_rate)
 from mmwshare.channel import (THERMAL_NOISE_DBM_PER_HZ, AntennaModel, ChannelParams,
                               LinkState, LinkTable, beam_gain_db, noise_power_dbm,
                               path_loss_db)
@@ -46,40 +46,39 @@ def make_table(bs_xy, ue_xy, region=FLAT, state=None, shadow=None, tx=30.0):
 
 def test_blind_association_nearest_wins():
     links = make_table([[0.2, 0.5], [0.8, 0.5]], [[0.3, 0.5], [0.75, 0.5]])
-    assoc = associate_blind(links, np.ones((2, 2), bool))
-    assert_array_equal(assoc.serving_bs, [0, 1])
-    assert_array_equal(assoc.load, [1, 1])
-    assert_array_equal(assoc.ue_bandwidth_hz, [0.0, 0.0])
+    serving = associate_blind(links, np.ones((2, 2), bool))
+    assert serving.dtype == np.int64 and serving.shape == (2,)
+    assert_array_equal(serving, [0, 1])
+    assert_array_equal(split_bandwidth(serving, 2, 1e9).load, [1, 1])
 
 
 def test_blind_association_tie_breaks_low_index():
     # co-sited arrays present identical received powers
     links = make_table([[0.5, 0.5], [0.5, 0.5]], [[0.52, 0.5]])
-    assoc = associate_blind(links, np.ones((2, 1), bool))
-    assert assoc.serving_bs[0] == 0
+    assert associate_blind(links, np.ones((2, 1), bool))[0] == 0
 
 
 def test_blind_association_respects_access():
     links = make_table([[0.2, 0.5], [0.8, 0.5]], [[0.3, 0.5]])
     access = np.array([[False], [True]])
-    assoc = associate_blind(links, access)
-    assert assoc.serving_bs[0] == 1
+    assert associate_blind(links, access)[0] == 1
 
 
 def test_blind_association_all_blocked():
     links = make_table([[0.2, 0.5]], [[0.3, 0.5]], state=[[LinkState.OUT]])
-    assoc = associate_blind(links, np.ones((1, 1), bool))
-    assert assoc.serving_bs[0] == NONE
+    serving = associate_blind(links, np.ones((1, 1), bool))
+    assert serving[0] == NONE
+    assoc = split_bandwidth(serving, 1, 1e9)
     assert_array_equal(assoc.load, [0])
-    w = split_bandwidth(assoc, 1e9)
-    assert w.ue_bandwidth_hz[0] == 0.0
+    assert assoc.ue_bandwidth_hz[0] == 0.0
 
 
 def test_split_bandwidth_conserves_pool():
     # loads of 1, 2 and 4 divide exactly in binary floating point
     serving = np.array([0, 1, 1, 2, 2, 2, 2])
-    load = np.array([1, 2, 4])
-    assoc = split_bandwidth(Association(serving, np.zeros(7), load), 1e9)
+    assoc = split_bandwidth(serving, 3, 1e9)
+    assert assoc.load.dtype == np.int64
+    assert_array_equal(assoc.load, [1, 2, 4])
     for b in range(3):
         assert assoc.ue_bandwidth_hz[serving == b].sum() == 1e9
     assert_array_equal(assoc.ue_bandwidth_hz,
@@ -87,11 +86,12 @@ def test_split_bandwidth_conserves_pool():
 
 
 def test_split_bandwidth_full_mode_and_errors():
-    assoc = Association(np.array([0, NONE]), np.zeros(2), np.array([1]))
-    full = split_bandwidth(assoc, 1e9, full_bandwidth=True)
+    serving = np.array([0, NONE])
+    full = split_bandwidth(serving, 2, 1e9, full_bandwidth=True)
     assert_array_equal(full.ue_bandwidth_hz, [1e9, 0.0])
+    assert_array_equal(full.load, [1, 0])
     with pytest.raises(ValueError):
-        split_bandwidth(assoc, 0.0)
+        split_bandwidth(serving, 2, 0.0)
 
 
 def test_interferer_targets_lowest_index():
@@ -173,7 +173,7 @@ def test_interference_ignores_access_rights():
     links = make_table([[0.2, 0.5], [0.4, 0.5]],
                        [[0.25, 0.5], [0.41, 0.5]])
     access = np.array([[True, False], [False, True]])
-    assoc = split_bandwidth(associate_blind(links, access), 5e8)
+    assoc = split_bandwidth(associate_blind(links, access), 2, 5e8)
     both = compute_sinr(0, assoc, links, np.ones((2, 2), bool), 7.0)
     masked = compute_sinr(0, assoc, links,
                           np.array([[True, True], [False, True]]), 7.0)
@@ -192,7 +192,8 @@ def test_network_sinr_matches_scalar():
             bs[1] = bs[0]   # exercise the co-sited branch
         links = LinkTable.realize(bs, ue, region, 30.0, ChannelParams(),
                                   AntennaModel(), seed=int(rng.integers(1 << 30)))
-        assoc = split_bandwidth(associate_blind(links, np.ones((n_bs, n_ue), bool)), 1e9)
+        assoc = split_bandwidth(associate_blind(links, np.ones((n_bs, n_ue), bool)),
+                                n_bs, 1e9)
         coch = rng.random((n_bs, n_ue)) < 0.8
         vec = network_sinr(links, assoc, coch, 7.0)
         for u in range(n_ue):
@@ -266,7 +267,7 @@ def test_network_sinr_equals_dense_reference():
                                                 cfg.ue_density_per_km2, seed)
                     links, coch = _links(cfg, realized, seed), _cochannel(cfg, realized)
                     assoc = split_bandwidth(associate_blind(links, realized.access_bu),
-                                            scn.pool_hz)
+                                            links.n_bs, scn.pool_hz)
                     got = network_sinr(links, assoc, coch, cfg.noise_figure_db)
                     want = _dense_network_sinr(links, assoc, coch, cfg.noise_figure_db)
                     assert got.tobytes() == want.tobytes()
@@ -289,12 +290,13 @@ def test_network_sinr_equals_dense_reference():
         (apart, np.eye(2, dtype=bool)),                  # interferers off-channel
     ]
     for links, coch in cases:
-        assoc = split_bandwidth(associate_blind(links, np.ones(coch.shape, bool)), 1e9)
+        assoc = split_bandwidth(associate_blind(links, np.ones(coch.shape, bool)),
+                                links.n_bs, 1e9)
         got = network_sinr(links, assoc, coch, 7.0)
         assert got.shape == (links.n_ue,)
         assert got.tobytes() == _dense_network_sinr(links, assoc, coch, 7.0).tobytes()
     assert (network_sinr(apart, split_bandwidth(
-        associate_blind(apart, np.ones((2, 2), bool)), 1e9), np.eye(2, dtype=bool),
+        associate_blind(apart, np.ones((2, 2), bool)), 2, 1e9), np.eye(2, dtype=bool),
         7.0) > 0).all()
 
 
@@ -324,11 +326,10 @@ def test_rate_params_validation():
                 RateParams(**{name: bad})
 
 
-def _one_row(links, serving_bs, coch, pool_hz, params, objective="sum_rate",
-             full_bandwidth=False):
-    """Objective of one complete assignment: a one-row block of the kernel."""
+def _one_row(links, serving_bs, coch, pool_hz, params, full_bandwidth=False):
+    """Sum rate of one complete assignment: a one-row block of the kernel."""
     tables = allocation._objective_tables(links, coch, pool_hz, params, 7.0,
-                                          objective, full_bandwidth)
+                                          full_bandwidth)
     row = np.asarray(serving_bs, dtype=np.int64)[None, :]
     return float(allocation._score_block(tables, row)[0])
 
@@ -340,32 +341,15 @@ def test_assignment_objective_matches_manual_sum():
     coch = np.ones((2, 3), bool)
     params = RateParams()
     got = _one_row(links, serving, coch, 1e9, params)
-    assoc = split_bandwidth(Association(serving, np.zeros(3), np.array([1, 2])), 1e9)
+    assoc = split_bandwidth(serving, 2, 1e9)
     manual = 0.0
     for u in range(3):
         g = compute_sinr(u, assoc, links, coch, 7.0)
         manual += user_rate(g, float(assoc.ue_bandwidth_hz[u]), params)
     assert got == manual
+    # the search's tables take the pool check of the one bandwidth-share rule
     with pytest.raises(ValueError):
-        allocation._objective_tables(links, coch, 1e9, params, 7.0, "max_min",
-                                     False)
-
-
-def test_sum_log_objective():
-    links = make_table([[0.1, 0.1], [0.25, 0.1]],
-                       [[0.12, 0.1], [0.26, 0.1]],
-                       state=[[0, 0], [0, LinkState.OUT]])
-    coch = np.ones((2, 2), bool)
-    params = RateParams()
-    # unassociated UEs are skipped, not counted as zero rate
-    one = _one_row(links, [0, NONE], coch, 1e9, params, "sum_log_rate")
-    assoc = split_bandwidth(Association(np.array([0, NONE]), np.zeros(2),
-                                        np.array([1, 0])), 1e9)
-    g = compute_sinr(0, assoc, links, coch, 7.0)
-    assert one == math.log(user_rate(g, 1e9, params))
-    # an assigned UE on a blocked link has rate 0: objective collapses
-    bad = _one_row(links, [0, 1], coch, 1e9, params, "sum_log_rate")
-    assert bad == -math.inf
+        allocation._objective_tables(links, coch, 0.0, params, 7.0, False)
 
 
 # --- independent mirror of the scalar evaluation chain, for the search oracle
@@ -395,7 +379,7 @@ def _gain(angle, main, side, bw):
     return main if a <= bw / 2.0 else side
 
 
-def _oracle_value(links, serving, coch, pool_hz, params, nf, objective):
+def _oracle_value(links, serving, coch, pool_hz, params, nf):
     ant = links.antenna
     load = [0] * links.n_bs
     for s in serving:
@@ -433,16 +417,12 @@ def _oracle_value(links, serving, coch, pool_hz, params, nf, objective):
                   - float(links.path_loss_db[b, u]) - float(links.shadowing_db[b, u]))
             acc += 10.0 ** (rx / 10.0)
         gamma = sig / acc
-        r = (params.eta * params.duty_factor * (1.0 - params.overhead_beta)
-             * w * math.log2(1.0 + gamma))
-        if objective == "sum_rate":
-            total += r
-        else:
-            total += math.log(r) if r > 0.0 else -math.inf
+        total += (params.eta * params.duty_factor * (1.0 - params.overhead_beta)
+                  * w * math.log2(1.0 + gamma))
     return total
 
 
-def _oracle_search(links, access, coch, pool_hz, params, nf, objective):
+def _oracle_search(links, access, coch, pool_hz, params, nf):
     """Depth-first enumeration, candidates ascending, strict improvement."""
     order, cand = [], []
     for u in range(links.n_ue):
@@ -456,7 +436,7 @@ def _oracle_search(links, access, coch, pool_hz, params, nf, objective):
 
     def rec(i):
         if i == len(order):
-            v = _oracle_value(links, serving, coch, pool_hz, params, nf, objective)
+            v = _oracle_value(links, serving, coch, pool_hz, params, nf)
             if best["v"] is None or v > best["v"]:
                 best["v"], best["a"] = v, list(serving)
             return
@@ -483,11 +463,8 @@ def test_upper_bound_matches_independent_enumeration():
                                   AntennaModel(), seed=trial)
         access = rng.random((n_bs, n_ue)) < 0.85
         coch = np.ones((n_bs, n_ue), bool)
-        objective = "sum_rate" if trial % 3 else "sum_log_rate"
-        serving, value, _ = coordinated_upper_bound(
-            links, access, coch, 1e9, params, 7.0, objective=objective)
-        want_a, want_v = _oracle_search(links, access, coch, 1e9, params, 7.0,
-                                        objective)
+        serving, value, _ = coordinated_upper_bound(links, access, coch, 1e9, params, 7.0)
+        want_a, want_v = _oracle_search(links, access, coch, 1e9, params, 7.0)
         assert value == want_v
         assert_array_equal(serving, want_a)
         checked_none += int((serving == NONE).any())
@@ -510,7 +487,7 @@ def test_upper_bound_dominates_blind():
         blind = associate_blind(links, access)
         _, ub_v, blind_v = coordinated_upper_bound(links, access, coch, 1e9,
                                                    params, 7.0)
-        assert blind_v == _one_row(links, blind.serving_bs, coch, 1e9, params)
+        assert blind_v == _one_row(links, blind, coch, 1e9, params)
         assert ub_v >= blind_v
 
 
@@ -528,7 +505,7 @@ def test_upper_bound_enumerates_every_combination(monkeypatch):
     access = np.ones((2, 3), bool)
     coordinated_upper_bound(links, access, access, 1e9, RateParams(), 7.0)
     # the blind row first, then every assignment in product order
-    assert rows[0] == tuple(associate_blind(links, access).serving_bs.tolist())
+    assert rows[0] == tuple(associate_blind(links, access).tolist())
     assert rows[1:] == list(itertools.product([0, 1], repeat=3))
 
 
@@ -549,36 +526,49 @@ def test_upper_bound_forces_unassociated_when_blocked():
     assert value == blind_value == 0.0
 
 
-def test_upper_bound_size_refusals():
+def test_upper_bound_size_refusals(monkeypatch):
+    tabulated = []
+    real = allocation._objective_tables
+
+    def recording(links, *args):
+        tabulated.append(links.n_ue)
+        return real(links, *args)
+
+    monkeypatch.setattr(allocation, "_objective_tables", recording)
     big_ue = make_table([[0.1, 0.1]], [[0.1 + 0.01 * u, 0.1] for u in range(9)])
     with pytest.raises(InstanceSizeError):
         coordinated_upper_bound(big_ue, np.ones((1, 9), bool),
                                 np.ones((1, 9), bool), 1e9, RateParams(), 7.0)
-    big_bs = make_table([[0.1, 0.01 * b] for b in range(5)], [[0.1, 0.02]])
+    # 7 UEs x 5 unblocked BSs: 5**7 = 78,125 assignments, above 4**8
+    many = make_table([[0.1, 0.01 * b] for b in range(5)],
+                      [[0.1 + 0.01 * u, 0.02] for u in range(7)])
+    assert 5 ** 7 > allocation._MAX_ASSIGNMENTS == 4 ** 8
     with pytest.raises(InstanceSizeError):
-        coordinated_upper_bound(big_bs, np.ones((5, 1), bool),
-                                np.ones((5, 1), bool), 1e9, RateParams(), 7.0)
+        coordinated_upper_bound(many, np.ones((5, 7), bool),
+                                np.ones((5, 7), bool), 1e9, RateParams(), 7.0)
+    assert tabulated == []   # both refused before any table was built
+    # 9 accessible BSs, every link blocked: forced unassociated, one assignment
+    blocked = make_table([[0.1, 0.01 * b] for b in range(9)], [[0.1, 0.02]],
+                         state=[[LinkState.OUT]] * 9)
+    serving, value, blind_value = coordinated_upper_bound(
+        blocked, np.ones((9, 1), bool), np.ones((9, 1), bool), 1e9, RateParams(), 7.0)
+    assert serving[0] == NONE
+    assert value == blind_value == 0.0
+    assert tabulated == [1]
 
 
 # --- the batched objective kernel against the scalar reference
 
 
-def _scalar_objective(links, serving, coch, pool_hz, params, nf, objective,
-                      full_bandwidth):
-    """Reference objective: `compute_sinr` and `user_rate` per UE, ascending."""
-    load = np.bincount(serving[serving != NONE], minlength=links.n_bs)
-    assoc = split_bandwidth(Association(serving, np.zeros(links.n_ue), load),
-                            pool_hz, full_bandwidth)
+def _scalar_objective(links, serving, coch, pool_hz, params, nf, full_bandwidth):
+    """Reference sum rate: `compute_sinr` and `user_rate` per UE, ascending."""
+    assoc = split_bandwidth(serving, links.n_bs, pool_hz, full_bandwidth)
     total = 0.0
     for u in range(links.n_ue):
         if serving[u] == NONE:
             continue
-        r = user_rate(compute_sinr(u, assoc, links, coch, nf),
-                      float(assoc.ue_bandwidth_hz[u]), params)
-        if objective == "sum_rate":
-            total += r
-        else:
-            total += math.log(r) if r > 0.0 else -math.inf
+        total += user_rate(compute_sinr(u, assoc, links, coch, nf),
+                           float(assoc.ue_bandwidth_hz[u]), params)
     return total
 
 
@@ -601,23 +591,18 @@ def test_kernel_equals_scalar_reference_on_every_assignment():
         seen["out"] += int((links.state == LinkState.OUT).any())
         coch = rng.random((n_bs, n_ue)) < (0.0 if trial % 3 == 0 else 0.6)
         seen["all_false" if not coch.any() else "partial"] += 1
-        objective = OBJECTIVES[trial % 2]
         full = bool(trial // 2 % 2)
         pool = float(rng.choice([1e9, 7.3e8]))
         # every assignment, unassociated included, one kernel block
         block = np.array(list(itertools.product(range(NONE, n_bs), repeat=n_ue)),
                          dtype=np.int64)
-        tables = allocation._objective_tables(links, coch, pool, params, 7.0,
-                                              objective, full)
+        tables = allocation._objective_tables(links, coch, pool, params, 7.0, full)
         got = allocation._score_block(tables, block)
         for row, value in zip(block, got):
-            want = _scalar_objective(links, row, coch, pool, params, 7.0,
-                                     objective, full)
-            assert value == want
+            assert value == _scalar_objective(links, row, coch, pool, params, 7.0, full)
         row = block[int(rng.integers(len(block)))]
-        assert _one_row(links, row, coch, pool, params, objective,
-                        full) == _scalar_objective(
-            links, row, coch, pool, params, 7.0, objective, full)
+        assert _one_row(links, row, coch, pool, params, full) == _scalar_objective(
+            links, row, coch, pool, params, 7.0, full)
     assert min(seen.values()) > 0
 
 
@@ -631,8 +616,7 @@ def test_upper_bound_tie_across_blocks_keeps_earlier_assignment():
     access = coch = np.ones((4, 7), bool)
     params = RateParams()
     serving, value, _ = coordinated_upper_bound(links, access, coch, 1e9, params, 7.0)
-    want_a, want_v = _oracle_search(links, access, coch, 1e9, params, 7.0,
-                                    "sum_rate")
+    want_a, want_v = _oracle_search(links, access, coch, 1e9, params, 7.0)
     assert value == want_v
     assert_array_equal(serving, want_a)
     assert serving[0] == 0
@@ -653,18 +637,13 @@ def test_upper_bound_eight_ues_two_plus_two_bss_matches_oracle():
     params = RateParams()
     # every UE on either home BS, blocked links included: 8 summed rates per row
     block = np.array(list(itertools.product(*([(0, 1)] * 4 + [(2, 3)] * 4))))
-    for objective in OBJECTIVES:
-        tables = allocation._objective_tables(links, coch, 1e9, params, 7.0,
-                                              objective, False)
-        for row, value in zip(block, allocation._score_block(tables, block)):
-            assert value == _oracle_value(links, row, coch, 1e9, params, 7.0,
-                                          objective)
-        serving, value, _ = coordinated_upper_bound(links, access, coch, 1e9, params,
-                                                    7.0, objective=objective)
-        want_a, want_v = _oracle_search(links, access, coch, 1e9, params, 7.0,
-                                        objective)
-        assert value == want_v
-        assert_array_equal(serving, want_a)
+    tables = allocation._objective_tables(links, coch, 1e9, params, 7.0, False)
+    for row, value in zip(block, allocation._score_block(tables, block)):
+        assert value == _oracle_value(links, row, coch, 1e9, params, 7.0)
+    serving, value, _ = coordinated_upper_bound(links, access, coch, 1e9, params, 7.0)
+    want_a, want_v = _oracle_search(links, access, coch, 1e9, params, 7.0)
+    assert value == want_v
+    assert_array_equal(serving, want_a)
 
 
 def test_upper_bound_full_default_size_completes(monkeypatch):

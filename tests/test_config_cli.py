@@ -283,12 +283,20 @@ def test_cli_exit_codes(tmp_path):
     for bad_density in ("nan", "inf"):
         assert main(["sweep", "--densities", f"{bad_density},10,20", "--drops", "1",
                      "--out", str(tmp_path / "o3")]) == 2
-    # full SpectrumAccess opens all 6 BSs of this instance to UE 0, above
-    # the exhaustive search's limit of 4 per UE
+    # full SpectrumAccess opens all 6 BSs of this instance to every UE; on a
+    # 1 km region all of their links are blocked, so the search has one
+    # assignment
     access = tmp_path / "access.json"
     access.write_text('{"scenario": {"kind": "SpectrumAccess"}}')
     assert main(["gap", "--config", str(access), "--seed", "3", "--drops", "1",
-                 "--out", str(tmp_path / "o4")]) == 4
+                 "--out", str(tmp_path / "o4")]) == 0
+    # three operators on a 0.2 km region: instance 0 of seed 35 has 7**6 =
+    # 117,649 assignments, above the search's limit of 4**8
+    dense = tmp_path / "dense.json"
+    dense.write_text('{"scenario": {"kind": "SpectrumAccess", "num_operators": 3}, '
+                     '"region": {"width_km": 0.2, "height_km": 0.2}}')
+    assert main(["gap", "--config", str(dense), "--seed", "35", "--drops", "1",
+                 "--out", str(tmp_path / "o5")]) == 4
 
 
 def _reject_constant(name):
