@@ -104,60 +104,6 @@ def write_summary_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None
                             allow_nan=False) + "\n")
 
 
-PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-\"\"\"Plot any artifacts found next to this script (requires matplotlib).\"\"\"
-import glob
-import os.path
-
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = os.path.dirname(os.path.abspath(__file__))
-
-def load(path):
-    return np.genfromtxt(path, delimiter=",", names=True, comments="#")
-
-for metric in ("sinr", "rate"):
-    files = sorted(glob.glob(os.path.join(here, f"cdf_{metric}_*.csv")))
-    if files:
-        plt.figure()
-        for f in files:
-            d = load(f)
-            kind = os.path.basename(f)[len(f"cdf_{metric}_"):-len(".csv")]
-            plt.step(d["value"], d["cum_prob"], where="post", label=kind)
-        plt.xlabel("SINR (dB)" if metric == "sinr" else "rate (bit/s)")
-        if metric == "rate":
-            plt.xscale("log")
-        plt.ylabel("empirical CDF")
-        plt.legend()
-        plt.savefig(os.path.join(here, f"cdf_{metric}.png"), dpi=150)
-
-sweep = os.path.join(here, "sweep.csv")
-if os.path.exists(sweep):
-    d = load(sweep)
-    fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(10, 4))
-    ax1.loglog(d["density_bs_km2"], d["median_rate_bps"], "o-", label="median")
-    ax1.loglog(d["density_bs_km2"], d["p05_rate_bps"], "s-", label="5%")
-    ax1.set_xlabel("BS density (km$^{-2}$)")
-    ax1.set_ylabel("rate (bit/s)")
-    ax1.legend()
-    ax2.plot(d["density_bs_km2"], d["outage_fraction"], "o-")
-    ax2.set_xlabel("BS density (km$^{-2}$)")
-    ax2.set_ylabel("outage fraction")
-    fig.savefig(os.path.join(here, "sweep.png"), dpi=150)
-
-gap = os.path.join(here, "gap.csv")
-if os.path.exists(gap):
-    d = load(gap)
-    plt.figure()
-    plt.hist(d["gap_percent"], bins=30)
-    plt.xlabel("coordination gap (%)")
-    plt.ylabel("instances")
-    plt.savefig(os.path.join(here, "gap.png"), dpi=150)
-"""
-
-
 def _parse_densities(text: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
@@ -182,8 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         if artifacts:
             p.add_argument("--out", metavar="DIR", default="results",
                            help="output directory (default: results)")
-            p.add_argument("--emit-plot-script", action="store_true",
-                           help="also write a generic plotting script")
 
     p = sub.add_parser("scenarios", help="compare the four sharing scenarios")
     common(p)
@@ -220,8 +164,6 @@ def _load(args) -> ExperimentConfig:
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.emit_plot_script:
-        _write_text(out / "plot_results.py", PLOT_SCRIPT)
     return out
 
 

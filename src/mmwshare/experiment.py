@@ -10,8 +10,10 @@ The comparison loop is drop-major. `run_drop` draws every operator's
 deployment once (`build_scenario`), realizes one link table for the kinds
 that keep the drawn sites (NoSharing, Spectrum, SpectrumAccess) and then
 one for SpectrumInfra's co-located towers, and evaluates each kind's
-access and co-channel masks against its table. Only one table is alive at
-a time, so a 4-kind drop holds no more table memory than a 1-kind drop.
+access and co-channel masks against its table. Only one table is alive
+at a time, so a 4-kind drop holds no more table memory than a 1-kind
+drop. Drops and gap instances take every sharing rule, co-location
+included, from one builder, `scenario.realize_scenario`.
 
 Seed layout, all via mix_seed: within a drop, operator m's deployment uses
 k=m of the drop seed, its shared-BS selection k=M+m, the link table k=2M.
@@ -242,7 +244,8 @@ def run_gap(config: ExperimentConfig, n_instances: int,
     1..max_ues UEs with uniform operators and positions, and 1..max_bs
     BSs per operator. The instance then goes through the same sharing rules
     (`realize_scenario`), link table and interference toggle as a drop,
-    with the instance seed in place of the drop seed. One
+    with the instance seed in place of the drop seed: under SpectrumInfra
+    every operator's BSs stand at operator 0's drawn sites. One
     `coordinated_upper_bound` call per instance returns both the blind
     value and the upper bound from the same tables, so the bound dominates
     exactly. An instance beyond the search limits raises InstanceSizeError

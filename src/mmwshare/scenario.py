@@ -17,9 +17,10 @@ Four arrangements of M operators over one region:
 Deployments depend only on the master seed and the operator index, never
 on the scenario kind, so kinds are directly comparable drop by drop, and
 `build_scenario` draws them once per drop for every requested kind.
-Which BSs may serve a UE and which interfere with it has one builder,
-`realize_scenario`, shared by the drop engine (`build_scenario`) and the
-coordination-gap instances. Under ``SpectrumAccess`` at the default
+Every sharing rule has one builder, `realize_scenario`, shared by the drop
+engine (`build_scenario`) and the coordination-gap instances: where the
+BSs stand (SpectrumInfra's co-location), which BSs may serve a UE and
+which interfere with it. Under ``SpectrumAccess`` at the default
 ``access_share_fraction=1.0`` every BS is open to every UE, so a gap
 instance's search ranges over all of its unblocked BSs. At the default
 config that stays within the search's limits; three operators on a
@@ -110,14 +111,22 @@ def realize_scenario(scenario: Scenario, bs_xy, ue_xy, n_bs_per_operator,
                      ue_operator, seed: int) -> RealizedScenario:
     """Apply the sharing rules of `scenario` to concrete positions.
 
-    Operator m owns the next n_bs_per_operator[m] rows of `bs_xy`. A UE may
-    always use its home operator's BSs; under SpectrumAccess, operator m
-    also opens its `shared_bs_selection`, drawn from mix_seed(seed, M + m),
-    to every foreign UE. A BS interferes with a UE when both are in the same
-    pool: the own operator's under NoSharing, every BS otherwise.
+    Operator m owns the next n_bs_per_operator[m] rows of `bs_xy`. Under
+    SpectrumInfra every operator mounts its radios on operator 0's towers:
+    `bs_xy` becomes operator 0's rows repeated M times and every operator
+    gets operator 0's count. Every other kind keeps the caller's `bs_xy`
+    object itself; `run_drop` groups kinds by that object's identity to
+    share one link table, so it must not be copied. A UE may always use
+    its home operator's BSs; under SpectrumAccess, operator m also opens
+    its `shared_bs_selection`, drawn from mix_seed(seed, M + m), to every
+    foreign UE. A BS interferes with a UE when both are in the same pool:
+    the own operator's under NoSharing, every BS otherwise.
     """
     m_ops = scenario.num_operators
     counts = [int(n) for n in n_bs_per_operator]
+    if scenario.kind == "SpectrumInfra":
+        bs_xy = np.tile(bs_xy[:counts[0]], (m_ops, 1))
+        counts = [counts[0]] * m_ops
     bs_operator = np.repeat(np.arange(m_ops), counts)
     ue_operator = np.asarray(ue_operator)
     allowed = np.arange(m_ops)[:, None] == bs_operator[None, :]   # (M, B)
@@ -148,11 +157,13 @@ def build_scenario(
 
     Operator m's point processes use mix_seed(seed, m); its shared-BS
     selection (SpectrumAccess) uses mix_seed(seed, M + m). Neither depends
-    on the scenario kind, so the scenarios must agree on M. SpectrumInfra
-    gives every operator operator 0's BS array and keeps each operator's
-    own UEs. Every scenario shares one `ue_xy` array, and every kind but
-    SpectrumInfra one `bs_xy` array: two realized scenarios with the same
-    `bs_xy` object have the same geometry, hence the same link table.
+    on the scenario kind, so the scenarios must agree on M. The operators'
+    BSs are concatenated once and every kind is realized on that array by
+    `realize_scenario`, which holds every sharing rule, SpectrumInfra's
+    co-location included. Every scenario shares one `ue_xy` array, and
+    every kind but SpectrumInfra one `bs_xy` array: two realized scenarios
+    with the same `bs_xy` object have the same geometry, hence the same
+    link table.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -163,16 +174,9 @@ def build_scenario(
     drawn = [deploy_operator(bs_density_per_km2, ue_density_per_km2, region,
                              mix_seed(seed, m))
              for m in range(m_ops)]
+    bs_xy = np.concatenate([bs for bs, _ in drawn])
     ue_xy = np.concatenate([ue for _, ue in drawn])
+    n_bs = [len(bs) for bs, _ in drawn]
     ue_operator = np.repeat(np.arange(m_ops), [len(ue) for _, ue in drawn])
-    own = [bs for bs, _ in drawn]
-    sites = {}   # co-located towers? -> (bs_xy, BS count per operator)
-    realized = []
-    for scn in scenarios:
-        colocated = scn.kind == "SpectrumInfra"
-        if colocated not in sites:
-            layout = [own[0]] * m_ops if colocated else own
-            sites[colocated] = (np.concatenate(layout), [len(bs) for bs in layout])
-        bs_xy, n_bs = sites[colocated]
-        realized.append(realize_scenario(scn, bs_xy, ue_xy, n_bs, ue_operator, seed))
-    return realized
+    return [realize_scenario(scn, bs_xy, ue_xy, n_bs, ue_operator, seed)
+            for scn in scenarios]

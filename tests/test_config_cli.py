@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from mmwshare.channel import ChannelParams
-from mmwshare.cli import main
+from mmwshare.cli import build_parser, main
 from mmwshare.config import (ConfigError, ExperimentConfig, canonical_json,
                              config_hash, default_config, from_dict,
                              load_config, save_config, to_dict)
@@ -240,17 +240,20 @@ def test_cli_single_kind_matches_four_kind_run(tmp_path):
             assert (one / name).read_bytes() == (every / name).read_bytes()
 
 
-def test_cli_sweep_artifacts(tmp_path):
+def test_cli_sweep_artifacts(tmp_path, capsys):
     out = tmp_path / "sw"
-    rc = main(["sweep", "--densities", "5,10", "--drops", "1",
-               "--out", str(out), "--emit-plot-script"])
+    rc = main(["sweep", "--densities", "5,10", "--drops", "1", "--out", str(out)])
     assert rc == 0
     lines = _read_lines(out / "sweep.csv")
     assert lines[3] == "density_bs_km2,median_rate_bps,p05_rate_bps,outage_fraction"
     assert len(lines) == 6   # 3 header comments + column row + 2 densities
     assert lines[4].startswith("5.0,")
     assert json.loads((out / "sweep.json").read_text())["densities_bs_km2"] == [5.0, 10.0]
-    assert "matplotlib" in (out / "plot_results.py").read_text()
+    # the plotting script is demos/plot_results.py, not a CLI option
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["sweep", "--out", str(out), "--emit-plot-script"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --emit-plot-script" in capsys.readouterr().err
 
 
 def test_cli_gap_artifacts(tmp_path):

@@ -1,11 +1,14 @@
 """Drop engine: determinism, interference toggle, coordination gap rows."""
+import math
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import mmwshare
 from mmwshare import allocation, experiment, scenario
 from mmwshare.allocation import InstanceSizeError
 from mmwshare.channel import LinkTable
@@ -144,6 +147,23 @@ def test_run_gap_rows():
         assert 0.0 <= r.gap_percent <= 100.0
 
 
+def test_run_gap_colocates_spectrum_infra():
+    # under SpectrumInfra every operator's BSs stand at operator 0's drawn
+    # sites, so its instances are not the Spectrum study's
+    base = replace(default_config(), region=Region(0.2, 0.2), drops=1, master_seed=0)
+    spectrum = run_gap(replace(base, scenario=Scenario("Spectrum")), n_instances=20)
+    infra = run_gap(replace(base, scenario=Scenario("SpectrumInfra")), n_instances=20)
+    assert sum(a != b for a, b in zip(spectrum, infra)) > 0
+    assert all(r.ub_sum_rate_bps >= r.blind_sum_rate_bps for r in infra)
+    # pinned Spectrum rows: the co-location rule must not touch a kind
+    # that keeps the drawn sites
+    assert math.fsum(r.blind_sum_rate_bps for r in spectrum) == pytest.approx(
+        96293555815.29068, rel=1e-12)
+    assert math.fsum(r.ub_sum_rate_bps for r in spectrum) == pytest.approx(
+        102448598766.65118, rel=1e-12)
+    assert sum(r.gap_percent > 0 for r in spectrum) == 3
+
+
 def test_run_gap_honours_interference_toggle():
     cfg = replace(default_config(), region=Region(0.2, 0.2),
                   scenario=Scenario("Spectrum"), drops=1, master_seed=5)
@@ -210,3 +230,13 @@ def test_kinds_share_link_tables_at_one_seed():
             assert_array_equal(getattr(links, name), getattr(ref, name))
     infra_real, _ = drop("SpectrumInfra")
     assert_array_equal(infra_real.ue_xy, ref_real.ue_xy)
+
+
+def test_readme_quick_start_imports_from_the_package_root():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [line] = [ln for ln in readme.splitlines() if ln.startswith("from mmwshare import")]
+    namespace = {}
+    exec(line, namespace)
+    assert namespace["default_config"] is default_config
+    assert namespace["run_scenarios"] is run_scenarios
+    assert isinstance(mmwshare.__version__, str) and mmwshare.__version__

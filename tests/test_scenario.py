@@ -162,6 +162,32 @@ def test_build_scenario_infra_colocates():
         assert np.all(infra.cochannel_bu)
 
 
+def test_realize_scenario_colocation_rule():
+    # distinct sites per operator: 2, 3 and 1 BSs
+    counts = [2, 3, 1]
+    bs_xy = np.arange(12, dtype=float).reshape(6, 2)
+    ue_xy = np.zeros((4, 2))
+    ue_op = np.array([0, 1, 2, 1])
+    infra = realize_scenario(Scenario("SpectrumInfra", num_operators=3),
+                             bs_xy, ue_xy, counts, ue_op, seed=0)
+    # every operator stacks its radios on operator 0's two towers
+    assert_array_equal(infra.bs_xy, np.tile(bs_xy[:2], (3, 1)))
+    assert_array_equal(np.bincount(infra.bs_operator), [2] * 3)
+    # access stays home-only, and the one pool couples everyone
+    assert_array_equal(infra.access_bu,
+                       infra.bs_operator[:, None] == ue_op[None, :])
+    assert infra.cochannel_bu.shape == (6, 4)
+    assert np.all(infra.cochannel_bu)
+    assert infra.ue_xy is ue_xy
+    # every other kind keeps the caller's array object: run_drop shares a
+    # link table between kinds by that identity
+    for kind in ("NoSharing", "Spectrum", "SpectrumAccess"):
+        real = realize_scenario(Scenario(kind, num_operators=3),
+                                bs_xy, ue_xy, counts, ue_op, seed=0)
+        assert real.bs_xy is bs_xy
+        assert_array_equal(np.bincount(real.bs_operator), counts)
+
+
 def test_build_scenario_access_opens_foreign_sites():
     [full] = build_scenario([Scenario("SpectrumAccess", access_share_fraction=1.0)],
                             UNIT, 30.0, 200.0, seed=2)
