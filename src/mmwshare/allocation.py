@@ -17,8 +17,9 @@ add no interference (this only triggers under co-located deployments,
 where the victim's receive mainlobe would otherwise point straight at
 the co-sited array).
 
-Three implementations of that model share the `LinkTable`'s geometry
-(`delta_km`):
+The serving site is the `LinkTable`'s `site_of_bs` label: BSs at equal
+coordinates share one. Three implementations of the model read the
+table:
 - `compute_sinr`, the scalar reference: one UE, interferers accumulated
   in ascending BS index in linear milliwatts. No engine path calls it;
   the tests hold the kernel to it.
@@ -28,13 +29,18 @@ Three implementations of that model share the `LinkTable`'s geometry
   the exhaustive search in blocks of `_BLOCK_ROWS`. Per instance it
   tabulates every term `compute_sinr` can form, then evaluates each
   assignment with the same IEEE operations in the same order, so its
-  values equal the scalar reference bit for bit.
+  values equal the scalar reference bit for bit. Both expand the table
+  to dense (B, U) arrays (`_dense_table`), which suits the search's
+  instances of at most `_MAX_UES` UEs.
 - `network_sinr`, vectorized over a whole drop for Monte Carlo volume.
-  It evaluates live links only (co-channel, loaded, off the victim's
-  serving site, not OUT; a few percent of a default drop's entries) and
+  It works on the table's flat live links (co-channel, loaded, off the
+  victim's serving site; a few percent of a default drop's pairs) and
   adds them per UE in ascending BS order from +0.0, the same sequence
   as a dense sum over every BS with zeros elsewhere. It equals the
   reference only to rounding.
+
+`associate_blind` reads the same flat links. No drop-path function
+builds a (B, U) float array.
 """
 from __future__ import annotations
 
@@ -45,6 +51,7 @@ import numpy as np
 
 from .channel import (THERMAL_NOISE_DBM_PER_HZ, LinkState, LinkTable,
                       beam_gain_db, noise_power_dbm, require_finite)
+from .geometry import wrapped_delta
 
 NONE = -1   # serving_bs value for an unassociated UE
 
@@ -84,18 +91,19 @@ class Association:
 def associate_blind(links: LinkTable, access_bu: np.ndarray) -> np.ndarray:
     """(U,) int64 serving vector: each UE's strongest accessible BS, interference ignored.
 
-    The metric is long-term received power with shadowing (blocked links
-    are -inf). Ties break to the lowest BS index; a UE whose accessible
-    links are all blocked stays unassociated.
+    The metric is long-term received power with shadowing, read from the
+    table's live links: a segment argmax over each UE's accessible live
+    links. Ties break to the lowest BS index; a UE whose accessible links
+    are all blocked stays unassociated.
     """
-    n_bs, n_ue = links.n_bs, links.n_ue
-    serving = np.full(n_ue, NONE, dtype=np.int64)
-    if n_bs > 0 and n_ue > 0:
-        rx = np.where(access_bu, links.serving_rx_dbm, -np.inf)
-        best = np.argmax(rx, axis=0)   # first max wins: lowest index on ties
-        reachable = ~np.isneginf(rx[best, np.arange(n_ue)])
-        serving[reachable] = best[reachable]
-    return serving
+    ok = access_bu[links.link_bs, links.link_ue]
+    b, u, rx = links.link_bs[ok], links.link_ue[ok], links.serving_rx_dbm[ok]
+    best = np.full(links.n_ue, -np.inf)
+    np.maximum.at(best, u, rx)
+    win = rx == best[u]
+    first = np.full(links.n_ue, links.n_bs)
+    np.minimum.at(first, u[win], b[win])
+    return np.where(first < links.n_bs, first, NONE)
 
 
 def _bandwidth_share_hz(load: np.ndarray, pool_hz: float,
@@ -140,6 +148,16 @@ def _angle_between_deg(v, w) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
 
+def _dense_table(links: LinkTable):
+    """(B, U, 2) displacements and (B, U) path loss, shadowing and serving
+    power of a small instance: geometry from `wrapped_delta` over every
+    pair, the budget scattered from the live links (+inf, 0 and -inf where
+    OUT)."""
+    delta = wrapped_delta(links.bs_xy[:, None, :], links.ue_xy[None, :, :], links.region)
+    return (delta, links.dense(links.path_loss_db, np.inf),
+            links.dense(links.shadowing_db, 0.0), links.dense(links.serving_rx_dbm, -np.inf))
+
+
 def compute_sinr(ue: int, assoc: Association, links: LinkTable,
                  cochannel_bu: np.ndarray, noise_figure_db: float) -> float:
     """Linear SINR of one served UE under a full association.
@@ -148,21 +166,21 @@ def compute_sinr(ue: int, assoc: Association, links: LinkTable,
     the UE's allocated bandwidth; interference sums every loaded co-channel
     BS off the serving site with both sectored gains evaluated at the true
     geometry, accumulated in ascending BS index in linear milliwatts.
-    This is the scalar reference of the batched objective kernel.
+    This is the scalar reference of the batched objective kernel; it
+    expands the table to dense (B, U) arrays, so it suits small instances.
     """
     s = int(assoc.serving_bs[ue])
     if s == NONE:
         raise ValueError(f"UE {ue} has no serving BS")
     ant = links.antenna
     targets = interferer_targets(assoc.serving_bs, links.n_bs)
-    sig_mw = 10.0 ** (float(links.serving_rx_dbm[s, ue]) / 10.0)
+    delta, path_loss, shadowing, serving_rx = _dense_table(links)
+    sig_mw = 10.0 ** (float(serving_rx[s, ue]) / 10.0)
     acc = 10.0 ** (noise_power_dbm(float(assoc.ue_bandwidth_hz[ue]), noise_figure_db) / 10.0)
-    site_x, site_y = float(links.bs_xy[s, 0]), float(links.bs_xy[s, 1])
-    delta = links.delta_km   # (B, U, 2), bs -> ue
     for b in range(links.n_bs):
         if assoc.load[b] == 0 or not cochannel_bu[b, ue]:
             continue
-        if links.bs_xy[b, 0] == site_x and links.bs_xy[b, 1] == site_y:
+        if links.site_of_bs[b] == links.site_of_bs[s]:
             continue   # serving site (the server itself or a co-sited array)
         if links.state[b, ue] == LinkState.OUT:
             continue
@@ -174,7 +192,7 @@ def compute_sinr(ue: int, assoc: Association, links: LinkTable,
                           ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db,
                           ant.ue_beamwidth_deg)
         rx_dbm = (links.tx_power_dbm + gt + gr
-                  - float(links.path_loss_db[b, ue]) - float(links.shadowing_db[b, ue]))
+                  - float(path_loss[b, ue]) - float(shadowing[b, ue]))
         acc += 10.0 ** (rx_dbm / 10.0)
     return sig_mw / acc
 
@@ -192,15 +210,18 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
                  noise_figure_db: float) -> np.ndarray:
     """Vectorized linear SINR for every UE (0 where unassociated).
 
-    Same model as `compute_sinr`, evaluated on live links only: a loaded
-    co-channel BS off the served victim's serving site whose link is not
-    OUT. Every other (BS, UE) entry adds exactly 0 mW, so it is skipped.
-    Live entries are taken in row-major order (ascending BS per UE) and
-    accumulated per UE from +0.0, which is the operation sequence of a
-    dense axis-0 sum over all BSs; agreement with the scalar path is to
-    rounding, not bit-exact. All geometry comes from `links.delta_km`;
-    arccos angles already lie in [0, 180], so `beam_gain_db` applies the
-    sectored pattern unchanged.
+    Same model as `compute_sinr`, evaluated on the table's live links
+    only: those from a loaded co-channel BS to a served victim, off the
+    victim's serving site (`site_of_bs`). Every other (BS, UE) pair adds
+    exactly 0 mW, so it is never formed. The flat links are in row-major
+    order (ascending BS per UE) and are accumulated per UE from +0.0,
+    which is the operation sequence of a dense axis-0 sum over all BSs;
+    agreement with the scalar path is to rounding, not bit-exact.
+    Interference angles come from the links' `delta_km` and from each
+    served UE's serving-link displacement (`wrapped_delta` at the served
+    pairs), which gives both the victim's boresight and, at a BS's
+    lowest-index attached UE, the interferer's. arccos angles already lie
+    in [0, 180], so `beam_gain_db` applies the sectored pattern unchanged.
     """
     n_bs, n_ue = links.n_bs, links.n_ue
     gamma = np.zeros(n_ue)
@@ -210,19 +231,22 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
     ant = links.antenna
     s = assoc.serving_bs
     targets = interferer_targets(s, n_bs)
-    active = assoc.load > 0
-    s_safe = np.where(served, s, 0)
+    lb, lu = links.link_bs, links.link_ue
+    server = s[lu]                                # NONE where the victim is unserved
+    sig_dbm = np.full(n_ue, -np.inf)              # blocked serving links stay -inf
+    own = lb == server
+    sig_dbm[lu[own]] = links.serving_rx_dbm[own]
+    live = np.flatnonzero(cochannel_bu[lb, lu] & (assoc.load[lb] > 0) & (server != NONE)
+                          & (links.site_of_bs[lb] != links.site_of_bs[server]))
+    b, u = lb[live], lu[live]                     # ascending b within each UE
 
-    # serving-site mask subsumes b == s and drops co-sited arrays
-    same_site = ((links.bs_xy[:, 0][:, None] == links.bs_xy[s_safe, 0][None, :])
-                 & (links.bs_xy[:, 1][:, None] == links.bs_xy[s_safe, 1][None, :]))
-    live = (cochannel_bu & active[:, None] & served[None, :] & ~same_site
-            & (links.state != LinkState.OUT))
-    b, u = np.nonzero(live)                       # ascending b within each UE
-
-    delta = links.delta_km[b, u]                  # (L, 2), bs -> ue
+    # serving-link displacements, bs -> ue, at served UEs (rows of others are never read)
+    ues = np.flatnonzero(served)
+    to_ue = np.empty((n_ue, 2))
+    to_ue[ues] = wrapped_delta(links.bs_xy[s[ues]], links.ue_xy[ues], links.region)
+    delta = links.delta_km[live]                  # (L, 2), bs -> ue
     norm = np.hypot(delta[:, 0], delta[:, 1])
-    bore = links.delta_km[b, targets[b]]          # interferer's mainlobe direction
+    bore = to_ue[targets[b]]                      # interferer's mainlobe direction
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_bs = (np.einsum("lk,lk->l", bore, delta)
                   / (np.hypot(bore[:, 0], bore[:, 1]) * norm))
@@ -232,7 +256,7 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
 
     # UE boresight: towards serving BS. Both UE-side vectors are negated
     # bs->ue deltas, so the sign cancels in the cosine.
-    bore_ue = links.delta_km[s[u], u]
+    bore_ue = to_ue[u]
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_ue = (np.einsum("lk,lk->l", bore_ue, delta)
                   / (np.hypot(bore_ue[:, 0], bore_ue[:, 1]) * norm))
@@ -241,14 +265,14 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
                       ant.ue_beamwidth_deg)
 
     rx_dbm = (links.tx_power_dbm + gt + gr
-              - links.path_loss_db[b, u] - links.shadowing_db[b, u])
+              - links.path_loss_db[live] - links.shadowing_db[live])
     i_mw = np.bincount(u, weights=10.0 ** (rx_dbm / 10.0), minlength=n_ue)
 
-    w = assoc.ue_bandwidth_hz[served]
+    w = assoc.ue_bandwidth_hz[ues]
     noise_dbm = THERMAL_NOISE_DBM_PER_HZ + 10.0 * np.log10(w) + noise_figure_db
     noise_mw = 10.0 ** (noise_dbm / 10.0)
-    sig_mw = 10.0 ** (links.serving_rx_dbm[s[served], np.flatnonzero(served)] / 10.0)
-    gamma[served] = sig_mw / (noise_mw + i_mw[served])
+    sig_mw = 10.0 ** (sig_dbm[ues] / 10.0)
+    gamma[ues] = sig_mw / (noise_mw + i_mw[ues])
     return gamma
 
 
@@ -291,7 +315,8 @@ def _objective_tables(links: LinkTable, cochannel_bu: np.ndarray, pool_hz: float
     """
     n_bs, n_ue = links.n_bs, links.n_ue
     ant = links.antenna
-    delta = links.delta_km.tolist()   # (B, U, 2), bs -> ue
+    delta, path_loss, shadowing, serving_rx = _dense_table(links)
+    delta = delta.tolist()   # (B, U, 2), bs -> ue
     # BS side [b, t, u]: b tracks UE t, victim u
     ang_bs = np.array([_angle_between_deg(delta[b][t], delta[b][u])
                        for b in range(n_bs) for t in range(n_ue) for u in range(n_ue)])
@@ -305,11 +330,9 @@ def _objective_tables(links: LinkTable, cochannel_bu: np.ndarray, pool_hz: float
 
     rx_dbm = ((((links.tx_power_dbm + gt[:, :, :, None])
                 + gr.transpose(2, 0, 1)[:, None, :, :])
-               - links.path_loss_db[:, None, :, None])
-              - links.shadowing_db[:, None, :, None])          # (B, U, U, B)
-    bs_xy = links.bs_xy
-    off_site = ~((bs_xy[:, None, 0] == bs_xy[None, :, 0])
-                 & (bs_xy[:, None, 1] == bs_xy[None, :, 1]))   # [b, s]
+               - path_loss[:, None, :, None])
+              - shadowing[:, None, :, None])                   # (B, U, U, B)
+    off_site = links.site_of_bs[:, None] != links.site_of_bs[None, :]   # [b, s]
     hears = np.asarray(cochannel_bu, dtype=bool) & (links.state != LinkState.OUT)
     live = np.broadcast_to(hears[:, None, :, None] & off_site[:, None, None, :],
                            rx_dbm.shape)
@@ -320,8 +343,7 @@ def _objective_tables(links: LinkTable, cochannel_bu: np.ndarray, pool_hz: float
     width[1:] = _bandwidth_share_hz(np.arange(1, n_ue + 1), pool_hz, full_bandwidth)
     noise = np.zeros(n_ue + 1)
     noise[1:] = _mw([noise_power_dbm(w, noise_figure_db) for w in width[1:].tolist()])
-    return _ObjectiveTables(interference, _mw(links.serving_rx_dbm), noise, width,
-                            params)
+    return _ObjectiveTables(interference, _mw(serving_rx), noise, width, params)
 
 
 def _score_block(tables: _ObjectiveTables, serving: np.ndarray) -> np.ndarray:

@@ -8,14 +8,17 @@ and a blockage (outage) state that is either a hard coverage radius or a
 smooth exponential ramp. The antenna pattern is flat-top sectored
 (mainlobe within a beamwidth, sidelobe floor outside).
 
-Links are realized one way, in bulk per drop, by `LinkTable.realize`. The
-table carries the drop's geometry; `allocation` derives the interference
-gains (geometric beam pointing, the only model) from it. Geometry and the
-random draws are full-shaped (one uniform and one normal per site link,
-in that order); the transcendental work runs only on the links it can
-affect: LOS probabilities on candidate links (inside the hard radius, or
-all links under the exponential model), path loss and received power on
-links that are not OUT. Most links of a default drop are OUT.
+Links are realized one way, in bulk per drop, by `LinkTable.realize`. Most
+links of a default drop are OUT (about 3% of its (BS, UE) pairs lie inside
+the hard coverage radius), so the table lists only the live links, as flat
+row-major arrays with their torus geometry, next to a dense (B, U) state;
+`allocation` derives the interference gains (geometric beam pointing, the
+only model) from them. A cell grid finds the candidate links (inside the
+hard radius, or all links under the exponential model), and geometry and
+LOS probabilities are computed on those alone, path loss and received
+power on the links that are not OUT. The random draws stay full-shaped
+(one uniform and one normal per site link, in that order), so the streams
+do not depend on which links are live.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from . import geometry   # wrapped_delta is looked up on the module at call time
 from .geometry import Region
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -140,6 +144,20 @@ def state_probabilities(distance_m, params: ChannelParams):
     return p_los, p_nlos, p_out
 
 
+def _reach_m(params: ChannelParams) -> float:
+    """Distance beyond which a link is OUT for sure: the hard radius, or inf."""
+    return outage_radius_m(params) if params.outage_model == "hard_radius" else math.inf
+
+
+def _states_from_uniforms(distance_m, uniform, params: ChannelParams) -> np.ndarray:
+    """LOS/NLOS/OUT of candidate links (within reach), one uniform each."""
+    p_los, p_nlos, _ = state_probabilities(distance_m, params)
+    drawn = np.full(np.shape(uniform), LinkState.OUT, dtype=np.int8)
+    drawn[uniform < p_los + p_nlos] = LinkState.NLOS
+    drawn[uniform < p_los] = LinkState.LOS
+    return drawn
+
+
 def draw_link_states(distance_m, params: ChannelParams, rng: np.random.Generator):
     """Draw LOS/NLOS/OUT states for an array of distances (one uniform per link).
 
@@ -149,15 +167,10 @@ def draw_link_states(distance_m, params: ChannelParams, rng: np.random.Generator
     exponential outage model. The rest are OUT.
     """
     d = np.asarray(distance_m, dtype=float)
-    reach_m = outage_radius_m(params) if params.outage_model == "hard_radius" else math.inf
-    candidate = d <= reach_m
-    p_los, p_nlos, _ = state_probabilities(d[candidate], params)
-    u = rng.random(d.shape)[candidate]
-    drawn = np.full(u.shape, LinkState.OUT, dtype=np.int8)
-    drawn[u < p_los + p_nlos] = LinkState.NLOS
-    drawn[u < p_los] = LinkState.LOS
+    candidate = d <= _reach_m(params)
     states = np.full(d.shape, LinkState.OUT, dtype=np.int8)
-    states[candidate] = drawn
+    states[candidate] = _states_from_uniforms(d[candidate], rng.random(d.shape)[candidate],
+                                              params)
     return states
 
 
@@ -188,20 +201,104 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
+_MAX_CELLS = 1024   # grid cells per axis; wider cells only add candidates
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The aranges [start[i], start[i] + count[i]) concatenated in order."""
+    start, count = start.ravel(), count.ravel()
+    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+
+
+def _sites(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (N, 2) array: each site's first row and every
+    row's site, with sites in lexicographic (x, y) order. These are
+    `np.unique(xy, axis=0, return_index=True, return_inverse=True)[1:]`,
+    at a fraction of its cost on a drop's few dozen rows."""
+    order = np.lexsort((xy[:, 1], xy[:, 0]))   # stable: first rows first
+    s = xy[order]
+    new = np.empty(len(xy), dtype=bool)
+    new[:1] = True
+    new[1:] = (s[1:, 0] != s[:-1, 0]) | (s[1:, 1] != s[:-1, 1])
+    site_of = np.empty(len(xy), dtype=np.int64)
+    site_of[order] = np.cumsum(new) - 1
+    return order[new], site_of
+
+
+def _cells_per_axis(side: float, reach_km: float) -> int:
+    """Grid cells along a side: as many as fit cells of the reach plus a
+    rounding margin, at least 1 (an infinite reach) and at most _MAX_CELLS."""
+    cell_min = reach_km * (1.0 + 1e-6)
+    if cell_min * _MAX_CELLS < side:
+        return _MAX_CELLS
+    return max(1, int(side // cell_min))
+
+
+def _candidate_keys(p_xy: np.ndarray, q_xy: np.ndarray, region: Region,
+                    reach_km: float) -> np.ndarray:
+    """Sorted row-major keys i * len(q) + j of a superset of the (p_i, q_j)
+    pairs within `reach_km` of each other.
+
+    The grid's cells are at least the reach (plus a rounding margin) wide,
+    on coordinates reduced mod the region's sides, so a pair within reach
+    under the torus or the flat metric lies in one cell or in two adjacent
+    ones, counted cyclically. Each p is paired with the q's of its cell and
+    its neighbours; the per-axis neighbour offsets are deduplicated mod the
+    cell count. With at most three cells per axis (an infinite reach gives
+    one) every cell neighbours every other, so every pair is a candidate,
+    once, and the grid is not built.
+    """
+    nx, ny = (_cells_per_axis(side, reach_km) for side in (region.width_km, region.height_km))
+    if max(nx, ny) <= 3:
+        return np.arange(len(p_xy) * len(q_xy))
+    sides = np.array([region.width_km, region.height_km])
+    n = np.array([nx, ny])
+    cell = sides / n
+
+    def cells(xy):   # (N, 2) cell indices; x % w can round up to w itself
+        return np.minimum(((xy % sides) / cell).astype(np.int64), n - 1)
+
+    kq = cells(q_xy)
+    q_cell = kq[:, 0] + n[0] * kq[:, 1]
+    order = np.argsort(q_cell, kind="stable")
+    sorted_cells = q_cell[order]
+    kp = cells(p_xy)
+    # neighbour offsets -1, 0, 1 per axis, of which the first m are distinct mod m
+    dx, dy = (np.array([-1, 0, 1][:m]) % m for m in (nx, ny))
+    near = ((kp[:, 0, None, None] + dx[:, None]) % n[0]
+            + n[0] * ((kp[:, 1, None, None] + dy) % n[1])).reshape(len(p_xy), dx.size * dy.size)
+    lo = np.searchsorted(sorted_cells, near, side="left")
+    count = np.searchsorted(sorted_cells, near, side="right") - lo
+    keys = (np.repeat(np.arange(len(p_xy)) * len(q_xy), count.sum(axis=1))
+            + order[_ranges(lo, count)])
+    keys.sort()
+    return keys
+
+
 @dataclass
 class LinkTable:
     """All BS->UE links of one drop, realized in bulk.
 
+    Only a few percent of a drop's (BS, UE) pairs are not OUT, so the table
+    keeps those live links alone, as flat arrays in row-major (b, u) order
+    (ascending BS, then ascending UE): `link_bs` and `link_ue` name each
+    link, and `delta_km`, `dist_m`, `path_loss_db`, `shadowing_db` and
+    `serving_rx_dbm` hold its torus geometry and link budget.
     `serving_rx_dbm` is the long-term received power with boresight-aligned
-    gains on both ends (the blind association metric); blocked links are -inf.
-    The table also carries the drop's torus geometry: `delta_km` is computed
-    once here, and SINR evaluation reads its interference angles from it.
+    gains on both ends (the blind association metric). `state` stays dense,
+    (B, U) int8, OUT wherever no link is listed; `dense` scatters a per-link
+    array to (B, U) for the small instances of the coordination-gap search.
+    `site_of_bs` labels the BSs that share coordinates (one tower): SINR
+    evaluation compares these ids to find a victim's serving site.
 
-    `realize` fills `delta_km`, `dist_m` and `state` on every entry; path
-    loss, shadowing and `serving_rx_dbm` are computed only where the link
-    is not OUT, and the OUT entries hold +inf, 0 and -inf. The uniform
-    (state) and normal (shadowing) draws stay full-shaped per site link,
-    so the random streams do not depend on which links are live.
+    `realize` finds candidate (site, UE) pairs with a cell grid
+    (`_candidate_keys`), computes `wrapped_delta` and distances on those
+    alone, and draws states for the pairs within the outage reach (the
+    test `draw_link_states` applies). The uniform (state) and normal
+    (shadowing) draws stay full-shaped per site link, in that order, and
+    are read at those pairs, so the random streams do not depend on which
+    links are live; every entry equals that of a dense evaluation over all
+    pairs.
     """
 
     region: Region
@@ -210,12 +307,15 @@ class LinkTable:
     tx_power_dbm: float
     params: ChannelParams
     antenna: AntennaModel
-    delta_km: np.ndarray       # (B, U, 2), BS -> UE displacement under the region metric
-    dist_m: np.ndarray         # (B, U), 1000 * |delta_km|
+    site_of_bs: np.ndarray     # (B,) int64, equal for BSs at equal coordinates
     state: np.ndarray          # (B, U) int8
-    path_loss_db: np.ndarray   # (B, U), +inf where OUT
-    shadowing_db: np.ndarray   # (B, U), 0 where OUT
-    serving_rx_dbm: np.ndarray  # (B, U), -inf where OUT
+    link_bs: np.ndarray        # (L,) int64, live links in row-major (b, u) order
+    link_ue: np.ndarray        # (L,) int64
+    delta_km: np.ndarray       # (L, 2), BS -> UE displacement under the region metric
+    dist_m: np.ndarray         # (L,), 1000 * |delta_km|
+    path_loss_db: np.ndarray   # (L,)
+    shadowing_db: np.ndarray   # (L,)
+    serving_rx_dbm: np.ndarray  # (L,)
 
     @property
     def n_bs(self) -> int:
@@ -225,42 +325,56 @@ class LinkTable:
     def n_ue(self) -> int:
         return len(self.ue_xy)
 
+    def dense(self, values, fill: float) -> np.ndarray:
+        """(B, U) float array: per-link `values` at the live links, `fill` elsewhere."""
+        out = np.full((self.n_bs, self.n_ue), fill)
+        out[self.link_bs, self.link_ue] = values
+        return out
+
     @classmethod
     def realize(cls, bs_xy, ue_xy, region, tx_power_dbm, params, antenna, seed: int) -> "LinkTable":
-        from .geometry import wrapped_delta
-
         rng = np.random.default_rng(seed)
         bs_xy = np.asarray(bs_xy, dtype=float).reshape(-1, 2)
         ue_xy = np.asarray(ue_xy, dtype=float).reshape(-1, 2)
-        n_ue = len(ue_xy)
-        delta_km = wrapped_delta(bs_xy[:, None, :], ue_xy[None, :, :], region)
-        dist_m = 1000.0 * np.hypot(delta_km[..., 0], delta_km[..., 1])
+        n_bs, n_ue = len(bs_xy), len(ue_xy)
 
         # Transmitters mounted on one tower share the propagation path, so
         # state and shadowing are drawn per site (exact coordinate match)
         # and expanded to co-located BSs. With all-distinct positions this
-        # is a relabeling of the per-BS draw. A site's distances are those
-        # of its first BS, whose coordinates are the site's exactly.
-        _, first_bs, site_of_bs = np.unique(bs_xy, axis=0, return_index=True,
-                                            return_inverse=True)
-        site_of_bs = site_of_bs.reshape(-1)
-        site_states = draw_link_states(dist_m[first_bs], params, rng)
-        normal = rng.normal(0.0, 1.0, (len(first_bs), n_ue))
-        states = site_states[site_of_bs]
+        # is a relabeling of the per-BS draw. A site's coordinates are
+        # those of its first BS exactly.
+        first_bs, site_of_bs = _sites(bs_xy)
+        n_site = len(first_bs)
+        reach_m = _reach_m(params)
+
+        # geometry on candidate site links only; states where within reach
+        key = _candidate_keys(bs_xy[first_bs], ue_xy, region, reach_m / 1000.0)
+        site, ue = np.divmod(key, max(n_ue, 1))
+        delta = geometry.wrapped_delta(bs_xy[first_bs[site]], ue_xy[ue], region)
+        dist = 1000.0 * np.hypot(delta[:, 0], delta[:, 1])
+        near = np.flatnonzero(dist <= reach_m)
+        drawn = _states_from_uniforms(dist[near],
+                                      rng.random((n_site, n_ue)).ravel()[key[near]], params)
+        normal = rng.normal(0.0, 1.0, (n_site, n_ue)).ravel()[key[near]]
 
         # path loss, shadowing and received power only where the link is not OUT
-        live = np.nonzero(states != LinkState.OUT)
-        state_live = states[live]
-        sigma = np.where(state_live == LinkState.LOS,
+        kept = drawn != LinkState.OUT
+        live = near[kept]
+        site, ue, delta, dist, state = site[live], ue[live], delta[live], dist[live], drawn[kept]
+        sigma = np.where(state == LinkState.LOS,
                          params.shadow_sigma_los_db, params.shadow_sigma_nlos_db)
-        pl_live = path_loss_db(dist_m[live], state_live, params)
-        shadow_live = normal[site_of_bs[live[0]], live[1]] * sigma
-        pl = np.full(dist_m.shape, np.inf)
-        shadow = np.zeros(dist_m.shape)
-        rx = np.full(dist_m.shape, -np.inf)
-        pl[live] = pl_live
-        shadow[live] = shadow_live
-        rx[live] = (tx_power_dbm + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db
-                    - pl_live - shadow_live)
-        return cls(region, bs_xy, ue_xy, tx_power_dbm, params, antenna,
-                   delta_km, dist_m, states, pl, shadow, rx)
+        pl = path_loss_db(dist, state, params)
+        shadow = normal[kept] * sigma
+        rx = (tx_power_dbm + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db
+              - pl - shadow)
+
+        # each BS takes its site's links, which are ordered by UE already
+        count = np.bincount(site, minlength=n_site)
+        per_bs = count[site_of_bs]
+        at = _ranges((np.cumsum(count) - count)[site_of_bs], per_bs)
+        link_bs = np.repeat(np.arange(n_bs), per_bs)
+        link_ue = ue[at]
+        states = np.full((n_bs, n_ue), LinkState.OUT, dtype=np.int8)
+        states[link_bs, link_ue] = state[at]
+        return cls(region, bs_xy, ue_xy, tx_power_dbm, params, antenna, site_of_bs,
+                   states, link_bs, link_ue, delta[at], dist[at], pl[at], shadow[at], rx[at])

@@ -139,7 +139,8 @@ def _pooled(config: ExperimentConfig, kinds,
             base_seed: int) -> dict[str, ScenarioRunResult]:
     """Pool `config.drops` drops of every kind in `kinds`, drop j seeded
     mix_seed(base_seed, j). Each kind's samples are concatenated in drop
-    order; a kind listed twice is pooled once."""
+    order; a kind listed twice is pooled once. A population with no UE in
+    any drop pools no sample, and every statistic of it is NaN."""
     sinr_parts = {kind: [] for kind in kinds}
     rate_parts = {kind: [] for kind in kinds}
     for j in range(config.drops):
@@ -150,11 +151,14 @@ def _pooled(config: ExperimentConfig, kinds,
     for kind in sinr_parts:
         sinr = np.concatenate(sinr_parts[kind])
         rate = np.concatenate(rate_parts[kind])
-        rate_cdf = cdf(rate)
-        results[kind] = ScenarioRunResult(
-            kind, sinr, rate, outage_rate(rate, config.rate.target_rate_bps),
-            percentile(rate_cdf, 0.5), percentile(rate_cdf, 0.05),
-            percentile(cdf(sinr), 0.5), config.drops)
+        if rate.size == 0:
+            stats = (math.nan,) * 4
+        else:
+            rate_cdf = cdf(rate)
+            stats = (outage_rate(rate, config.rate.target_rate_bps),
+                     percentile(rate_cdf, 0.5), percentile(rate_cdf, 0.05),
+                     percentile(cdf(sinr), 0.5))
+        results[kind] = ScenarioRunResult(kind, sinr, rate, *stats, config.drops)
     return results
 
 
@@ -216,7 +220,7 @@ def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
                       mix_seed(config.master_seed, _SWEEP_SEED_BASE + i))[kind]
         medians.append(res.median_rate_bps)
         p05s.append(res.p05_rate_bps)
-        means.append(float(res.rate_bps.mean()))
+        means.append(float(res.rate_bps.mean()) if res.rate_bps.size else math.nan)
         outages.append(res.outage_fraction)
 
     if len(densities) >= 3 and all(m > 0 for m in means):

@@ -228,7 +228,8 @@ def test_criterion_10_statistical_sanity():
     ue = np.random.default_rng(56).random((100_000, 2))
     table = LinkTable.realize(np.array([[0.5, 0.5]]), ue, Region(1.0, 1.0),
                               30.0, p, AntennaModel(), seed=57)
-    sh = table.shadowing_db[0]
+    sh = table.shadowing_db   # one BS, every link LOS: one entry per UE
+    assert sh.shape == (100_000,)
     ok_shadow = (abs(float(sh.mean())) <= 0.02 * 4.0
                  and abs(float(sh.std()) / 4.0 - 1.0) <= 0.02)
     ok = ok_ppp and ok_state and ok_shadow

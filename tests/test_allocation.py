@@ -35,13 +35,18 @@ def make_table(bs_xy, ue_xy, region=FLAT, state=None, shadow=None, tx=30.0):
     shadow = (np.zeros(dist_m.shape) if shadow is None
               else np.asarray(shadow, dtype=float))
     ok = state != LinkState.OUT
-    pl = np.full(dist_m.shape, np.inf)
-    pl[ok] = path_loss_db(dist_m[ok], state[ok], params)
-    sh = np.where(ok, shadow, 0.0)
-    rx = np.where(ok, tx + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db
-                  - pl - sh, -np.inf)
-    return LinkTable(region, bs_xy, ue_xy, tx, params, antenna,
-                     delta, dist_m, state, pl, sh, rx)
+    pl = path_loss_db(dist_m[ok], state[ok], params)
+    sh = shadow[ok]
+    rx = tx + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db - pl - sh
+    site_of_bs = np.unique(bs_xy, axis=0, return_inverse=True)[1].reshape(-1)
+    link_bs, link_ue = np.nonzero(ok)
+    return LinkTable(region, bs_xy, ue_xy, tx, params, antenna, site_of_bs, state,
+                     link_bs, link_ue, delta[ok], dist_m[ok], pl, sh, rx)
+
+
+def rx_dbm(links):
+    """(B, U) serving-link power of a table, -inf where OUT."""
+    return links.dense(links.serving_rx_dbm, -np.inf)
 
 
 def test_blind_association_nearest_wins():
@@ -56,6 +61,18 @@ def test_blind_association_tie_breaks_low_index():
     # co-sited arrays present identical received powers
     links = make_table([[0.5, 0.5], [0.5, 0.5]], [[0.52, 0.5]])
     assert associate_blind(links, np.ones((2, 1), bool))[0] == 0
+    # equal powers from mirrored BSs go to the lowest index, whatever the UE
+    # order, while an inaccessible stronger BS and a weaker one are passed over
+    links = make_table([[0.9, 0.5], [0.6, 0.5], [0.4, 0.5], [0.52, 0.5], [0.3, 0.5]],
+                       [[0.7, 0.5], [0.5, 0.5], [0.5, 0.5]])
+    rx = rx_dbm(links)
+    assert rx[1, 1] == rx[2, 1] > rx[4, 1] and rx[3, 1] > rx[1, 1]
+    access = np.ones((5, 3), bool)
+    access[3, :] = False
+    assert_array_equal(associate_blind(links, access), [1, 1, 1])
+    access[1, 2] = False
+    assert_array_equal(associate_blind(links, access), [1, 1, 2])
+    assert_array_equal(associate_blind(links, np.ones((5, 3), bool)), [1, 3, 3])
 
 
 def test_blind_association_respects_access():
@@ -141,7 +158,7 @@ def test_sinr_without_interferers_is_snr():
     links = make_table([[0.0, 0.0]], [[0.1, 0.0]])
     assoc = Association(np.array([0]), np.array([5e8]), np.array([1]))
     gamma = compute_sinr(0, assoc, links, np.ones((1, 1), bool), 7.0)
-    sig = 10.0 ** (float(links.serving_rx_dbm[0, 0]) / 10.0)
+    sig = 10.0 ** (float(rx_dbm(links)[0, 0]) / 10.0)
     assert gamma == sig / 10.0 ** (noise_power_dbm(5e8, 7.0) / 10.0)
 
 
@@ -160,7 +177,7 @@ def test_same_site_transmitter_adds_no_interference():
                         np.array([1, 1]))
     coch = np.ones((2, 2), bool)
     gamma = compute_sinr(0, assoc, links, coch, 7.0)
-    sig = 10.0 ** (float(links.serving_rx_dbm[0, 0]) / 10.0)
+    sig = 10.0 ** (float(rx_dbm(links)[0, 0]) / 10.0)
     assert gamma == sig / 10.0 ** (noise_power_dbm(5e8, 7.0) / 10.0)
     # a barely off-site transmitter does interfere
     shifted = make_table([[0.2, 0.2], [0.2 + 1e-6, 0.2]],
@@ -205,13 +222,14 @@ def test_network_sinr_matches_scalar():
                             rtol=1e-9)
             # interference can only hurt: capped by SNR over the UE's own slice
             noise = 10.0 ** (noise_power_dbm(float(assoc.ue_bandwidth_hz[u]), 7.0) / 10.0)
-            snr = 10.0 ** (float(links.serving_rx_dbm[s, u]) / 10.0) / noise
+            snr = 10.0 ** (float(rx_dbm(links)[s, u]) / 10.0) / noise
             assert vec[u] <= snr * (1.0 + 1e-12)
 
 
 def _dense_network_sinr(links, assoc, cochannel_bu, noise_figure_db):
     """Reference: the dense (B, U) formulation, every entry evaluated and
-    non-interfering ones zeroed before one axis-0 sum over BSs."""
+    non-interfering ones zeroed before one axis-0 sum over BSs; the serving
+    site is found by comparing coordinates."""
     n_bs, n_ue = links.n_bs, links.n_ue
     gamma = np.zeros(n_ue)
     served = assoc.serving_bs != NONE
@@ -221,7 +239,9 @@ def _dense_network_sinr(links, assoc, cochannel_bu, noise_figure_db):
     s = assoc.serving_bs
     targets = interferer_targets(s, n_bs)
     active = assoc.load > 0
-    delta = links.delta_km
+    delta = wrapped_delta(links.bs_xy[:, None, :], links.ue_xy[None, :, :], links.region)
+    path_loss = links.dense(links.path_loss_db, np.inf)
+    shadowing = links.dense(links.shadowing_db, 0.0)
     norm = np.hypot(delta[..., 0], delta[..., 1])
     bore = delta[np.arange(n_bs), np.clip(targets, 0, None)]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -238,15 +258,15 @@ def _dense_network_sinr(links, assoc, cochannel_bu, noise_figure_db):
     ang_ue = np.degrees(np.arccos(np.clip(np.nan_to_num(cos_ue, nan=1.0), -1.0, 1.0)))
     gr = beam_gain_db(ang_ue, ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db,
                       ant.ue_beamwidth_deg)
-    rx_dbm = links.tx_power_dbm + gt + gr - links.path_loss_db - links.shadowing_db
+    rx = links.tx_power_dbm + gt + gr - path_loss - shadowing
     same_site = ((links.bs_xy[:, 0][:, None] == links.bs_xy[s_safe, 0][None, :])
                  & (links.bs_xy[:, 1][:, None] == links.bs_xy[s_safe, 1][None, :]))
     interferes = cochannel_bu & active[:, None] & served[None, :] & ~same_site
-    i_mw = np.where(interferes, 10.0 ** (rx_dbm / 10.0), 0.0).sum(axis=0)
+    i_mw = np.where(interferes, 10.0 ** (rx / 10.0), 0.0).sum(axis=0)
     w = assoc.ue_bandwidth_hz[served]
     noise_mw = 10.0 ** ((THERMAL_NOISE_DBM_PER_HZ + 10.0 * np.log10(w)
                          + noise_figure_db) / 10.0)
-    sig_mw = 10.0 ** (links.serving_rx_dbm[s[served], np.flatnonzero(served)] / 10.0)
+    sig_mw = 10.0 ** (rx_dbm(links)[s[served], np.flatnonzero(served)] / 10.0)
     gamma[served] = sig_mw / (noise_mw + i_mw[served])
     return gamma
 
@@ -298,6 +318,20 @@ def test_network_sinr_equals_dense_reference():
     assert (network_sinr(apart, split_bandwidth(
         associate_blind(apart, np.ones((2, 2), bool)), 2, 1e9), np.eye(2, dtype=bool),
         7.0) > 0).all()
+    # a hand-made association may serve over a blocked link (the search's
+    # assignments can): that UE gets SINR 0, and its server still aims its
+    # mainlobe at it when interfering with the other UE
+    state = np.zeros((2, 3), dtype=np.int8)
+    state[0, 0] = LinkState.OUT
+    partly = make_table([[0.2, 0.5], [0.3, 0.5]], [[0.25, 0.55], [0.28, 0.5], [0.32, 0.52]],
+                        state=state)
+    coch = np.ones((2, 3), bool)
+    for serving in ([0, 1, 0], [1, 0, 1], [0, 0, 1]):
+        assoc = split_bandwidth(np.array(serving), 2, 1e9)
+        got = network_sinr(partly, assoc, coch, 7.0)
+        assert got.tobytes() == _dense_network_sinr(partly, assoc, coch, 7.0).tobytes()
+        assert (got[0] == 0.0) == (serving[0] == 0)
+        assert (got[1:] > 0.0).all()
 
 
 def test_user_rate_examples():
@@ -381,6 +415,8 @@ def _gain(angle, main, side, bw):
 
 def _oracle_value(links, serving, coch, pool_hz, params, nf):
     ant = links.antenna
+    serving_rx, path_loss = rx_dbm(links), links.dense(links.path_loss_db, np.inf)
+    shadowing = links.dense(links.shadowing_db, 0.0)
     load = [0] * links.n_bs
     for s in serving:
         if s != NONE:
@@ -395,7 +431,7 @@ def _oracle_value(links, serving, coch, pool_hz, params, nf):
         if s == NONE:
             continue
         w = pool_hz / load[s]
-        sig = 10.0 ** (float(links.serving_rx_dbm[s, u]) / 10.0)
+        sig = 10.0 ** (float(serving_rx[s, u]) / 10.0)
         acc = 10.0 ** ((-174.0 + 10.0 * math.log10(w) + nf) / 10.0)
         sx, sy = float(links.bs_xy[s, 0]), float(links.bs_xy[s, 1])
         to_serving = _wrap(links.ue_xy[u], links.bs_xy[s], links.region)
@@ -414,7 +450,7 @@ def _oracle_value(links, serving, coch, pool_hz, params, nf):
             gr = _gain(_angle(to_serving, to_interferer), ant.ue_mainlobe_gain_db,
                        ant.ue_sidelobe_gain_db, ant.ue_beamwidth_deg)
             rx = (links.tx_power_dbm + gt + gr
-                  - float(links.path_loss_db[b, u]) - float(links.shadowing_db[b, u]))
+                  - float(path_loss[b, u]) - float(shadowing[b, u]))
             acc += 10.0 ** (rx / 10.0)
         gamma = sig / acc
         total += (params.eta * params.duty_factor * (1.0 - params.overhead_beta)

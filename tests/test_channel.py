@@ -167,17 +167,23 @@ def test_realize_link_serving_budget():
                       shadow_sigma_los_db=0.0, shadow_sigma_nlos_db=0.0)
     links = _one_link((0.0, 0.0), (0.1, 0.0), p)
     assert links.state[0, 0] == LinkState.LOS
-    assert_allclose(links.serving_rx_dbm[0, 0], -41.4, rtol=1e-12)
+    assert (links.link_bs.tolist(), links.link_ue.tolist()) == ([0], [0])
+    assert_allclose(links.serving_rx_dbm[0], -41.4, rtol=1e-12)
     # composition identity is exact, not approximate
-    assert links.serving_rx_dbm[0, 0] == (30.0 + 20.0 + 10.0 - links.path_loss_db[0, 0]
-                                          - links.shadowing_db[0, 0])
+    assert links.serving_rx_dbm[0] == (30.0 + 20.0 + 10.0 - links.path_loss_db[0]
+                                       - links.shadowing_db[0])
 
 
 def test_realize_link_out_is_minus_inf():
     links = _one_link((0.0, 0.0), (0.1, 0.0), ChannelParams(hard_coverage_area_km2=1e-6))
     assert links.state[0, 0] == LinkState.OUT
-    assert links.path_loss_db[0, 0] == math.inf
-    assert links.serving_rx_dbm[0, 0] == -math.inf
+    for name in ("link_bs", "link_ue", "dist_m", "path_loss_db", "shadowing_db",
+                 "serving_rx_dbm"):
+        assert getattr(links, name).shape == (0,)
+    assert links.delta_km.shape == (0, 2)
+    # scattered to dense, a blocked link reads +inf path loss and -inf power
+    assert links.dense(links.path_loss_db, math.inf)[0, 0] == math.inf
+    assert links.dense(links.serving_rx_dbm, -math.inf)[0, 0] == -math.inf
 
 
 def test_realize_link_torus_region():
@@ -185,9 +191,9 @@ def test_realize_link_torus_region():
                       shadow_sigma_los_db=0.0)
     links = _one_link((0.05, 0.5), (0.95, 0.5), p, region=Region(1.0, 1.0), seed=1)
     # wrapped distance is 100 m, not 900 m, reached across the x = 0 edge
-    assert_allclose(links.delta_km[0, 0], [-0.1, 0.0], atol=1e-15)
-    assert_allclose(links.dist_m[0, 0], 100.0, rtol=1e-12)
-    assert_allclose(links.path_loss_db[0, 0], 101.4, rtol=1e-12)
+    assert_allclose(links.delta_km[0], [-0.1, 0.0], atol=1e-15)
+    assert_allclose(links.dist_m[0], 100.0, rtol=1e-12)
+    assert_allclose(links.path_loss_db[0], 101.4, rtol=1e-12)
 
 
 def test_link_table_matches_field_composition():
@@ -196,21 +202,17 @@ def test_link_table_matches_field_composition():
     ue = rng.random((15, 2)) * 0.4
     links = LinkTable.realize(bs, ue, Region(0.4, 0.4), 30.0, ChannelParams(),
                               AntennaModel(), seed=11)
+    # the listed links are exactly the non-OUT ones, in row-major order
     served = links.state != LinkState.OUT
+    assert_array_equal(links.link_bs * links.n_ue + links.link_ue, np.flatnonzero(served))
     recomposed = (30.0 + 20.0 + 10.0 - links.path_loss_db - links.shadowing_db)
-    assert_array_equal(links.serving_rx_dbm[served], recomposed[served])
-    assert np.all(np.isinf(links.path_loss_db[~served]))
-    assert np.all(links.shadowing_db[~served] == 0.0)
-    assert np.all(np.isneginf(links.serving_rx_dbm[~served]))
+    assert_array_equal(links.serving_rx_dbm, recomposed)
     # path loss agrees with the scalar op at every realized state
-    for b in range(links.n_bs):
-        for u in range(links.n_ue):
-            if served[b, u]:
-                assert_allclose(
-                    links.path_loss_db[b, u],
-                    path_loss_db(links.dist_m[b, u], LinkState(links.state[b, u]),
-                                 links.params),
-                    rtol=1e-12)
+    for i, (b, u) in enumerate(zip(links.link_bs, links.link_ue)):
+        assert_allclose(links.path_loss_db[i],
+                        path_loss_db(links.dist_m[i], LinkState(links.state[b, u]),
+                                     links.params),
+                        rtol=1e-12)
 
 
 def test_link_table_deterministic():
@@ -220,9 +222,8 @@ def test_link_table_deterministic():
                           AntennaModel(), seed=4)
     b = LinkTable.realize(bs, ue, Region(1, 1), 30.0, ChannelParams(),
                           AntennaModel(), seed=4)
-    assert_array_equal(a.state, b.state)
-    assert_array_equal(a.shadowing_db, b.shadowing_db)
-    assert_array_equal(a.serving_rx_dbm, b.serving_rx_dbm)
+    for name in ("state", "link_bs", "link_ue", "shadowing_db", "serving_rx_dbm"):
+        assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_link_table_colocated_share_propagation():
@@ -235,8 +236,12 @@ def test_link_table_colocated_share_propagation():
     links = LinkTable.realize(bs, ue, Region(1, 1), 30.0, ChannelParams(),
                               AntennaModel(), seed=21)
     assert_array_equal(links.state[:4], links.state[4:])
-    assert_array_equal(links.shadowing_db[:4], links.shadowing_db[4:])
-    assert_array_equal(links.serving_rx_dbm[:4], links.serving_rx_dbm[4:])
+    shadowing = links.dense(links.shadowing_db, 0.0)
+    rx = links.dense(links.serving_rx_dbm, -np.inf)
+    assert_array_equal(shadowing[:4], shadowing[4:])
+    assert_array_equal(rx[:4], rx[4:])
+    assert_array_equal(links.site_of_bs[:4], links.site_of_bs[4:])
+    assert len(np.unique(links.site_of_bs)) == 4
 
 
 def _dense_realize(bs_xy, ue_xy, region, tx_power_dbm, params, antenna, seed):
@@ -270,29 +275,122 @@ def _dense_realize(bs_xy, ue_xy, region, tx_power_dbm, params, antenna, seed):
     return states, shadow, pl, rx
 
 
+def _assert_equals_dense_reference(bs, ue, region, params, seed):
+    """The flat table, scattered to dense, equals `_dense_realize` byte for
+    byte; its listed links are the non-OUT ones, in row-major order, with
+    the dense geometry's displacements and distances."""
+    antenna = AntennaModel()
+    links = LinkTable.realize(bs, ue, region, 30.0, params, antenna, seed=seed)
+    states, shadow, pl, rx = _dense_realize(bs, ue, region, 30.0, params, antenna, seed)
+    got = (links.state, links.dense(links.shadowing_db, 0.0),
+           links.dense(links.path_loss_db, np.inf), links.dense(links.serving_rx_dbm, -np.inf))
+    for g, w in zip(got, (states, shadow, pl, rx)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert_array_equal(links.link_bs * len(ue) + links.link_ue,
+                       np.flatnonzero(states != LinkState.OUT))
+    delta = wrapped_delta(bs[:, None, :], ue[None, :, :], region)
+    live = delta[links.link_bs, links.link_ue]
+    assert links.delta_km.tobytes() == live.tobytes()
+    assert links.dist_m.tobytes() == (1000.0 * np.hypot(live[:, 0], live[:, 1])).tobytes()
+    return links
+
+
 def test_link_table_equals_dense_reference():
-    # candidate-only probabilities and live-only path loss leave every array
-    # bit-identical, which also pins the full-shaped uniform and normal draws
+    # candidate-only geometry and probabilities and live-only path loss leave
+    # every entry bit-identical, which also pins the full-shaped uniform and
+    # normal draws
     rng = np.random.default_rng(31)
     region = Region(1.0, 1.0)
-    antenna = AntennaModel()
     for model in ("hard_radius", "exponential"):
         params = ChannelParams(outage_model=model)
         for trial in range(3):
             site = rng.random((40, 2))
             bs = np.vstack([site, site[:25]])   # 25 towers carry two arrays
             ue = rng.random((400, 2))
-            links = LinkTable.realize(bs, ue, region, 30.0, params, antenna,
-                                      seed=100 + trial)
-            want = _dense_realize(bs, ue, region, 30.0, params, antenna, 100 + trial)
-            got = (links.state, links.shadowing_db, links.path_loss_db,
-                   links.serving_rx_dbm)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype
-                assert g.tobytes() == w.tobytes()
+            links = _assert_equals_dense_reference(bs, ue, region, params, 100 + trial)
             states = links.state
             assert (states == LinkState.LOS).any() and (states == LinkState.NLOS).any()
             assert (states == LinkState.OUT).any()
+
+
+def test_link_table_grid_edge_cases_equal_dense_reference():
+    params = ChannelParams()
+    reach_km = outage_radius_m(params) / 1000.0   # about 97.7 m: cells are >= this
+    rng = np.random.default_rng(47)
+    seed = iter(range(1000, 2000))
+
+    def check(bs, ue, region, p=params):
+        return _assert_equals_dense_reference(np.asarray(bs, dtype=float).reshape(-1, 2),
+                                              np.asarray(ue, dtype=float).reshape(-1, 2),
+                                              region, p, next(seed))
+
+    # 1, 2, 3 and 4 cells per axis, torus and flat, square and not
+    for w, h in ((0.15, 0.15), (0.2, 0.2), (0.3, 0.3), (0.4, 0.4), (0.3, 0.15), (0.45, 0.2)):
+        for wrap in (True, False):
+            size = np.array([w, h])
+            for model in ("hard_radius", "exponential"):
+                check(rng.random((12, 2)) * size, rng.random((60, 2)) * size,
+                      Region(w, h, wraparound=wrap),
+                      ChannelParams(outage_model=model))
+    # a flat region with the default drop's sizes
+    check(rng.random((60, 2)), rng.random((400, 2)), Region(1.0, 1.0, wraparound=False))
+
+    # UEs at the reach, a few ulps inside and outside it, along both axes
+    for wrap in (True, False):
+        region = Region(1.0, 1.0, wraparound=wrap)
+        bs = np.array([[0.5, 0.5], [0.02, 0.97]])
+        offsets = [reach_km]
+        for _ in range(4):
+            offsets = [np.nextafter(offsets[0], 0.0), *offsets, np.nextafter(offsets[-1], 1.0)]
+        ue = np.array([[x + dx, y] for x, y in bs for dx in offsets]
+                      + [[x, y - dy] for x, y in bs for dy in offsets])
+        links = check(bs, ue, region)
+        dist = 1000.0 * np.hypot(*np.moveaxis(
+            wrapped_delta(bs[:, None, :], ue[None, :, :], region), -1, 0))
+        reach_m = outage_radius_m(params)
+        assert (dist == reach_m).any() and (dist > reach_m).any()
+        assert links.dist_m.size > 0
+
+    # points on cell borders: 0, multiples of the cell side, just below the side
+    for n in (1, 2, 3, 4, 10):
+        side = n * reach_km * 1.01
+        cell = side / n
+        edges = [0.0, *(k * cell for k in range(1, n)), np.nextafter(side, 0.0)]
+        grid = np.array([[x, y] for x in edges for y in edges])
+        for wrap in (True, False):
+            check(grid, grid + [0.0, 1e-9], Region(side, side, wraparound=wrap))
+            check(grid[::2], grid, Region(side, side, wraparound=wrap))
+
+    # pairs just inside the reach that would span three cells of a grid of
+    # n reach-wide cells on a side just under n reaches: the grid must not
+    # take cells narrower than the reach
+    for n in (4, 10):
+        side = n * reach_km * (1.0 - 5e-4)
+        cell = side / n
+        bs = np.array([[k * cell - 1e-6, 0.5 * side] for k in range(1, n)])
+        ue = bs + [reach_km * (1.0 - 1e-4), 0.0]
+        for wrap in (True, False):
+            links = check(bs, ue, Region(side, side, wraparound=wrap))
+            assert (links.state.diagonal() != LinkState.OUT).all()
+
+    # coordinates outside [0, w): below zero, beyond the side, several sides out
+    for wrap in (True, False):
+        region = Region(0.5, 0.5, wraparound=wrap)
+        bs = rng.random((15, 2)) * 2.0 - 0.75
+        ue = np.vstack([rng.random((80, 2)) * 2.0 - 0.75, bs + 0.03, [[-1e-18, 0.5]]])
+        check(bs, ue, region)
+
+    # co-sited arrays on a flat region, and empty populations
+    site = rng.random((10, 2))
+    check(np.vstack([site, site, site[:3]]), rng.random((200, 2)),
+          Region(1.0, 1.0, wraparound=False))
+    for bs, ue in ((np.zeros((0, 2)), rng.random((5, 2))),
+                   (rng.random((5, 2)), np.zeros((0, 2))),
+                   (np.zeros((0, 2)), np.zeros((0, 2)))):
+        links = check(bs, ue, Region(1.0, 1.0))
+        assert links.state.shape == (len(bs), len(ue))
+        assert links.link_bs.size == 0 and links.delta_km.shape == (0, 2)
 
 
 def test_shadowing_moments_los():
@@ -303,7 +401,8 @@ def test_shadowing_moments_los():
     links = LinkTable.realize(np.array([[0.5, 0.5]]), ue, Region(1, 1), 30.0, p,
                               AntennaModel(), seed=6)
     assert np.all(links.state == LinkState.LOS)
-    sh = links.shadowing_db[0]
+    sh = links.shadowing_db   # one BS: every listed link is one of its links
+    assert sh.shape == (100_000,)
     assert abs(sh.mean()) <= 0.02 * 4.0
     assert abs(sh.std() / 4.0 - 1.0) <= 0.02
 
@@ -315,6 +414,7 @@ def test_shadowing_moments_nlos():
     links = LinkTable.realize(np.array([[0.0, 0.0]]), ue, Region(2, 2), 30.0, p,
                               AntennaModel(), seed=14)
     assert np.all(links.state == LinkState.NLOS)
-    sh = links.shadowing_db[0]
+    sh = links.shadowing_db
+    assert sh.shape == (100_000,)
     assert abs(sh.mean()) <= 0.02 * 7.0
     assert abs(sh.std() / 7.0 - 1.0) <= 0.02

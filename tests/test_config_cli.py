@@ -322,3 +322,27 @@ def test_cli_json_artifacts_are_strict(tmp_path):
     for entry in doc["scenarios"].values():
         assert entry["median_sinr_db"] is None
         assert entry["median_rate_bps"] == 0.0
+
+
+def test_cli_empty_population(tmp_path):
+    # a near-zero UE density leaves every drop without UEs: both commands
+    # succeed, count no sample and write every statistic as null
+    cfg = tmp_path / "empty.json"
+    cfg.write_text('{"densities": {"ue_per_km2": 0.001}}')
+    out = tmp_path / "sc"
+    assert main(["scenarios", "--config", str(cfg), "--drops", "3", "--out", str(out)]) == 0
+    doc = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert set(doc["scenarios"]) == set(SCENARIO_KINDS)
+    for kind, entry in doc["scenarios"].items():
+        assert entry["n_ue_samples"] == 0 and entry["drops"] == 3
+        for stat in ("median_rate_bps", "p05_rate_bps", "median_sinr_db", "outage_fraction"):
+            assert entry[stat] is None
+        for name in (f"cdf_sinr_{kind}.csv", f"cdf_rate_{kind}.csv"):
+            lines = _read_lines(out / name)
+            assert len(lines) == 4 and lines[3] == "value,cum_prob"   # header only
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--densities", "5,10,20", "--drops", "2",
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "sweep.json").read_text(), parse_constant=_reject_constant)
+    assert doc["mean_rate_bps"] == [None, None, None]
+    assert doc["fitted_exponent"] is None

@@ -226,7 +226,8 @@ def test_kinds_share_link_tables_at_one_seed():
     ref_real, ref = drop("NoSharing")
     for kind in ("Spectrum", "SpectrumAccess"):
         _, links = drop(kind)
-        for name in ("state", "shadowing_db", "serving_rx_dbm"):
+        for name in ("state", "site_of_bs", "link_bs", "link_ue", "delta_km",
+                     "shadowing_db", "serving_rx_dbm"):
             assert_array_equal(getattr(links, name), getattr(ref, name))
     infra_real, _ = drop("SpectrumInfra")
     assert_array_equal(infra_real.ue_xy, ref_real.ue_xy)

@@ -142,12 +142,18 @@ def test_pairwise_distance_shape():
     # the link table holds the drop's pairwise geometry
     bs = np.array([[0.0, 0.0], [0.5, 0.5]])
     ue = np.array([[0.1, 0.0]])
-    links = LinkTable.realize(bs, ue, UNIT, 30.0, ChannelParams(), AntennaModel(), seed=0)
-    assert links.delta_km.shape == (2, 1, 2)
-    assert links.dist_m.shape == (2, 1)
-    assert_allclose(links.dist_m[0, 0], 100.0, rtol=1e-12)
+    # at its live links: only the BS 100 m away is inside the 126 m outage
+    # radius, and it is LOS for sure
+    links = LinkTable.realize(bs, ue, UNIT, 30.0,
+                              ChannelParams(los_decay_per_m=0.0, hard_coverage_area_km2=0.05),
+                              AntennaModel(), seed=0)
+    assert links.state.shape == (2, 1)
+    assert (links.link_bs.tolist(), links.link_ue.tolist()) == ([0], [0])
+    assert links.delta_km.shape == (1, 2)
+    assert links.dist_m.shape == (1,)
+    assert_allclose(links.dist_m[0], 100.0, rtol=1e-12)
     assert_array_equal(links.dist_m,
-                       1000.0 * np.hypot(links.delta_km[..., 0], links.delta_km[..., 1]))
+                       1000.0 * np.hypot(links.delta_km[:, 0], links.delta_km[:, 1]))
 
 
 def test_avg_cell_radius_reference_values():

@@ -124,11 +124,16 @@ def test_run_sweep_argument_errors():
             run_sweep(cfg, [10.0, bad])
 
 
-def test_run_sweep_empty_population_error():
-    # a region with no UEs cannot produce statistics
+def test_run_sweep_empty_population_is_nan():
+    # a region with no UEs pools no sample: the run completes and every
+    # statistic is undefined, while aggregating nothing directly still fails
     cfg = replace(default_config(), drops=1, ue_density_per_km2=1e-12)
+    sweep = run_sweep(cfg, [30.0, 60.0, 90.0])
+    for name in ("median_rate_bps", "p05_rate_bps", "mean_rate_bps", "outage_fraction"):
+        assert np.isnan(getattr(sweep, name)).all()
+    assert math.isnan(sweep.fitted_exponent)
     with pytest.raises(ValueError, match="empty population"):
-        run_sweep(cfg, [30.0])
+        cdf([])
 
 
 def test_doubling_drops_stays_within_bootstrap_ci():
