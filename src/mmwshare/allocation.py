@@ -39,6 +39,14 @@ table:
   as a dense sum over every BS with zeros elsewhere. It equals the
   reference only to rounding.
 
+Boresights come from the table too. A served UE's receive boresight, and
+the transmit boresight of a BS whose lowest-index attached UE it is, is
+the displacement of the UE's serving link. Blind association serves only
+over listed (live) links, so `network_sinr` reads that displacement from
+the link's `delta_km`, which equals `wrapped_delta` at those coordinates
+bit for bit; only a UE served over a blocked, unlisted link (a search
+assignment can do this) has it recomputed with `wrapped_delta`.
+
 `associate_blind` reads the same flat links. No drop-path function
 builds a (B, U) float array.
 """
@@ -96,11 +104,11 @@ def associate_blind(links: LinkTable, access_bu: np.ndarray) -> np.ndarray:
     links. Ties break to the lowest BS index; a UE whose accessible links
     are all blocked stays unassociated.
     """
-    ok = access_bu[links.link_bs, links.link_ue]
-    b, u, rx = links.link_bs[ok], links.link_ue[ok], links.serving_rx_dbm[ok]
+    ok = np.flatnonzero(links.at_links(access_bu))
+    b, u, rx = links.link_bs.take(ok), links.link_ue.take(ok), links.serving_rx_dbm.take(ok)
     best = np.full(links.n_ue, -np.inf)
     np.maximum.at(best, u, rx)
-    win = rx == best[u]
+    win = rx == best.take(u)
     first = np.full(links.n_ue, links.n_bs)
     np.minimum.at(first, u[win], b[win])
     return np.where(first < links.n_bs, first, NONE)
@@ -131,12 +139,11 @@ def split_bandwidth(serving_bs: np.ndarray, n_bs: int, pool_hz: float,
 
 def interferer_targets(serving_bs: np.ndarray, n_bs: int) -> np.ndarray:
     """Per BS, the UE its mainlobe tracks: the lowest-index attached UE (-1 if idle)."""
-    targets = np.full(n_bs, -1, dtype=np.int64)
+    n_ue = len(serving_bs)
     served = np.flatnonzero(serving_bs != NONE)
-    # np.unique's first occurrences are the lowest-index UEs
-    bs, first = np.unique(serving_bs[served], return_index=True)
-    targets[bs] = served[first]
-    return targets
+    first = np.full(n_bs, n_ue, dtype=np.int64)
+    np.minimum.at(first, serving_bs[served], served)
+    return np.where(first < n_ue, first, -1)
 
 
 def _angle_between_deg(v, w) -> float:
@@ -218,10 +225,13 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
     which is the operation sequence of a dense axis-0 sum over all BSs;
     agreement with the scalar path is to rounding, not bit-exact.
     Interference angles come from the links' `delta_km` and from each
-    served UE's serving-link displacement (`wrapped_delta` at the served
-    pairs), which gives both the victim's boresight and, at a BS's
-    lowest-index attached UE, the interferer's. arccos angles already lie
-    in [0, 180], so `beam_gain_db` applies the sectored pattern unchanged.
+    served UE's serving-link displacement, which gives both the victim's
+    boresight and, at a BS's lowest-index attached UE, the interferer's.
+    That displacement is the `delta_km` of the UE's listed serving link;
+    `wrapped_delta` computes it only for a UE served over a blocked link,
+    which the table does not list. arccos angles already lie in [0, 180],
+    so `beam_gain_db` applies the sectored pattern unchanged. Rows are
+    gathered with `take`, not fancy indexing.
     """
     n_bs, n_ue = links.n_bs, links.n_ue
     gamma = np.zeros(n_ue)
@@ -232,42 +242,53 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
     s = assoc.serving_bs
     targets = interferer_targets(s, n_bs)
     lb, lu = links.link_bs, links.link_ue
-    server = s[lu]                                # NONE where the victim is unserved
+    server = s.take(lu)                           # NONE where the victim is unserved
+    own = np.flatnonzero(lb == server)            # listed serving links
+    own_ue = lu.take(own)
     sig_dbm = np.full(n_ue, -np.inf)              # blocked serving links stay -inf
-    own = lb == server
-    sig_dbm[lu[own]] = links.serving_rx_dbm[own]
-    live = np.flatnonzero(cochannel_bu[lb, lu] & (assoc.load[lb] > 0) & (server != NONE)
-                          & (links.site_of_bs[lb] != links.site_of_bs[server]))
-    b, u = lb[live], lu[live]                     # ascending b within each UE
+    sig_dbm[own_ue] = links.serving_rx_dbm.take(own)
+    site = links.site_of_bs
+    live = np.flatnonzero(links.at_links(cochannel_bu) & (assoc.load.take(lb) > 0)
+                          & (server != NONE) & (site.take(lb) != site.take(server)))
+    b, u = lb.take(live), lu.take(live)           # ascending b within each UE
 
-    # serving-link displacements, bs -> ue, at served UEs (rows of others are never read)
-    ues = np.flatnonzero(served)
+    # serving-link displacements, bs -> ue, at served UEs (rows of others are
+    # never read): the listed serving link's delta_km, else wrapped_delta
     to_ue = np.empty((n_ue, 2))
-    to_ue[ues] = wrapped_delta(links.bs_xy[s[ues]], links.ue_xy[ues], links.region)
-    delta = links.delta_km[live]                  # (L, 2), bs -> ue
+    to_ue[own_ue] = links.delta_km.take(own, axis=0)
+    unlisted = served.copy()
+    unlisted[own_ue] = False
+    if unlisted.any():   # only a non-blind association serves over an OUT link
+        blocked = np.flatnonzero(unlisted)
+        to_ue[blocked] = wrapped_delta(links.bs_xy.take(s.take(blocked), axis=0),
+                                       links.ue_xy.take(blocked, axis=0), links.region)
+    delta = links.delta_km.take(live, axis=0)     # (L, 2), bs -> ue
     norm = np.hypot(delta[:, 0], delta[:, 1])
-    bore = to_ue[targets[b]]                      # interferer's mainlobe direction
+    bore = to_ue.take(targets.take(b), axis=0)    # interferer's mainlobe direction
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_bs = (np.einsum("lk,lk->l", bore, delta)
                   / (np.hypot(bore[:, 0], bore[:, 1]) * norm))
-    ang_bs = np.degrees(np.arccos(np.clip(np.nan_to_num(cos_bs, nan=1.0), -1.0, 1.0)))
+    # fmin takes a 0/0 NaN (coincident points) to 1.0, boresight-aligned as
+    # in the scalar path, and fmax/fmin clip rounding overshoot to [-1, 1]
+    ang_bs = np.degrees(np.arccos(np.fmax(np.fmin(cos_bs, 1.0), -1.0)))
     gt = beam_gain_db(ang_bs, ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db,
                       ant.bs_beamwidth_deg)
 
     # UE boresight: towards serving BS. Both UE-side vectors are negated
     # bs->ue deltas, so the sign cancels in the cosine.
-    bore_ue = to_ue[u]
+    bore_ue = to_ue.take(u, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_ue = (np.einsum("lk,lk->l", bore_ue, delta)
                   / (np.hypot(bore_ue[:, 0], bore_ue[:, 1]) * norm))
-    ang_ue = np.degrees(np.arccos(np.clip(np.nan_to_num(cos_ue, nan=1.0), -1.0, 1.0)))
+    ang_ue = np.degrees(np.arccos(np.fmax(np.fmin(cos_ue, 1.0), -1.0)))
     gr = beam_gain_db(ang_ue, ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db,
                       ant.ue_beamwidth_deg)
 
     rx_dbm = (links.tx_power_dbm + gt + gr
-              - links.path_loss_db[live] - links.shadowing_db[live])
+              - links.path_loss_db.take(live) - links.shadowing_db.take(live))
     i_mw = np.bincount(u, weights=10.0 ** (rx_dbm / 10.0), minlength=n_ue)
 
+    ues = np.flatnonzero(served)
     w = assoc.ue_bandwidth_hz[ues]
     noise_dbm = THERMAL_NOISE_DBM_PER_HZ + 10.0 * np.log10(w) + noise_figure_db
     noise_mw = 10.0 ** (noise_dbm / 10.0)

@@ -261,7 +261,7 @@ def _candidate_keys(p_xy: np.ndarray, q_xy: np.ndarray, region: Region,
     kq = cells(q_xy)
     q_cell = kq[:, 0] + n[0] * kq[:, 1]
     order = np.argsort(q_cell, kind="stable")
-    sorted_cells = q_cell[order]
+    sorted_cells = q_cell.take(order)
     kp = cells(p_xy)
     # neighbour offsets -1, 0, 1 per axis, of which the first m are distinct mod m
     dx, dy = (np.array([-1, 0, 1][:m]) % m for m in (nx, ny))
@@ -270,7 +270,7 @@ def _candidate_keys(p_xy: np.ndarray, q_xy: np.ndarray, region: Region,
     lo = np.searchsorted(sorted_cells, near, side="left")
     count = np.searchsorted(sorted_cells, near, side="right") - lo
     keys = (np.repeat(np.arange(len(p_xy)) * len(q_xy), count.sum(axis=1))
-            + order[_ranges(lo, count)])
+            + order.take(_ranges(lo, count)))
     keys.sort()
     return keys
 
@@ -287,7 +287,8 @@ class LinkTable:
     `serving_rx_dbm` is the long-term received power with boresight-aligned
     gains on both ends (the blind association metric). `state` stays dense,
     (B, U) int8, OUT wherever no link is listed; `dense` scatters a per-link
-    array to (B, U) for the small instances of the coordination-gap search.
+    array to (B, U) for the small instances of the coordination-gap search,
+    and `at_links` gathers a (B, U) mask at the live links.
     `site_of_bs` labels the BSs that share coordinates (one tower): SINR
     evaluation compares these ids to find a victim's serving site.
 
@@ -331,6 +332,15 @@ class LinkTable:
         out[self.link_bs, self.link_ue] = values
         return out
 
+    def at_links(self, values_bu: np.ndarray) -> np.ndarray:
+        """(L,) entries of a (B, U) array at the live links, gathered by flat
+        index. A transposed (U, B) array, as `realize_scenario`'s access
+        mask is, is read in its own memory order, without a copy."""
+        values_bu = np.asarray(values_bu)
+        if values_bu.flags.f_contiguous and not values_bu.flags.c_contiguous:
+            return values_bu.T.ravel().take(self.link_ue * self.n_bs + self.link_bs)
+        return values_bu.ravel().take(self.link_bs * self.n_ue + self.link_ue)
+
     @classmethod
     def realize(cls, bs_xy, ue_xy, region, tx_power_dbm, params, antenna, seed: int) -> "LinkTable":
         rng = np.random.default_rng(seed)
@@ -344,37 +354,45 @@ class LinkTable:
         # is a relabeling of the per-BS draw. A site's coordinates are
         # those of its first BS exactly.
         first_bs, site_of_bs = _sites(bs_xy)
+        site_xy = bs_xy.take(first_bs, axis=0)
         n_site = len(first_bs)
         reach_m = _reach_m(params)
 
-        # geometry on candidate site links only; states where within reach
-        key = _candidate_keys(bs_xy[first_bs], ue_xy, region, reach_m / 1000.0)
+        # geometry on candidate site links only; states where within reach.
+        # Rows are gathered with take(axis=0), which is several times
+        # cheaper than fancy indexing on (N, 2) arrays.
+        key = _candidate_keys(site_xy, ue_xy, region, reach_m / 1000.0)
         site, ue = np.divmod(key, max(n_ue, 1))
-        delta = geometry.wrapped_delta(bs_xy[first_bs[site]], ue_xy[ue], region)
+        delta = geometry.wrapped_delta(site_xy.take(site, axis=0), ue_xy.take(ue, axis=0),
+                                       region)
         dist = 1000.0 * np.hypot(delta[:, 0], delta[:, 1])
         near = np.flatnonzero(dist <= reach_m)
-        drawn = _states_from_uniforms(dist[near],
-                                      rng.random((n_site, n_ue)).ravel()[key[near]], params)
-        normal = rng.normal(0.0, 1.0, (n_site, n_ue)).ravel()[key[near]]
+        near_key = key.take(near)
+        drawn = _states_from_uniforms(dist.take(near),
+                                      rng.random((n_site, n_ue)).ravel().take(near_key), params)
+        # standard_normal draws the stream and values of normal(0.0, 1.0)
+        normal = rng.standard_normal((n_site, n_ue)).ravel().take(near_key)
 
         # path loss, shadowing and received power only where the link is not OUT
-        kept = drawn != LinkState.OUT
-        live = near[kept]
-        site, ue, delta, dist, state = site[live], ue[live], delta[live], dist[live], drawn[kept]
+        kept = np.flatnonzero(drawn != LinkState.OUT)
+        live = near.take(kept)
+        site, ue, dist, state = site.take(live), ue.take(live), dist.take(live), drawn.take(kept)
+        delta = delta.take(live, axis=0)
         sigma = np.where(state == LinkState.LOS,
                          params.shadow_sigma_los_db, params.shadow_sigma_nlos_db)
         pl = path_loss_db(dist, state, params)
-        shadow = normal[kept] * sigma
+        shadow = normal.take(kept) * sigma
         rx = (tx_power_dbm + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db
               - pl - shadow)
 
         # each BS takes its site's links, which are ordered by UE already
         count = np.bincount(site, minlength=n_site)
-        per_bs = count[site_of_bs]
-        at = _ranges((np.cumsum(count) - count)[site_of_bs], per_bs)
+        per_bs = count.take(site_of_bs)
+        at = _ranges((np.cumsum(count) - count).take(site_of_bs), per_bs)
         link_bs = np.repeat(np.arange(n_bs), per_bs)
-        link_ue = ue[at]
+        link_ue = ue.take(at)
         states = np.full((n_bs, n_ue), LinkState.OUT, dtype=np.int8)
-        states[link_bs, link_ue] = state[at]
+        states.ravel()[link_bs * n_ue + link_ue] = state.take(at)
         return cls(region, bs_xy, ue_xy, tx_power_dbm, params, antenna, site_of_bs,
-                   states, link_bs, link_ue, delta[at], dist[at], pl[at], shadow[at], rx[at])
+                   states, link_bs, link_ue, delta.take(at, axis=0), dist.take(at),
+                   pl.take(at), shadow.take(at), rx.take(at))

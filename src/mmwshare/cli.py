@@ -40,12 +40,16 @@ def _fmt(v) -> str:
     return str(float(v))
 
 
-def _header_lines(cfg: ExperimentConfig) -> list[str]:
-    return [
-        f"# spec_revision={SPEC_REVISION}",
-        f"# config_hash={config_hash(cfg)}",
-        f"# master_seed={cfg.master_seed}",
-    ]
+def _provenance(cfg: ExperimentConfig) -> dict:
+    """The fields every artifact of a command opens with; a command computes
+    them, and so `config_hash`, once."""
+    return {"spec_revision": SPEC_REVISION, "config_hash": config_hash(cfg),
+            "master_seed": cfg.master_seed}
+
+
+def _csv_header(provenance: dict, columns: str) -> str:
+    """A CSV's `# key=value` provenance lines, then its column names."""
+    return "".join(f"# {k}={v}\n" for k, v in provenance.items()) + columns + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -53,32 +57,43 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def write_cdf_csv(path: Path, cfg: ExperimentConfig, values, cum_prob) -> None:
+_ROWS_PER_WRITE = 4096   # CDF rows formatted and written at a time
+
+
+def write_cdf_csv(path: Path, provenance: dict, values, cum_prob) -> None:
     """CSV of an empirical CDF: columns value,cum_prob (one row per sample).
 
     `cum_prob` is the formatted (i + 1) / n column, one entry per sample.
+    Rows are streamed `_ROWS_PER_WRITE` at a time, each value formatted
+    once as the repr of a Python float, the string `_fmt` gives.
     """
     v = np.sort(np.asarray(values, dtype=float), kind="stable")
-    lines = _header_lines(cfg) + ["value,cum_prob"]
-    lines += [f"{_fmt(x)},{p}" for x, p in zip(v, cum_prob, strict=True)]
-    _write_text(path, "\n".join(lines) + "\n")
+    if len(v) != len(cum_prob):
+        raise ValueError(f"{len(v)} values but {len(cum_prob)} cum_prob entries")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_csv_header(provenance, "value,cum_prob"))
+        for i in range(0, len(v), _ROWS_PER_WRITE):
+            rows = zip(v[i:i + _ROWS_PER_WRITE].tolist(), cum_prob[i:i + _ROWS_PER_WRITE])
+            fh.write("".join([f"{x!r},{p}\n" for x, p in rows]))
 
 
-def write_sweep_csv(path: Path, cfg: ExperimentConfig, sweep) -> None:
-    lines = _header_lines(cfg) + ["density_bs_km2,median_rate_bps,p05_rate_bps,outage_fraction"]
+def write_sweep_csv(path: Path, provenance: dict, sweep) -> None:
+    lines = [_csv_header(provenance, "density_bs_km2,median_rate_bps,p05_rate_bps,"
+                                     "outage_fraction")]
     for i in range(len(sweep.densities)):
         lines.append(",".join(_fmt(x) for x in (
             sweep.densities[i], sweep.median_rate_bps[i],
-            sweep.p05_rate_bps[i], sweep.outage_fraction[i])))
-    _write_text(path, "\n".join(lines) + "\n")
+            sweep.p05_rate_bps[i], sweep.outage_fraction[i])) + "\n")
+    _write_text(path, "".join(lines))
 
 
-def write_gap_csv(path: Path, cfg: ExperimentConfig, rows) -> None:
-    lines = _header_lines(cfg) + ["instance_id,blind_sum_rate_bps,ub_sum_rate_bps,gap_percent"]
+def write_gap_csv(path: Path, provenance: dict, rows) -> None:
+    lines = [_csv_header(provenance, "instance_id,blind_sum_rate_bps,ub_sum_rate_bps,"
+                                     "gap_percent")]
     for r in rows:
         lines.append(f"{r.instance_id},{_fmt(r.blind_sum_rate_bps)},"
-                     f"{_fmt(r.ub_sum_rate_bps)},{_fmt(r.gap_percent)}")
-    _write_text(path, "\n".join(lines) + "\n")
+                     f"{_fmt(r.ub_sum_rate_bps)},{_fmt(r.gap_percent)}\n")
+    _write_text(path, "".join(lines))
 
 
 def _finite_or_null(obj):
@@ -92,14 +107,9 @@ def _finite_or_null(obj):
     return obj
 
 
-def write_summary_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
+def write_summary_json(path: Path, provenance: dict, payload: dict) -> None:
     """Strict JSON: a non-finite statistic (NaN, +-inf) is written as null."""
-    doc = {
-        "spec_revision": SPEC_REVISION,
-        "config_hash": config_hash(cfg),
-        "master_seed": cfg.master_seed,
-        **payload,
-    }
+    doc = {**provenance, **payload}
     _write_text(path, dumps(_finite_or_null(doc), sort_keys=True, indent=2,
                             allow_nan=False) + "\n")
 
@@ -172,13 +182,14 @@ def cmd_scenarios(args) -> int:
     out = _outdir(args)
     kinds = (args.scenario,) if args.scenario else SCENARIO_KINDS
     results = run_scenarios(cfg, kinds)
+    provenance = _provenance(cfg)
     # every kind pools the same UEs, so one cum_prob column serves every file
     n = len(next(iter(results.values())).rate_bps)
-    cum_prob = [_fmt((i + 1) / n) for i in range(n)]
+    cum_prob = [repr((i + 1) / n) for i in range(n)]
     summary = {}
     for kind, res in results.items():
-        write_cdf_csv(out / f"cdf_sinr_{kind}.csv", cfg, res.sinr_db, cum_prob)
-        write_cdf_csv(out / f"cdf_rate_{kind}.csv", cfg, res.rate_bps, cum_prob)
+        write_cdf_csv(out / f"cdf_sinr_{kind}.csv", provenance, res.sinr_db, cum_prob)
+        write_cdf_csv(out / f"cdf_rate_{kind}.csv", provenance, res.rate_bps, cum_prob)
         summary[kind] = {
             "median_rate_bps": res.median_rate_bps,
             "p05_rate_bps": res.p05_rate_bps,
@@ -189,7 +200,7 @@ def cmd_scenarios(args) -> int:
         }
         print(f"{kind}: median rate {res.median_rate_bps / 1e6:.1f} Mb/s, "
               f"outage {res.outage_fraction:.3f}")
-    write_summary_json(out / "summary.json", cfg, {"scenarios": summary})
+    write_summary_json(out / "summary.json", provenance, {"scenarios": summary})
     return 0
 
 
@@ -200,8 +211,9 @@ def cmd_sweep(args) -> int:
     densities = _parse_densities(args.densities)
     out = _outdir(args)
     sweep = run_sweep(cfg, densities)
-    write_sweep_csv(out / "sweep.csv", cfg, sweep)
-    write_summary_json(out / "sweep.json", cfg, {
+    provenance = _provenance(cfg)
+    write_sweep_csv(out / "sweep.csv", provenance, sweep)
+    write_summary_json(out / "sweep.json", provenance, {
         "densities_bs_km2": list(sweep.densities),
         "mean_rate_bps": list(sweep.mean_rate_bps),
         "fitted_exponent": sweep.fitted_exponent,
@@ -215,10 +227,11 @@ def cmd_gap(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     rows = run_gap(cfg, n_instances=cfg.drops)
-    write_gap_csv(out / "gap.csv", cfg, rows)
+    provenance = _provenance(cfg)
+    write_gap_csv(out / "gap.csv", provenance, rows)
     gaps = [r.gap_percent for r in rows]
     median_gap = percentile(cdf(gaps), 0.5)
-    write_summary_json(out / "gap.json", cfg, {
+    write_summary_json(out / "gap.json", provenance, {
         "instances": len(rows),
         "median_gap_percent": median_gap,
         "max_gap_percent": max(gaps),

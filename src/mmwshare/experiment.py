@@ -223,7 +223,8 @@ def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
         means.append(float(res.rate_bps.mean()) if res.rate_bps.size else math.nan)
         outages.append(res.outage_fraction)
 
-    if len(densities) >= 3 and all(m > 0 for m in means):
+    # a log-log line needs three points at two distinct densities at least
+    if len(densities) >= 3 and len(set(densities)) >= 2 and all(m > 0 for m in means):
         exponent = fit_scaling_exponent(densities, means)
     else:
         exponent = math.nan

@@ -73,6 +73,8 @@ def fit_scaling_exponent(densities, values) -> float:
     v = np.asarray(values, dtype=float)
     if len(d) != len(v) or len(d) < 3:
         raise ValueError("need at least 3 (density, value) pairs")
+    if np.unique(d).size < 2:
+        raise ValueError("need at least two distinct densities for a slope")
     if np.any(d <= 0) or np.any(v <= 0):
         raise ValueError("densities and values must be positive for a log-log fit")
     slope, _ = np.polyfit(np.log(d), np.log(v), 1)

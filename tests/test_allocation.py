@@ -334,6 +334,31 @@ def test_network_sinr_equals_dense_reference():
         assert (got[1:] > 0.0).all()
 
 
+def test_network_sinr_boresight_over_unlisted_serving_link():
+    # UE 0 is served by BS 0 over a blocked link, which the table does not
+    # list (a search assignment can do this), and it is BS 0's lowest-index
+    # UE, so BS 0's mainlobe tracks it; UE 1 is served by BS 1. That
+    # boresight must come from wrapped_delta, since no listed link holds it.
+    # West across the torus seam it points away from UE 1 (BS 0 adds a
+    # sidelobe only); just past UE 1 it points at UE 1 (BS 0 dominates).
+    torus = Region(1.0, 1.0, wraparound=True)
+    state = np.zeros((2, 2), dtype=np.int8)
+    state[0, 0] = LinkState.OUT
+    coch = np.ones((2, 2), bool)
+    assoc = split_bandwidth(np.array([0, 1]), 2, 1e9)
+    assert_array_equal(interferer_targets(assoc.serving_bs, 2), [0, 1])
+    for bs_xy, ue_xy, interference_limited in (
+            ([[0.02, 0.5], [0.15, 0.5]], [[0.98, 0.5], [0.1, 0.5]], False),
+            ([[0.5, 0.5], [0.6, 0.5]], [[0.58, 0.5], [0.55, 0.5]], True)):
+        links = make_table(bs_xy, ue_xy, region=torus, state=state)
+        got = network_sinr(links, assoc, coch, 7.0)
+        assert got.tobytes() == _dense_network_sinr(links, assoc, coch, 7.0).tobytes()
+        assert got[0] == 0.0
+        assert_allclose(got[1], compute_sinr(1, assoc, links, coch, 7.0), rtol=1e-9)
+        snr = _dense_network_sinr(links, assoc, np.zeros_like(coch), 7.0)[1]
+        assert (got[1] < snr / 10.0) == interference_limited
+
+
 def test_user_rate_examples():
     p = RateParams()
     assert user_rate(1.0, 1e9, p) == 2e8

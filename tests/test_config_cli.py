@@ -3,13 +3,16 @@ import copy
 import dataclasses
 import json
 import math
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from mmwshare import cli
 from mmwshare.channel import ChannelParams
 from mmwshare.cli import build_parser, main
-from mmwshare.config import (ConfigError, ExperimentConfig, canonical_json,
+from mmwshare.config import (SPEC_REVISION, ConfigError, ExperimentConfig, canonical_json,
                              config_hash, default_config, from_dict,
                              load_config, save_config, to_dict)
 from mmwshare.geometry import Region
@@ -313,6 +316,14 @@ def test_cli_json_artifacts_are_strict(tmp_path):
     doc = json.loads((out / "sweep.json").read_text(), parse_constant=_reject_constant)
     assert doc["fitted_exponent"] is None
     assert doc["densities_bs_km2"] == [5.0, 10.0]
+    # three equal densities leave it undefined too: no rank-deficient fit, no warning
+    out = tmp_path / "sw3"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--densities", "5,5,5", "--drops", "1", "--out", str(out)]) == 0
+    doc = json.loads((out / "sweep.json").read_text(), parse_constant=_reject_constant)
+    assert doc["fitted_exponent"] is None
+    assert doc["densities_bs_km2"] == [5.0, 5.0, 5.0]
     # at 3 BS/km^2 most UEs are in outage, so the median SINR is -inf
     cfg = tmp_path / "sparse.json"
     cfg.write_text('{"densities": {"bs_per_km2": 3}}')
@@ -322,6 +333,27 @@ def test_cli_json_artifacts_are_strict(tmp_path):
     for entry in doc["scenarios"].values():
         assert entry["median_sinr_db"] is None
         assert entry["median_rate_bps"] == 0.0
+
+
+def test_write_cdf_csv_matches_per_row_formatter(tmp_path):
+    # the streamed writer gives the bytes of formatting each row as
+    # str(float(x)) and joining the whole file under the header
+    cfg = default_config()
+    special = [-math.inf, -0.0, 0.0, 5e-324, 1e-5, 0.1, 1e16, 123456789.01234567]
+    rng = np.random.default_rng(7)
+    for n in (0, len(special), 2 * cli._ROWS_PER_WRITE + 3):
+        values = np.array((special * (n // len(special) + 1))[:n])
+        values[len(special):] *= rng.lognormal(0.0, 3.0, max(n - len(special), 0))
+        cum_prob = [str(float((i + 1) / n)) for i in range(n)]
+        lines = [f"# spec_revision={SPEC_REVISION}", f"# config_hash={config_hash(cfg)}",
+                 f"# master_seed={cfg.master_seed}", "value,cum_prob"]
+        lines += [f"{str(float(x))},{p}"
+                  for x, p in zip(np.sort(values, kind="stable"), cum_prob, strict=True)]
+        path = tmp_path / f"cdf_{n}.csv"
+        cli.write_cdf_csv(path, cli._provenance(cfg), values, cum_prob)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    with pytest.raises(ValueError):
+        cli.write_cdf_csv(tmp_path / "short.csv", cli._provenance(cfg), [1.0, 2.0], ["1.0"])
 
 
 def test_cli_empty_population(tmp_path):

@@ -87,6 +87,8 @@ def test_fit_recovers_exact_power_law():
         fit_scaling_exponent([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_scaling_exponent([1.0, 2.0, 3.0], [1.0, 0.0, 2.0])
+    with pytest.raises(ValueError, match="distinct"):
+        fit_scaling_exponent([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])   # no slope to fit
 
 
 def test_sweep_result_validation():
