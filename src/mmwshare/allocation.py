@@ -47,8 +47,12 @@ the link's `delta_km`, which equals `wrapped_delta` at those coordinates
 bit for bit; only a UE served over a blocked, unlisted link (a search
 assignment can do this) has it recomputed with `wrapped_delta`.
 
-`associate_blind` reads the same flat links. No drop-path function
-builds a (B, U) float array.
+`associate_blind` reads the same flat links. Both take the sharing rules
+as per-link flags, which the drop engine reads from the scenario's labels
+(`RealizedScenario.access_at`, `cochannel_at`), and neither builds a
+(B, U) array. A table may hold a block of drops side by side: no link
+crosses a drop and every per-UE reduction adds a UE's own links in
+ascending BS order, so each drop's values are those of the drop alone.
 """
 from __future__ import annotations
 
@@ -96,15 +100,17 @@ class Association:
     load: np.ndarray            # (B,) int64
 
 
-def associate_blind(links: LinkTable, access_bu: np.ndarray) -> np.ndarray:
+def associate_blind(links: LinkTable, access: np.ndarray) -> np.ndarray:
     """(U,) int64 serving vector: each UE's strongest accessible BS, interference ignored.
 
+    `access` flags each live link of the table whose BS may serve its UE
+    (`RealizedScenario.access_at`, or `links.at_links` of a (B, U) mask).
     The metric is long-term received power with shadowing, read from the
     table's live links: a segment argmax over each UE's accessible live
     links. Ties break to the lowest BS index; a UE whose accessible links
     are all blocked stays unassociated.
     """
-    ok = np.flatnonzero(links.at_links(access_bu))
+    ok = np.flatnonzero(access)
     b, u, rx = links.link_bs.take(ok), links.link_ue.take(ok), links.serving_rx_dbm.take(ok)
     best = np.full(links.n_ue, -np.inf)
     np.maximum.at(best, u, rx)
@@ -182,6 +188,7 @@ def compute_sinr(ue: int, assoc: Association, links: LinkTable,
     ant = links.antenna
     targets = interferer_targets(assoc.serving_bs, links.n_bs)
     delta, path_loss, shadowing, serving_rx = _dense_table(links)
+    state = links.state
     sig_mw = 10.0 ** (float(serving_rx[s, ue]) / 10.0)
     acc = 10.0 ** (noise_power_dbm(float(assoc.ue_bandwidth_hz[ue]), noise_figure_db) / 10.0)
     for b in range(links.n_bs):
@@ -189,7 +196,7 @@ def compute_sinr(ue: int, assoc: Association, links: LinkTable,
             continue
         if links.site_of_bs[b] == links.site_of_bs[s]:
             continue   # serving site (the server itself or a co-sited array)
-        if links.state[b, ue] == LinkState.OUT:
+        if state[b, ue] == LinkState.OUT:
             continue
         gt = beam_gain_db(_angle_between_deg(delta[b, targets[b]], delta[b, ue]),
                           ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db,
@@ -213,17 +220,20 @@ def user_rate(gamma, bandwidth_hz, params: RateParams):
     return float(r) if np.isscalar(gamma) and np.isscalar(bandwidth_hz) else r
 
 
-def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
+def network_sinr(links: LinkTable, assoc: Association, cochannel: np.ndarray,
                  noise_figure_db: float) -> np.ndarray:
     """Vectorized linear SINR for every UE (0 where unassociated).
 
-    Same model as `compute_sinr`, evaluated on the table's live links
-    only: those from a loaded co-channel BS to a served victim, off the
-    victim's serving site (`site_of_bs`). Every other (BS, UE) pair adds
-    exactly 0 mW, so it is never formed. The flat links are in row-major
-    order (ascending BS per UE) and are accumulated per UE from +0.0,
-    which is the operation sequence of a dense axis-0 sum over all BSs;
-    agreement with the scalar path is to rounding, not bit-exact.
+    `cochannel` flags each live link of the table whose BS transmits in
+    its UE's pool (`RealizedScenario.cochannel_at`, or `links.at_links` of
+    a (B, U) mask). Same model as `compute_sinr`, evaluated on the
+    table's live links only: those from a loaded co-channel BS to a
+    served victim, off the victim's serving site (`site_of_bs`). Every
+    other (BS, UE) pair adds exactly 0 mW, so it is never formed. The
+    flat links are in row-major order (ascending BS per UE) and are
+    accumulated per UE from +0.0, which is the operation sequence of a
+    dense axis-0 sum over all BSs; agreement with the scalar path is to
+    rounding, not bit-exact.
     Interference angles come from the links' `delta_km` and from each
     served UE's serving-link displacement, which gives both the victim's
     boresight and, at a BS's lowest-index attached UE, the interferer's.
@@ -248,7 +258,7 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel_bu: np.ndarray,
     sig_dbm = np.full(n_ue, -np.inf)              # blocked serving links stay -inf
     sig_dbm[own_ue] = links.serving_rx_dbm.take(own)
     site = links.site_of_bs
-    live = np.flatnonzero(links.at_links(cochannel_bu) & (assoc.load.take(lb) > 0)
+    live = np.flatnonzero(cochannel & (assoc.load.take(lb) > 0)
                           & (server != NONE) & (site.take(lb) != site.take(server)))
     b, u = lb.take(live), lu.take(live)           # ascending b within each UE
 
@@ -429,14 +439,14 @@ def coordinated_upper_bound(
     n_ue = links.n_ue
     if n_ue > _MAX_UES:
         raise InstanceSizeError(f"{n_ue} UEs exceeds the search limit of {_MAX_UES}")
+    access = links.at_links(access_bu)
+    reachable = np.zeros(n_ue, dtype=bool)   # has an accessible live link
+    reachable[links.link_ue[access]] = True
     candidates: list[np.ndarray] = []
     enumerated: list[int] = []
-    for u in range(n_ue):
-        acc = np.flatnonzero(access_bu[:, u])
-        if len(acc) == 0 or np.all(links.state[acc, u] == LinkState.OUT):
-            continue   # forced unassociated
+    for u in np.flatnonzero(reachable).tolist():   # the others are forced unassociated
         enumerated.append(u)
-        candidates.append(acc)
+        candidates.append(np.flatnonzero(access_bu[:, u]))
     shape = tuple(len(c) for c in candidates)
     n_total = math.prod(shape)   # 1 with no enumerated UEs: the fixed assignment
     if n_total > _MAX_ASSIGNMENTS:
@@ -445,7 +455,7 @@ def coordinated_upper_bound(
 
     tables = _objective_tables(links, cochannel_bu, pool_hz, params,
                                noise_figure_db, full_bandwidth)
-    blind = associate_blind(links, access_bu)
+    blind = associate_blind(links, access)
     blind_value = float(_score_block(tables, blind[None, :])[0])
 
     fixed = np.full(n_ue, NONE, dtype=np.int64)

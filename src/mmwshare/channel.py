@@ -8,17 +8,22 @@ and a blockage (outage) state that is either a hard coverage radius or a
 smooth exponential ramp. The antenna pattern is flat-top sectored
 (mainlobe within a beamwidth, sidelobe floor outside).
 
-Links are realized one way, in bulk per drop, by `LinkTable.realize`. Most
-links of a default drop are OUT (about 3% of its (BS, UE) pairs lie inside
-the hard coverage radius), so the table lists only the live links, as flat
-row-major arrays with their torus geometry, next to a dense (B, U) state;
-`allocation` derives the interference gains (geometric beam pointing, the
-only model) from them. A cell grid finds the candidate links (inside the
-hard radius, or all links under the exponential model), and geometry and
-LOS probabilities are computed on those alone, path loss and received
-power on the links that are not OUT. The random draws stay full-shaped
-(one uniform and one normal per site link, in that order), so the streams
-do not depend on which links are live.
+Links are realized one way, in bulk, by `LinkTable.realize_block`; a
+`LinkTable` holds the live links of one or more drops (`realize` is the
+one-drop block). Most links of a default drop are OUT (about 3% of its
+(BS, UE) pairs lie inside the hard coverage radius), so the table lists
+only the live links, as flat row-major arrays with their state and torus
+geometry, and builds the dense (B, U) state only on demand; `allocation`
+derives the interference gains (geometric beam pointing, the only model)
+from them. A block table lays its drops side by side, with drop-offset
+BS, UE and site indices, and no link crosses a drop. A cell grid finds the
+candidate links (inside the hard radius, or all links under the
+exponential model), and geometry and LOS probabilities are computed on
+those alone, path loss and received power on the links that are not OUT.
+The random draws stay full-shaped and per drop (one uniform and one
+normal per site link of the drop, in that order, from the drop's own
+generator), so the streams do not depend on which links are live or on
+which drops share a block.
 """
 from __future__ import annotations
 
@@ -210,16 +215,18 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
 
 
-def _sites(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an (N, 2) array: each site's first row and every
-    row's site, with sites in lexicographic (x, y) order. These are
+def _sites(xy: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (N, 2) array within each group (ascending group
+    labels): each site's first row and every row's site, with sites in
+    (group, x, y) lexicographic order. For one group these are
     `np.unique(xy, axis=0, return_index=True, return_inverse=True)[1:]`,
     at a fraction of its cost on a drop's few dozen rows."""
-    order = np.lexsort((xy[:, 1], xy[:, 0]))   # stable: first rows first
-    s = xy[order]
+    order = np.lexsort((xy[:, 1], xy[:, 0], group))   # stable: first rows first
+    s = xy.take(order, axis=0)
+    g = group.take(order)
     new = np.empty(len(xy), dtype=bool)
     new[:1] = True
-    new[1:] = (s[1:, 0] != s[:-1, 0]) | (s[1:, 1] != s[:-1, 1])
+    new[1:] = (s[1:, 0] != s[:-1, 0]) | (s[1:, 1] != s[:-1, 1]) | (g[1:] != g[:-1])
     site_of = np.empty(len(xy), dtype=np.int64)
     site_of[order] = np.cumsum(new) - 1
     return order[new], site_of
@@ -234,23 +241,43 @@ def _cells_per_axis(side: float, reach_km: float) -> int:
     return max(1, int(side // cell_min))
 
 
-def _candidate_keys(p_xy: np.ndarray, q_xy: np.ndarray, region: Region,
-                    reach_km: float) -> np.ndarray:
-    """Sorted row-major keys i * len(q) + j of a superset of the (p_i, q_j)
-    pairs within `reach_km` of each other.
+def candidate_share(region: Region, params: ChannelParams) -> float:
+    """The share of a drop's (site, UE) pairs that `LinkTable.realize_block`
+    expects to list as candidates: the cells a site's 3 x 3 neighbourhood
+    covers, out of the grid's, and every pair where the grid is not built
+    (the exponential outage model, or at most 3 cells per axis)."""
+    reach_km = _reach_m(params) / 1000.0
+    share = 1.0
+    for side in (region.width_km, region.height_km):
+        n = _cells_per_axis(side, reach_km)
+        share *= min(n, 3) / n
+    return share
 
-    The grid's cells are at least the reach (plus a rounding margin) wide,
-    on coordinates reduced mod the region's sides, so a pair within reach
-    under the torus or the flat metric lies in one cell or in two adjacent
-    ones, counted cyclically. Each p is paired with the q's of its cell and
-    its neighbours; the per-axis neighbour offsets are deduplicated mod the
-    cell count. With at most three cells per axis (an infinite reach gives
-    one) every cell neighbours every other, so every pair is a candidate,
-    once, and the grid is not built.
+
+def _candidate_pairs(p_xy: np.ndarray, p_group: np.ndarray, q_xy: np.ndarray,
+                     q_count: np.ndarray, region: Region,
+                     reach_km: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), in row-major order, of a superset of the pairs
+    (p_i, q_j) of one group that lie within `reach_km` of each other.
+
+    `p_group` labels each p with its group, ascending; group g owns the
+    next `q_count[g]` rows of `q_xy`. The grid's cells are at least the
+    reach (plus a rounding margin) wide, on coordinates reduced mod the
+    region's sides, so a pair within reach under the torus or the flat
+    metric lies in one cell or in two adjacent ones, counted cyclically.
+    Each p is paired with its group's q's in its cell and its neighbours;
+    the per-axis neighbour offsets are deduplicated mod the cell count, and
+    each group has its own copy of the grid. With at most three cells per
+    axis (an infinite reach gives one) every cell neighbours every other,
+    so every pair of a group is a candidate, once, and the grid is not
+    built.
     """
     nx, ny = (_cells_per_axis(side, reach_km) for side in (region.width_km, region.height_km))
+    q_start = np.cumsum(q_count) - q_count
     if max(nx, ny) <= 3:
-        return np.arange(len(p_xy) * len(q_xy))
+        per_p = q_count.take(p_group)
+        return (np.repeat(np.arange(len(p_xy)), per_p),
+                _ranges(q_start.take(p_group), per_p))
     sides = np.array([region.width_km, region.height_km])
     n = np.array([nx, ny])
     cell = sides / n
@@ -259,47 +286,56 @@ def _candidate_keys(p_xy: np.ndarray, q_xy: np.ndarray, region: Region,
         return np.minimum(((xy % sides) / cell).astype(np.int64), n - 1)
 
     kq = cells(q_xy)
-    q_cell = kq[:, 0] + n[0] * kq[:, 1]
+    q_cell = (np.repeat(np.arange(len(q_count)) * (nx * ny), q_count)
+              + kq[:, 0] + nx * kq[:, 1])
     order = np.argsort(q_cell, kind="stable")
     sorted_cells = q_cell.take(order)
     kp = cells(p_xy)
     # neighbour offsets -1, 0, 1 per axis, of which the first m are distinct mod m
     dx, dy = (np.array([-1, 0, 1][:m]) % m for m in (nx, ny))
-    near = ((kp[:, 0, None, None] + dx[:, None]) % n[0]
-            + n[0] * ((kp[:, 1, None, None] + dy) % n[1])).reshape(len(p_xy), dx.size * dy.size)
+    near = ((p_group * (nx * ny))[:, None, None]
+            + (kp[:, 0, None, None] + dx[:, None]) % nx
+            + nx * ((kp[:, 1, None, None] + dy) % ny)).reshape(len(p_xy), dx.size * dy.size)
     lo = np.searchsorted(sorted_cells, near, side="left")
     count = np.searchsorted(sorted_cells, near, side="right") - lo
-    keys = (np.repeat(np.arange(len(p_xy)) * len(q_xy), count.sum(axis=1))
+    n_q = max(len(q_xy), 1)
+    keys = (np.repeat(np.arange(len(p_xy)) * n_q, count.sum(axis=1))
             + order.take(_ranges(lo, count)))
-    keys.sort()
-    return keys
+    keys.sort()   # a p's q's came cell by cell
+    return np.divmod(keys, n_q)
 
 
 @dataclass
 class LinkTable:
-    """All BS->UE links of one drop, realized in bulk.
+    """The live BS->UE links of one drop, or of a block of drops, realized
+    in bulk.
 
     Only a few percent of a drop's (BS, UE) pairs are not OUT, so the table
     keeps those live links alone, as flat arrays in row-major (b, u) order
     (ascending BS, then ascending UE): `link_bs` and `link_ue` name each
-    link, and `delta_km`, `dist_m`, `path_loss_db`, `shadowing_db` and
-    `serving_rx_dbm` hold its torus geometry and link budget.
-    `serving_rx_dbm` is the long-term received power with boresight-aligned
-    gains on both ends (the blind association metric). `state` stays dense,
-    (B, U) int8, OUT wherever no link is listed; `dense` scatters a per-link
-    array to (B, U) for the small instances of the coordination-gap search,
-    and `at_links` gathers a (B, U) mask at the live links.
-    `site_of_bs` labels the BSs that share coordinates (one tower): SINR
-    evaluation compares these ids to find a victim's serving site.
+    link, and `link_state`, `delta_km`, `dist_m`, `path_loss_db`,
+    `shadowing_db` and `serving_rx_dbm` hold its state, torus geometry and
+    link budget. `serving_rx_dbm` is the long-term received power with
+    boresight-aligned gains on both ends (the blind association metric).
+    A block table lays its drops side by side: drop d's BSs, UEs and sites
+    follow those of the drops before it, and no link crosses a drop, so
+    each UE's links are its own drop's, in ascending BS order.
+    `site_of_bs` labels the BSs that share coordinates within a drop (one
+    tower): SINR evaluation compares these ids to find a victim's serving
+    site. The dense views are built on demand, for the small instances of
+    the coordination-gap search and for tests: `state` is the (B, U) int8
+    state, OUT wherever no link is listed, and `dense` scatters a per-link
+    array to (B, U); `at_links` gathers a (B, U) mask at the live links.
 
-    `realize` finds candidate (site, UE) pairs with a cell grid
-    (`_candidate_keys`), computes `wrapped_delta` and distances on those
+    `realize_block` finds candidate (site, UE) pairs with a cell grid
+    (`_candidate_pairs`), computes `wrapped_delta` and distances on those
     alone, and draws states for the pairs within the outage reach (the
-    test `draw_link_states` applies). The uniform (state) and normal
-    (shadowing) draws stay full-shaped per site link, in that order, and
-    are read at those pairs, so the random streams do not depend on which
-    links are live; every entry equals that of a dense evaluation over all
-    pairs.
+    test `draw_link_states` applies). Each drop keeps its own generator:
+    the uniform (state) and normal (shadowing) draws stay full-shaped per
+    site link of the drop, in that order, and are read at its pairs, so the
+    random streams do not depend on which links are live or on the other
+    drops of the block; every entry equals that of a dense evaluation of
+    the drop alone over all pairs.
     """
 
     region: Region
@@ -308,10 +344,10 @@ class LinkTable:
     tx_power_dbm: float
     params: ChannelParams
     antenna: AntennaModel
-    site_of_bs: np.ndarray     # (B,) int64, equal for BSs at equal coordinates
-    state: np.ndarray          # (B, U) int8
+    site_of_bs: np.ndarray     # (B,) int64, equal for BSs of one drop at equal coordinates
     link_bs: np.ndarray        # (L,) int64, live links in row-major (b, u) order
     link_ue: np.ndarray        # (L,) int64
+    link_state: np.ndarray     # (L,) int8, LOS or NLOS
     delta_km: np.ndarray       # (L, 2), BS -> UE displacement under the region metric
     dist_m: np.ndarray         # (L,), 1000 * |delta_km|
     path_loss_db: np.ndarray   # (L,)
@@ -326,52 +362,75 @@ class LinkTable:
     def n_ue(self) -> int:
         return len(self.ue_xy)
 
+    @property
+    def state(self) -> np.ndarray:
+        """(B, U) int8 link states, OUT wherever no link is listed."""
+        out = np.full((self.n_bs, self.n_ue), LinkState.OUT, dtype=np.int8)
+        out[self.link_bs, self.link_ue] = self.link_state
+        return out
+
     def dense(self, values, fill: float) -> np.ndarray:
         """(B, U) float array: per-link `values` at the live links, `fill` elsewhere."""
         out = np.full((self.n_bs, self.n_ue), fill)
         out[self.link_bs, self.link_ue] = values
         return out
 
-    def at_links(self, values_bu: np.ndarray) -> np.ndarray:
-        """(L,) entries of a (B, U) array at the live links, gathered by flat
-        index. A transposed (U, B) array, as `realize_scenario`'s access
-        mask is, is read in its own memory order, without a copy."""
-        values_bu = np.asarray(values_bu)
-        if values_bu.flags.f_contiguous and not values_bu.flags.c_contiguous:
-            return values_bu.T.ravel().take(self.link_ue * self.n_bs + self.link_bs)
-        return values_bu.ravel().take(self.link_bs * self.n_ue + self.link_ue)
+    def at_links(self, values_bu) -> np.ndarray:
+        """(L,) entries of a (B, U) array at the live links."""
+        return np.asarray(values_bu).ravel().take(self.link_bs * self.n_ue + self.link_ue)
 
     @classmethod
     def realize(cls, bs_xy, ue_xy, region, tx_power_dbm, params, antenna, seed: int) -> "LinkTable":
-        rng = np.random.default_rng(seed)
-        bs_xy = np.asarray(bs_xy, dtype=float).reshape(-1, 2)
-        ue_xy = np.asarray(ue_xy, dtype=float).reshape(-1, 2)
-        n_bs, n_ue = len(bs_xy), len(ue_xy)
+        """The table of one drop: `realize_block` with one geometry."""
+        return cls.realize_block([(bs_xy, ue_xy, seed)], region, tx_power_dbm, params, antenna)
+
+    @classmethod
+    def realize_block(cls, drops, region, tx_power_dbm, params, antenna) -> "LinkTable":
+        """One table for a block of drops, each given as (bs_xy, ue_xy, seed)."""
+        bs_parts = [np.asarray(b, dtype=float).reshape(-1, 2) for b, _, _ in drops]
+        ue_parts = [np.asarray(u, dtype=float).reshape(-1, 2) for _, u, _ in drops]
+        bs_xy, ue_xy = np.concatenate(bs_parts), np.concatenate(ue_parts)
+        n_drops, n_bs = len(drops), len(bs_xy)
+        n_ue_of = np.array([len(u) for u in ue_parts], dtype=np.int64)
+        ue_start = np.cumsum(n_ue_of) - n_ue_of
 
         # Transmitters mounted on one tower share the propagation path, so
-        # state and shadowing are drawn per site (exact coordinate match)
-        # and expanded to co-located BSs. With all-distinct positions this
-        # is a relabeling of the per-BS draw. A site's coordinates are
-        # those of its first BS exactly.
-        first_bs, site_of_bs = _sites(bs_xy)
+        # state and shadowing are drawn per site (exact coordinate match
+        # within a drop) and expanded to co-located BSs. With all-distinct
+        # positions this is a relabeling of the per-BS draw. A site's
+        # coordinates are those of its first BS exactly.
+        drop_of_bs = np.repeat(np.arange(n_drops), [len(b) for b in bs_parts])
+        first_bs, site_of_bs = _sites(bs_xy, drop_of_bs)
         site_xy = bs_xy.take(first_bs, axis=0)
-        n_site = len(first_bs)
+        drop_of_site = drop_of_bs.take(first_bs)
+        n_site_of = np.bincount(drop_of_site, minlength=n_drops)
+        site_end = np.cumsum(n_site_of)
+        # pair (site, ue) has row-major key site_key[site] + ue in its drop's grid
+        site_key = ((np.arange(len(first_bs)) - (site_end - n_site_of).take(drop_of_site))
+                    * n_ue_of.take(drop_of_site) - ue_start.take(drop_of_site))
         reach_m = _reach_m(params)
 
         # geometry on candidate site links only; states where within reach.
         # Rows are gathered with take(axis=0), which is several times
         # cheaper than fancy indexing on (N, 2) arrays.
-        key = _candidate_keys(site_xy, ue_xy, region, reach_m / 1000.0)
-        site, ue = np.divmod(key, max(n_ue, 1))
+        site, ue = _candidate_pairs(site_xy, drop_of_site, ue_xy, n_ue_of, region,
+                                    reach_m / 1000.0)
         delta = geometry.wrapped_delta(site_xy.take(site, axis=0), ue_xy.take(ue, axis=0),
                                        region)
         dist = 1000.0 * np.hypot(delta[:, 0], delta[:, 1])
         near = np.flatnonzero(dist <= reach_m)
-        near_key = key.take(near)
-        drawn = _states_from_uniforms(dist.take(near),
-                                      rng.random((n_site, n_ue)).ravel().take(near_key), params)
-        # standard_normal draws the stream and values of normal(0.0, 1.0)
-        normal = rng.standard_normal((n_site, n_ue)).ravel().take(near_key)
+        near_site = site.take(near)
+        key = site_key.take(near_site) + ue.take(near)
+        uniform, normal = np.empty(len(near)), np.empty(len(near))
+        cuts = [0, *np.searchsorted(near_site, site_end).tolist()]
+        for d, (_, _, seed) in enumerate(drops):
+            rng = np.random.default_rng(seed)
+            size = int(n_site_of[d] * n_ue_of[d])
+            at = slice(cuts[d], cuts[d + 1])
+            rng.random(size).take(key[at], out=uniform[at])
+            # standard_normal draws the stream and values of normal(0.0, 1.0)
+            rng.standard_normal(size).take(key[at], out=normal[at])
+        drawn = _states_from_uniforms(dist.take(near), uniform, params)
 
         # path loss, shadowing and received power only where the link is not OUT
         kept = np.flatnonzero(drawn != LinkState.OUT)
@@ -386,13 +445,10 @@ class LinkTable:
               - pl - shadow)
 
         # each BS takes its site's links, which are ordered by UE already
-        count = np.bincount(site, minlength=n_site)
+        count = np.bincount(site, minlength=len(first_bs))
         per_bs = count.take(site_of_bs)
         at = _ranges((np.cumsum(count) - count).take(site_of_bs), per_bs)
-        link_bs = np.repeat(np.arange(n_bs), per_bs)
-        link_ue = ue.take(at)
-        states = np.full((n_bs, n_ue), LinkState.OUT, dtype=np.int8)
-        states.ravel()[link_bs * n_ue + link_ue] = state.take(at)
         return cls(region, bs_xy, ue_xy, tx_power_dbm, params, antenna, site_of_bs,
-                   states, link_bs, link_ue, delta.take(at, axis=0), dist.take(at),
-                   pl.take(at), shadow.take(at), rx.take(at))
+                   np.repeat(np.arange(n_bs), per_bs), ue.take(at), state.take(at),
+                   delta.take(at, axis=0), dist.take(at), pl.take(at), shadow.take(at),
+                   rx.take(at))

@@ -6,19 +6,27 @@ the same drop seeds for every kind, so all kinds see identical operator
 deployments and, where geometry coincides, identical channel draws:
 differences between kinds are purely structural (common random numbers).
 
-The comparison loop is drop-major. `run_drop` draws every operator's
-deployment once (`build_scenario`), realizes one link table for the kinds
-that keep the drawn sites (NoSharing, Spectrum, SpectrumAccess) and then
-one for SpectrumInfra's co-located towers, and evaluates each kind's
-access and co-channel masks against its table. Only one table is alive
-at a time, so a 4-kind drop holds no more table memory than a 1-kind
-drop. Drops and gap instances take every sharing rule, co-location
-included, from one builder, `scenario.realize_scenario`.
+The comparison loop is block-major. `_blocks` draws every operator's
+deployment once per drop (`build_scenario`) and cuts the drops, in order,
+into blocks of at most `_BLOCK_PAIRS` expected candidate links.
+`_run_block` realizes one block link table for the kinds that keep the
+drawn sites (NoSharing, Spectrum, SpectrumAccess), holding every drop of
+the block side by side, and then one for SpectrumInfra's co-located
+towers. Association, bandwidth split, SINR and rates then run once per
+kind per block, with per-link access and co-channel flags read from the
+kinds' sharing labels; no link crosses a drop, so each drop's values are
+those of the drop alone, and each kind's outcome comes out in pooled drop
+order. Only one table is alive at a time, and a block's tables hold its
+live links and candidates only, never a (B, U) array of the block.
+`run_drop` is a block of one drop, and a gap instance's table a block of
+one instance. Drops and gap instances take every sharing rule,
+co-location included, from one builder, `scenario.realize_scenario`.
 
 Seed layout, all via mix_seed: within a drop, operator m's deployment uses
 k=m of the drop seed, its shared-BS selection k=M+m, the link table k=2M.
-Every stage seeds its own generator, so the order in which kinds are
-evaluated within a drop moves no random draw.
+Every stage seeds its own generator, so neither the order in which kinds
+are evaluated within a drop nor the drops that share its block moves a
+random draw: the seed layout does not depend on the blocks.
 A gap instance uses the last two offsets of its instance seed, which also
 drives one generator for its sizes, positions and UE operators.
 Drop j of a pooled run from base seed b uses mix_seed(b, j); `run_scenarios`
@@ -31,23 +39,25 @@ only in `run_gap`, on instances small enough to enumerate.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .allocation import (associate_blind, coordinated_upper_bound, network_sinr,
                          split_bandwidth, user_rate)
-from .channel import LinkTable
+from .channel import LinkTable, candidate_share
 from .config import ExperimentConfig
 from .geometry import mix_seed
 from .metrics import cdf, fit_scaling_exponent, outage_rate, percentile
 from .scenario import (SCENARIO_KINDS, RealizedScenario, build_scenario,
-                       realize_scenario)
+                       realize_scenario, stack_drops)
 
 
 @dataclass
 class DropOutcome:
-    """Per-UE results of one drop (arrays over the full UE population)."""
+    """Per-UE results of one drop, or of a block of drops side by side
+    (arrays over the full UE population, serving BSs in block indices)."""
 
     kind: str
     serving_bs: np.ndarray
@@ -62,63 +72,113 @@ class DropOutcome:
         return len(self.rate_bps)
 
 
-def _links(config: ExperimentConfig, realized: RealizedScenario, seed: int) -> LinkTable:
-    """Link table of one drop or gap instance, from mix_seed(seed, 2M)."""
-    return LinkTable.realize(
-        realized.bs_xy, realized.ue_xy, config.region, config.tx_power_dbm,
-        config.channel, config.antenna,
-        mix_seed(seed, 2 * realized.scenario.num_operators))
+def _links(config: ExperimentConfig, group: Sequence[RealizedScenario],
+           seeds: Sequence[int]) -> LinkTable:
+    """One link table for a block of drops or gap instances, one geometry
+    each; drop d's table draws from mix_seed(seeds[d], 2M)."""
+    k = 2 * group[0].scenario.num_operators
+    return LinkTable.realize_block(
+        [(r.bs_xy, r.ue_xy, mix_seed(seed, k)) for r, seed in zip(group, seeds)],
+        config.region, config.tx_power_dbm, config.channel, config.antenna)
 
 
-def _cochannel(config: ExperimentConfig, realized: RealizedScenario) -> np.ndarray:
-    """The co-channel mask that SINR sees (empty when interference is disabled)."""
-    if not config.interference_enabled:
-        return np.zeros_like(realized.cochannel_bu)
-    return realized.cochannel_bu
-
-
-def _evaluate(config: ExperimentConfig, realized: RealizedScenario,
-              links: LinkTable) -> DropOutcome:
-    """Blind association, SINR and rates of one realized kind on its link table."""
+def _evaluate(config: ExperimentConfig, realized: RealizedScenario, links: LinkTable,
+              serving_bs: np.ndarray) -> DropOutcome:
+    """Bandwidth split, SINR and rates of one realized kind on its link
+    table, from its blind association. Links are co-channel only where
+    interference is enabled."""
     scn = realized.scenario
-    assoc = split_bandwidth(associate_blind(links, realized.access_bu), links.n_bs,
-                            scn.pool_hz, config.full_bandwidth_per_ue)
-    gamma = network_sinr(links, assoc, _cochannel(config, realized), config.noise_figure_db)
+    assoc = split_bandwidth(serving_bs, links.n_bs, scn.pool_hz, config.full_bandwidth_per_ue)
+    cochannel = (realized.cochannel_at(links.link_bs, links.link_ue)
+                 & config.interference_enabled)
+    gamma = network_sinr(links, assoc, cochannel, config.noise_figure_db)
     with np.errstate(divide="ignore"):
         sinr_db = 10.0 * np.log10(gamma)
     rate = user_rate(gamma, assoc.ue_bandwidth_hz, config.rate)
     return DropOutcome(scn.kind, assoc.serving_bs, assoc.ue_bandwidth_hz,
-                       sinr_db, rate, rate < config.rate.target_rate_bps,
-                       len(realized.bs_xy))
+                       sinr_db, rate, rate < config.rate.target_rate_bps, links.n_bs)
+
+
+def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]],
+               seeds: Sequence[int]) -> dict[str, DropOutcome]:
+    """Evaluate a block of drops, drop d being `build_scenario`'s kinds
+    from seeds[d], as one outcome per kind over the block's UEs.
+
+    Kinds realized on the same `bs_xy` array share a geometry (every kind
+    but SpectrumInfra) and are evaluated on one block link table,
+    SpectrumInfra on its own, so at most two tables are realized. Each
+    table is released before the next one is built: keeping both alive
+    raised the peak RSS of the default 4-kind benchmark by about 1 MB
+    (2.5%). Kinds of one geometry with the same access rule (NoSharing and
+    Spectrum: home-only) share one blind association, and each splits its
+    own pool. Every kind's outcome lists the block's UEs in drop order and
+    equals the concatenation of its drops run alone.
+    """
+    geometries: dict[int, list[tuple[RealizedScenario, ...]]] = {}
+    for parts in zip(*drops):   # one kind in every drop of the block
+        geometries.setdefault(id(parts[0].bs_xy), []).append(parts)
+    outcomes = {}
+    for group in geometries.values():
+        links = _links(config, group[0], seeds)
+        serving: dict[bytes, np.ndarray] = {}
+        for parts in group:
+            realized = stack_drops(parts)
+            rule = realized.access_mb.tobytes()
+            if rule not in serving:
+                serving[rule] = associate_blind(
+                    links, realized.access_at(links.link_bs, links.link_ue))
+            outcomes[realized.scenario.kind] = _evaluate(config, realized, links,
+                                                         serving[rule])
+        del links   # one table alive at a time
+    return {r.scenario.kind: outcomes[r.scenario.kind] for r in drops[0]}
+
+
+def _draw(config: ExperimentConfig, kinds, seed: int) -> list[RealizedScenario]:
+    """`build_scenario` of every distinct kind in `kinds`, in order of first appearance."""
+    return build_scenario([replace(config.scenario, kind=kind) for kind in dict.fromkeys(kinds)],
+                          config.region, config.bs_density_per_km2,
+                          config.ue_density_per_km2, seed)
 
 
 def run_drop(config: ExperimentConfig, kinds, seed: int) -> dict[str, DropOutcome]:
-    """Realize and evaluate one drop of every kind in `kinds` from one seed.
+    """Realize and evaluate one drop of every kind in `kinds` from one seed:
+    a block of one drop.
 
-    One `build_scenario` call draws the operators once for all kinds. Kinds
-    realized on the same `bs_xy` array share a geometry (every kind but
-    SpectrumInfra) and are evaluated on one link table, SpectrumInfra on
-    its own, so at most two tables are realized. Each table is released before the next one is built:
-    keeping both alive raised the peak RSS of the default 4-kind benchmark
-    by about 1 MB (2.5%). Every stage seeds its own generator from
-    mix_seed(seed, k), so the order of the kinds moves no random draw and
-    each outcome equals that of the kind run alone. Returns one outcome
-    per distinct kind, in the order of first appearance in `kinds`.
+    One `build_scenario` call draws the operators once for all kinds.
+    Every stage seeds its own generator from mix_seed(seed, k), so the
+    order of the kinds moves no random draw and each outcome equals that
+    of the kind run alone. Returns one outcome per distinct kind, in the
+    order of first appearance in `kinds`.
     """
-    kinds = tuple(dict.fromkeys(kinds))
-    realized = build_scenario([replace(config.scenario, kind=kind) for kind in kinds],
-                              config.region, config.bs_density_per_km2,
-                              config.ue_density_per_km2, seed)
-    geometries: dict[int, list[RealizedScenario]] = {}
-    for r in realized:
-        geometries.setdefault(id(r.bs_xy), []).append(r)
-    outcomes = {}
-    for group in geometries.values():
-        links = _links(config, group[0], seed)
-        for r in group:
-            outcomes[r.scenario.kind] = _evaluate(config, r, links)
-        del links   # one table alive at a time
-    return {kind: outcomes[kind] for kind in kinds}
+    return _run_block(config, [_draw(config, kinds, seed)], [seed])
+
+
+# expected candidate (site, UE) pairs per block of drops (`channel.candidate_share`):
+# bounds the working memory of a block's link table
+_BLOCK_PAIRS = 1 << 15
+
+
+def _blocks(config: ExperimentConfig, kinds, base_seed: int):
+    """Yield (drops, seeds) blocks of drops 0 .. config.drops - 1, drop j
+    seeded mix_seed(base_seed, j) and drawn by `_draw`. A block takes
+    drops in order while their expected candidate pairs stay within
+    `_BLOCK_PAIRS`, and holds one drop at least; a drop counts the BSs x
+    UEs of its larger geometry times `candidate_share` (every pair under
+    the exponential outage model)."""
+    share = candidate_share(config.region, config.channel)
+    drops, seeds, pairs = [], [], 0.0
+    for j in range(config.drops):
+        seed = mix_seed(base_seed, j)
+        drop = _draw(config, kinds, seed)
+        n = share * max((len(r.bs_xy) * len(r.ue_xy) for r in drop), default=0)
+        if drops and pairs + n > _BLOCK_PAIRS:
+            yield drops, seeds
+            drops, seeds, pairs = [], [], 0.0
+        drops.append(drop)
+        seeds.append(seed)
+        pairs += n
+    if drops:
+        yield drops, seeds
 
 
 @dataclass
@@ -138,13 +198,14 @@ class ScenarioRunResult:
 def _pooled(config: ExperimentConfig, kinds,
             base_seed: int) -> dict[str, ScenarioRunResult]:
     """Pool `config.drops` drops of every kind in `kinds`, drop j seeded
-    mix_seed(base_seed, j). Each kind's samples are concatenated in drop
-    order; a kind listed twice is pooled once. A population with no UE in
-    any drop pools no sample, and every statistic of it is NaN."""
+    mix_seed(base_seed, j), block by block (`_blocks`). Each kind's samples
+    are concatenated in drop order; a kind listed twice is pooled once. A
+    population with no UE in any drop pools no sample, and every statistic
+    of it is NaN."""
     sinr_parts = {kind: [] for kind in kinds}
     rate_parts = {kind: [] for kind in kinds}
-    for j in range(config.drops):
-        for kind, out in run_drop(config, kinds, mix_seed(base_seed, j)).items():
+    for drops, seeds in _blocks(config, kinds, base_seed):
+        for kind, out in _run_block(config, drops, seeds).items():
             sinr_parts[kind].append(out.sinr_db)
             rate_parts[kind].append(out.rate_bps)
     results = {}
@@ -166,10 +227,12 @@ def run_scenarios(config: ExperimentConfig,
                   kinds=SCENARIO_KINDS) -> dict[str, ScenarioRunResult]:
     """Run every requested kind over the same drop seeds and pool per-UE samples.
 
-    The loop is drop-major: drop j, seeded mix_seed(master_seed, j), runs
-    every kind (`run_drop`) before drop j + 1 starts, so deployments are
-    identical across kinds drop by drop. The pooled samples of each kind
-    are byte-identical to those of `run_scenarios(config, (kind,))`.
+    The loop is block-major: drop j is seeded mix_seed(master_seed, j),
+    and every kind of a block of drops is evaluated (`_run_block`) before
+    the next block starts, so deployments are identical across kinds drop
+    by drop. The pooled samples of each kind are byte-identical to those
+    of `run_scenarios(config, (kind,))` and to the concatenated
+    `run_drop` outcomes.
     """
     for kind in kinds:
         if kind not in SCENARIO_KINDS:
@@ -271,8 +334,8 @@ def run_gap(config: ExperimentConfig, n_instances: int,
         realized = realize_scenario(scn, bs_xy, ue_xy, n_bs_op,
                                     rng.integers(0, m_ops, size=n_ue), inst_seed)
         _, ub_val, blind_val = coordinated_upper_bound(
-            _links(config, realized, inst_seed), realized.access_bu,
-            _cochannel(config, realized), scn.pool_hz, config.rate,
+            _links(config, [realized], [inst_seed]), realized.access_bu,
+            realized.cochannel_bu & config.interference_enabled, scn.pool_hz, config.rate,
             config.noise_figure_db, full_bandwidth=config.full_bandwidth_per_ue)
         gap = 100.0 * (ub_val - blind_val) / ub_val if ub_val > 0 else 0.0
         rows.append(GapRow(i, blind_val, ub_val, gap))

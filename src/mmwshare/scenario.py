@@ -20,7 +20,13 @@ on the scenario kind, so kinds are directly comparable drop by drop, and
 Every sharing rule has one builder, `realize_scenario`, shared by the drop
 engine (`build_scenario`) and the coordination-gap instances: where the
 BSs stand (SpectrumInfra's co-location), which BSs may serve a UE and
-which interfere with it. Under ``SpectrumAccess`` at the default
+which interfere with it. The rules are kept as labels, each BS's and UE's
+operator and the (M, B) rule of which BSs each operator's UEs may use;
+the drop engine reads per-link access and co-channel flags from them
+(`access_at`, `cochannel_at`) for the live links of a link table, and
+the (B, U) masks are built only on demand, for gap instances and tests.
+`stack_drops` lays several drops of one kind side by side, as the block
+engine's link tables do. Under ``SpectrumAccess`` at the default
 ``access_share_fraction=1.0`` every BS is open to every UE, so a gap
 instance's search ranges over all of its unblocked BSs. At the default
 config that stays within the search's limits; three operators on a
@@ -91,11 +97,15 @@ def shared_bs_selection(n: int, fraction: float, seed: int) -> np.ndarray:
 
 @dataclass
 class RealizedScenario:
-    """One drop of a scenario: positions, owners, access and co-channel masks.
+    """One drop of a scenario (or a block of drops side by side): positions,
+    owners and the sharing rules as labels.
 
-    Operators are concatenated in id order into flat BS/UE arrays;
-    `access_bu` and `cochannel_bu` are the (B, U) masks used by the
-    allocation stage.
+    Operators are concatenated in id order into flat BS/UE arrays.
+    `access_mb[m, b]` says whether BS b may serve operator m's UEs; which BS
+    transmits in which UE's pool follows from the kind and the operator
+    labels. `access_at` and `cochannel_at` read both rules at given links;
+    `access_bu` and `cochannel_bu` are the dense (B, U) masks, built on
+    demand.
     """
 
     scenario: Scenario
@@ -103,8 +113,51 @@ class RealizedScenario:
     ue_xy: np.ndarray = field(repr=False)         # (U, 2) km
     bs_operator: np.ndarray = field(repr=False)   # (B,)
     ue_operator: np.ndarray = field(repr=False)   # (U,)
-    access_bu: np.ndarray = field(repr=False)     # (B, U) bool: b may serve u
-    cochannel_bu: np.ndarray = field(repr=False)  # (B, U) bool: b transmits in u's pool
+    access_mb: np.ndarray = field(repr=False)     # (M, B) bool: b may serve operator m's UEs
+
+    def access_at(self, bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
+        """Per link (bs[i], ue[i]): may the BS serve the UE."""
+        return self.access_mb.ravel().take(
+            self.ue_operator.take(ue) * len(self.bs_operator) + bs)
+
+    def cochannel_at(self, bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
+        """Per link (bs[i], ue[i]): does the BS transmit in the UE's pool,
+        the own operator's under NoSharing and the one shared pool otherwise."""
+        if self.scenario.kind == "NoSharing":
+            return self.bs_operator.take(bs) == self.ue_operator.take(ue)
+        return np.ones(np.shape(bs), dtype=bool)
+
+    def _dense(self, rule) -> np.ndarray:
+        n_bs, n_ue = len(self.bs_operator), len(self.ue_operator)
+        bs, ue = np.divmod(np.arange(n_bs * n_ue), max(n_ue, 1))
+        return rule(bs, ue).reshape(n_bs, n_ue)
+
+    @property
+    def access_bu(self) -> np.ndarray:
+        """(B, U) bool: b may serve u."""
+        return self._dense(self.access_at)
+
+    @property
+    def cochannel_bu(self) -> np.ndarray:
+        """(B, U) bool: b transmits in u's pool."""
+        return self._dense(self.cochannel_at)
+
+
+def stack_drops(parts: Sequence[RealizedScenario]) -> RealizedScenario:
+    """Several drops of one scenario side by side, as one block: positions
+    and operator labels concatenated in drop order, and the access rules
+    along their BS axis, so drop d's BS and UE indices are offset by the
+    counts of the drops before it. Its per-link flags read the links of a
+    block link table, where no link crosses a drop; its dense masks pair
+    every BS with every UE of the block, which is meaningful for one drop
+    only. One part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    return RealizedScenario(
+        parts[0].scenario,
+        *(np.concatenate([getattr(p, name) for p in parts])
+          for name in ("bs_xy", "ue_xy", "bs_operator", "ue_operator")),
+        np.concatenate([p.access_mb for p in parts], axis=1))
 
 
 def realize_scenario(scenario: Scenario, bs_xy, ue_xy, n_bs_per_operator,
@@ -115,12 +168,13 @@ def realize_scenario(scenario: Scenario, bs_xy, ue_xy, n_bs_per_operator,
     SpectrumInfra every operator mounts its radios on operator 0's towers:
     `bs_xy` becomes operator 0's rows repeated M times and every operator
     gets operator 0's count. Every other kind keeps the caller's `bs_xy`
-    object itself; `run_drop` groups kinds by that object's identity to
-    share one link table, so it must not be copied. A UE may always use
+    object itself; the drop engine groups kinds by that object's identity
+    to share one link table, so it must not be copied. A UE may always use
     its home operator's BSs; under SpectrumAccess, operator m also opens
     its `shared_bs_selection`, drawn from mix_seed(seed, M + m), to every
-    foreign UE. A BS interferes with a UE when both are in the same pool:
-    the own operator's under NoSharing, every BS otherwise.
+    foreign UE (the (M, B) `access_mb` label). A BS interferes with a UE
+    when both are in the same pool: the own operator's under NoSharing,
+    every BS otherwise (`RealizedScenario.cochannel_at`).
     """
     m_ops = scenario.num_operators
     counts = [int(n) for n in n_bs_per_operator]
@@ -137,12 +191,7 @@ def realize_scenario(scenario: Scenario, bs_xy, ue_xy, n_bs_per_operator,
                 counts[m], scenario.access_share_fraction, mix_seed(seed, m_ops + m))
             foreign = np.arange(m_ops) != m
             allowed[np.ix_(foreign, offsets[m] + opened)] = True
-    if scenario.kind == "NoSharing":
-        cochannel = bs_operator[:, None] == ue_operator[None, :]
-    else:
-        cochannel = np.ones((len(bs_operator), len(ue_operator)), dtype=bool)
-    return RealizedScenario(scenario, bs_xy, ue_xy, bs_operator, ue_operator,
-                            allowed[ue_operator].T, cochannel)
+    return RealizedScenario(scenario, bs_xy, ue_xy, bs_operator, ue_operator, allowed)
 
 
 def build_scenario(

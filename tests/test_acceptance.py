@@ -166,7 +166,7 @@ def test_criterion_08_coordination_gap():
         serving, ub_v, blind_v = coordinated_upper_bound(links, access, coch,
                                                          pool, params, 7.0)
         want_a, want_v = _oracle_search(links, access, coch, pool, params, 7.0)
-        blind = associate_blind(links, access)
+        blind = associate_blind(links, links.at_links(access))
         oracle_ok = (oracle_ok and ub_v == want_v
                      and np.array_equal(serving, want_a)
                      and blind_v == _oracle_value(links, blind, coch, pool, params, 7.0))

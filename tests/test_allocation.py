@@ -16,7 +16,7 @@ from mmwshare.channel import (THERMAL_NOISE_DBM_PER_HZ, AntennaModel, ChannelPar
                               LinkState, LinkTable, beam_gain_db, noise_power_dbm,
                               path_loss_db)
 from mmwshare.config import default_config
-from mmwshare.experiment import _cochannel, _links
+from mmwshare.experiment import _links
 from mmwshare.geometry import Region, wrapped_delta
 from mmwshare.scenario import SCENARIO_KINDS, build_scenario
 
@@ -40,8 +40,8 @@ def make_table(bs_xy, ue_xy, region=FLAT, state=None, shadow=None, tx=30.0):
     rx = tx + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db - pl - sh
     site_of_bs = np.unique(bs_xy, axis=0, return_inverse=True)[1].reshape(-1)
     link_bs, link_ue = np.nonzero(ok)
-    return LinkTable(region, bs_xy, ue_xy, tx, params, antenna, site_of_bs, state,
-                     link_bs, link_ue, delta[ok], dist_m[ok], pl, sh, rx)
+    return LinkTable(region, bs_xy, ue_xy, tx, params, antenna, site_of_bs,
+                     link_bs, link_ue, state[ok], delta[ok], dist_m[ok], pl, sh, rx)
 
 
 def rx_dbm(links):
@@ -51,7 +51,7 @@ def rx_dbm(links):
 
 def test_blind_association_nearest_wins():
     links = make_table([[0.2, 0.5], [0.8, 0.5]], [[0.3, 0.5], [0.75, 0.5]])
-    serving = associate_blind(links, np.ones((2, 2), bool))
+    serving = associate_blind(links, links.at_links(np.ones((2, 2), bool)))
     assert serving.dtype == np.int64 and serving.shape == (2,)
     assert_array_equal(serving, [0, 1])
     assert_array_equal(split_bandwidth(serving, 2, 1e9).load, [1, 1])
@@ -60,7 +60,7 @@ def test_blind_association_nearest_wins():
 def test_blind_association_tie_breaks_low_index():
     # co-sited arrays present identical received powers
     links = make_table([[0.5, 0.5], [0.5, 0.5]], [[0.52, 0.5]])
-    assert associate_blind(links, np.ones((2, 1), bool))[0] == 0
+    assert associate_blind(links, links.at_links(np.ones((2, 1), bool)))[0] == 0
     # equal powers from mirrored BSs go to the lowest index, whatever the UE
     # order, while an inaccessible stronger BS and a weaker one are passed over
     links = make_table([[0.9, 0.5], [0.6, 0.5], [0.4, 0.5], [0.52, 0.5], [0.3, 0.5]],
@@ -69,21 +69,22 @@ def test_blind_association_tie_breaks_low_index():
     assert rx[1, 1] == rx[2, 1] > rx[4, 1] and rx[3, 1] > rx[1, 1]
     access = np.ones((5, 3), bool)
     access[3, :] = False
-    assert_array_equal(associate_blind(links, access), [1, 1, 1])
+    assert_array_equal(associate_blind(links, links.at_links(access)), [1, 1, 1])
     access[1, 2] = False
-    assert_array_equal(associate_blind(links, access), [1, 1, 2])
-    assert_array_equal(associate_blind(links, np.ones((5, 3), bool)), [1, 3, 3])
+    assert_array_equal(associate_blind(links, links.at_links(access)), [1, 1, 2])
+    assert_array_equal(associate_blind(links, links.at_links(np.ones((5, 3), bool))),
+                       [1, 3, 3])
 
 
 def test_blind_association_respects_access():
     links = make_table([[0.2, 0.5], [0.8, 0.5]], [[0.3, 0.5]])
     access = np.array([[False], [True]])
-    assert associate_blind(links, access)[0] == 1
+    assert associate_blind(links, links.at_links(access))[0] == 1
 
 
 def test_blind_association_all_blocked():
     links = make_table([[0.2, 0.5]], [[0.3, 0.5]], state=[[LinkState.OUT]])
-    serving = associate_blind(links, np.ones((1, 1), bool))
+    serving = associate_blind(links, links.at_links(np.ones((1, 1), bool)))
     assert serving[0] == NONE
     assoc = split_bandwidth(serving, 1, 1e9)
     assert_array_equal(assoc.load, [0])
@@ -190,7 +191,7 @@ def test_interference_ignores_access_rights():
     links = make_table([[0.2, 0.5], [0.4, 0.5]],
                        [[0.25, 0.5], [0.41, 0.5]])
     access = np.array([[True, False], [False, True]])
-    assoc = split_bandwidth(associate_blind(links, access), 2, 5e8)
+    assoc = split_bandwidth(associate_blind(links, links.at_links(access)), 2, 5e8)
     both = compute_sinr(0, assoc, links, np.ones((2, 2), bool), 7.0)
     masked = compute_sinr(0, assoc, links,
                           np.array([[True, True], [False, True]]), 7.0)
@@ -209,10 +210,10 @@ def test_network_sinr_matches_scalar():
             bs[1] = bs[0]   # exercise the co-sited branch
         links = LinkTable.realize(bs, ue, region, 30.0, ChannelParams(),
                                   AntennaModel(), seed=int(rng.integers(1 << 30)))
-        assoc = split_bandwidth(associate_blind(links, np.ones((n_bs, n_ue), bool)),
-                                n_bs, 1e9)
+        everywhere = np.ones(len(links.link_bs), bool)
+        assoc = split_bandwidth(associate_blind(links, everywhere), n_bs, 1e9)
         coch = rng.random((n_bs, n_ue)) < 0.8
-        vec = network_sinr(links, assoc, coch, 7.0)
+        vec = network_sinr(links, assoc, links.at_links(coch), 7.0)
         for u in range(n_ue):
             s = assoc.serving_bs[u]
             if s == NONE:
@@ -285,10 +286,17 @@ def test_network_sinr_equals_dense_reference():
                     scn = replace(cfg.scenario, kind=kind)
                     [realized] = build_scenario([scn], cfg.region, cfg.bs_density_per_km2,
                                                 cfg.ue_density_per_km2, seed)
-                    links, coch = _links(cfg, realized, seed), _cochannel(cfg, realized)
-                    assoc = split_bandwidth(associate_blind(links, realized.access_bu),
+                    links = _links(cfg, [realized], [seed])
+                    lb, lu = links.link_bs, links.link_ue
+                    coch = realized.cochannel_bu & interference
+                    # the engine's per-link flags are the dense masks at the links
+                    access = realized.access_at(lb, lu)
+                    cochannel = realized.cochannel_at(lb, lu) & interference
+                    assert_array_equal(access, links.at_links(realized.access_bu))
+                    assert_array_equal(cochannel, links.at_links(coch))
+                    assoc = split_bandwidth(associate_blind(links, access),
                                             links.n_bs, scn.pool_hz)
-                    got = network_sinr(links, assoc, coch, cfg.noise_figure_db)
+                    got = network_sinr(links, assoc, cochannel, cfg.noise_figure_db)
                     want = _dense_network_sinr(links, assoc, coch, cfg.noise_figure_db)
                     assert got.tobytes() == want.tobytes()
                     checked["cosited"] += len(np.unique(links.bs_xy, axis=0)) < links.n_bs
@@ -310,14 +318,14 @@ def test_network_sinr_equals_dense_reference():
         (apart, np.eye(2, dtype=bool)),                  # interferers off-channel
     ]
     for links, coch in cases:
-        assoc = split_bandwidth(associate_blind(links, np.ones(coch.shape, bool)),
+        assoc = split_bandwidth(associate_blind(links, np.ones(len(links.link_bs), bool)),
                                 links.n_bs, 1e9)
-        got = network_sinr(links, assoc, coch, 7.0)
+        got = network_sinr(links, assoc, links.at_links(coch), 7.0)
         assert got.shape == (links.n_ue,)
         assert got.tobytes() == _dense_network_sinr(links, assoc, coch, 7.0).tobytes()
     assert (network_sinr(apart, split_bandwidth(
-        associate_blind(apart, np.ones((2, 2), bool)), 2, 1e9), np.eye(2, dtype=bool),
-        7.0) > 0).all()
+        associate_blind(apart, np.ones(len(apart.link_bs), bool)), 2, 1e9),
+        apart.at_links(np.eye(2, dtype=bool)), 7.0) > 0).all()
     # a hand-made association may serve over a blocked link (the search's
     # assignments can): that UE gets SINR 0, and its server still aims its
     # mainlobe at it when interfering with the other UE
@@ -328,7 +336,7 @@ def test_network_sinr_equals_dense_reference():
     coch = np.ones((2, 3), bool)
     for serving in ([0, 1, 0], [1, 0, 1], [0, 0, 1]):
         assoc = split_bandwidth(np.array(serving), 2, 1e9)
-        got = network_sinr(partly, assoc, coch, 7.0)
+        got = network_sinr(partly, assoc, partly.at_links(coch), 7.0)
         assert got.tobytes() == _dense_network_sinr(partly, assoc, coch, 7.0).tobytes()
         assert (got[0] == 0.0) == (serving[0] == 0)
         assert (got[1:] > 0.0).all()
@@ -351,7 +359,7 @@ def test_network_sinr_boresight_over_unlisted_serving_link():
             ([[0.02, 0.5], [0.15, 0.5]], [[0.98, 0.5], [0.1, 0.5]], False),
             ([[0.5, 0.5], [0.6, 0.5]], [[0.58, 0.5], [0.55, 0.5]], True)):
         links = make_table(bs_xy, ue_xy, region=torus, state=state)
-        got = network_sinr(links, assoc, coch, 7.0)
+        got = network_sinr(links, assoc, links.at_links(coch), 7.0)
         assert got.tobytes() == _dense_network_sinr(links, assoc, coch, 7.0).tobytes()
         assert got[0] == 0.0
         assert_allclose(got[1], compute_sinr(1, assoc, links, coch, 7.0), rtol=1e-9)
@@ -545,7 +553,7 @@ def test_upper_bound_dominates_blind():
                                   seed=100 + trial)
         access = np.ones((n_bs, n_ue), bool)
         coch = np.ones((n_bs, n_ue), bool)
-        blind = associate_blind(links, access)
+        blind = associate_blind(links, links.at_links(access))
         _, ub_v, blind_v = coordinated_upper_bound(links, access, coch, 1e9,
                                                    params, 7.0)
         assert blind_v == _one_row(links, blind, coch, 1e9, params)
@@ -566,7 +574,7 @@ def test_upper_bound_enumerates_every_combination(monkeypatch):
     access = np.ones((2, 3), bool)
     coordinated_upper_bound(links, access, access, 1e9, RateParams(), 7.0)
     # the blind row first, then every assignment in product order
-    assert rows[0] == tuple(associate_blind(links, access).tolist())
+    assert rows[0] == tuple(associate_blind(links, links.at_links(access)).tolist())
     assert rows[1:] == list(itertools.product([0, 1], repeat=3))
 
 

@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mmwshare.channel import (AntennaModel, ChannelParams, LinkState, LinkTable,
-                              beam_gain_db, draw_link_states, friis_intercept_db,
+                              beam_gain_db, candidate_share, draw_link_states,
+                              friis_intercept_db,
                               noise_power_dbm, outage_radius_m, path_loss_db,
                               state_probabilities)
 from mmwshare.geometry import Region, wrapped_delta
@@ -391,6 +392,58 @@ def test_link_table_grid_edge_cases_equal_dense_reference():
         links = check(bs, ue, Region(1.0, 1.0))
         assert links.state.shape == (len(bs), len(ue))
         assert links.link_bs.size == 0 and links.delta_km.shape == (0, 2)
+
+
+def test_block_table_is_its_drops_side_by_side():
+    # a block of drops realizes to its drops' own tables laid side by side:
+    # every per-link array is their concatenation, with BS, UE and site
+    # indices offset by the drops before, and no link crosses a drop
+    rng = np.random.default_rng(5)
+    antenna = AntennaModel()
+    for region in (Region(1.0, 1.0), Region(1.0, 1.0, wraparound=False),
+                   Region(0.2, 0.2), Region(0.45, 0.2)):
+        for model in ("hard_radius", "exponential"):
+            params = ChannelParams(outage_model=model)
+            drops = []
+            for n_bs, n_ue in ((12, 60), (0, 30), (9, 0), (1, 1), (15, 80)):
+                bs = rng.random((n_bs, 2)) * [region.width_km, region.height_km]
+                if n_bs > 4:
+                    bs[-3:] = bs[:3]   # co-sited arrays
+                drops.append((bs, rng.random((n_ue, 2)) * [region.width_km,
+                                                           region.height_km],
+                              int(rng.integers(1 << 40))))
+            block = LinkTable.realize_block(drops, region, 30.0, params, antenna)
+            alone = [LinkTable.realize(bs, ue, region, 30.0, params, antenna, seed)
+                     for bs, ue, seed in drops]
+            n_bs = np.cumsum([0] + [t.n_bs for t in alone])
+            n_ue = np.cumsum([0] + [t.n_ue for t in alone])
+            n_site = np.cumsum([0] + [len(np.unique(t.site_of_bs)) for t in alone])
+            want = {
+                "link_bs": [t.link_bs + o for t, o in zip(alone, n_bs)],
+                "link_ue": [t.link_ue + o for t, o in zip(alone, n_ue)],
+                "site_of_bs": [t.site_of_bs + o for t, o in zip(alone, n_site)],
+            }
+            for name in ("link_state", "delta_km", "dist_m", "path_loss_db",
+                         "shadowing_db", "serving_rx_dbm", "bs_xy", "ue_xy"):
+                want[name] = [getattr(t, name) for t in alone]
+            for name, parts in want.items():
+                got = getattr(block, name)
+                assert got.tobytes() == np.concatenate(parts).tobytes(), (region, model, name)
+            assert block.state.shape == (n_bs[-1], n_ue[-1])
+            for t, b0, u0 in zip(alone, n_bs, n_ue):
+                assert_array_equal(block.state[b0:b0 + t.n_bs, u0:u0 + t.n_ue], t.state)
+            assert (block.state != LinkState.OUT).sum() == len(block.link_bs)
+
+
+def test_candidate_share():
+    # the share of a drop's pairs the cell grid lists: a 3 x 3 neighbourhood
+    # of the grid's cells, and every pair where the grid is not built
+    reach_km = outage_radius_m(ChannelParams()) / 1000.0
+    n = int(1.0 // (reach_km * (1.0 + 1e-6)))
+    assert candidate_share(Region(1.0, 1.0), ChannelParams()) == (3 / n) ** 2
+    assert candidate_share(Region(1.0, 1.0), ChannelParams(outage_model="exponential")) == 1.0
+    assert candidate_share(Region(0.25, 0.25), ChannelParams()) == 1.0
+    assert candidate_share(Region(1.0, 0.25), ChannelParams()) == 3 / n
 
 
 def test_shadowing_moments_los():

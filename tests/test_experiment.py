@@ -13,8 +13,8 @@ from mmwshare import allocation, experiment, scenario
 from mmwshare.allocation import InstanceSizeError
 from mmwshare.channel import LinkTable
 from mmwshare.config import default_config
-from mmwshare.experiment import _links, run_drop, run_gap, run_scenarios
-from mmwshare.geometry import Region
+from mmwshare.experiment import _links, run_drop, run_gap, run_scenarios, run_sweep
+from mmwshare.geometry import Region, mix_seed
 from mmwshare.scenario import SCENARIO_KINDS, Scenario, build_scenario
 
 
@@ -76,31 +76,103 @@ def test_run_scenarios_common_deployments():
 
 
 def test_run_scenarios_realizes_one_table_per_geometry_per_drop(monkeypatch):
-    calls = {"realize": 0, "deploy_operator": 0}
-    realize = LinkTable.realize.__func__
+    # counted through the block realizer: every (drop, geometry) of a run is
+    # realized exactly once, whichever block holds it
+    geometries = []
+    calls = {"deploy_operator": 0}
+    realize_block = LinkTable.realize_block.__func__
     deploy = scenario.deploy_operator
 
-    def counting_realize(cls, *args, **kwargs):
-        calls["realize"] += 1
-        return realize(cls, *args, **kwargs)
+    def counting_realize_block(cls, drops, *args, **kwargs):
+        geometries.extend((np.asarray(bs).tobytes(), np.asarray(ue).tobytes(), seed)
+                          for bs, ue, seed in drops)
+        return realize_block(cls, drops, *args, **kwargs)
 
     def counting_deploy(*args, **kwargs):
         calls["deploy_operator"] += 1
         return deploy(*args, **kwargs)
 
-    monkeypatch.setattr(LinkTable, "realize", classmethod(counting_realize))
+    monkeypatch.setattr(LinkTable, "realize_block", classmethod(counting_realize_block))
     monkeypatch.setattr(scenario, "deploy_operator", counting_deploy)
     shared = ("NoSharing", "Spectrum", "SpectrumAccess")   # one geometry
     cases = [(SCENARIO_KINDS, 2), (("SpectrumInfra",), 1)]
     cases += [(kinds, 1) for n in (1, 2, 3) for kinds in combinations(shared, n)]
-    for m_ops in (2, 3):
-        cfg = replace(small_config(), drops=3,
-                      scenario=Scenario("Spectrum", num_operators=m_ops))
-        for kinds, tables in cases:
-            calls.update(realize=0, deploy_operator=0)
-            run_scenarios(cfg, kinds)
-            assert calls == {"realize": tables * cfg.drops,
-                             "deploy_operator": m_ops * cfg.drops}, kinds
+    for budget in (-1, experiment._BLOCK_PAIRS):
+        monkeypatch.setattr(experiment, "_BLOCK_PAIRS", budget)
+        for m_ops in (2, 3):
+            cfg = replace(small_config(), drops=3,
+                          scenario=Scenario("Spectrum", num_operators=m_ops))
+            for kinds, tables in cases:
+                geometries.clear()
+                calls.update(deploy_operator=0)
+                run_scenarios(cfg, kinds)
+                assert len(geometries) == len(set(geometries)) == tables * cfg.drops, kinds
+                assert calls == {"deploy_operator": m_ops * cfg.drops}, kinds
+
+
+def _block_sizes(monkeypatch):
+    """Record the number of drops of every block the engine evaluates."""
+    sizes = []
+    run_block = experiment._run_block
+
+    def recording(config, drops, seeds):
+        sizes.append(len(drops))
+        return run_block(config, drops, seeds)
+
+    monkeypatch.setattr(experiment, "_run_block", recording)
+    return sizes
+
+
+def test_blocks_of_drops_equal_drops_alone(monkeypatch):
+    # a block's table lays its drops side by side and no link crosses a drop,
+    # so the pooled samples do not depend on how the drops are cut into blocks
+    base = replace(default_config(), drops=5)
+    flat = replace(base.region, wraparound=False)
+    configs = {
+        "default": base,
+        "exponential": replace(base, channel=replace(base.channel, outage_model="exponential")),
+        "flat": replace(base, region=flat),
+        "0.2 km": replace(base, region=Region(0.2, 0.2)),
+        "no interference, full band": replace(base, interference_enabled=False,
+                                              full_bandwidth_per_ue=True),
+        "M = 3 access 0.5": replace(base, scenario=Scenario(
+            "SpectrumAccess", num_operators=3, access_share_fraction=0.5)),
+        "empty UEs": replace(base, ue_density_per_km2=0.001),
+        "near-empty BSs": replace(base, bs_density_per_km2=0.5),
+    }
+    sizes = _block_sizes(monkeypatch)
+    default_budget = experiment._BLOCK_PAIRS
+    for name, cfg in configs.items():
+        results = {}
+        # below every drop's count (one drop per block), default, unbounded
+        for budget in (-1, default_budget, math.inf):
+            monkeypatch.setattr(experiment, "_BLOCK_PAIRS", budget)
+            sizes.clear()
+            res = run_scenarios(cfg)
+            assert sum(sizes) == cfg.drops
+            if budget == -1:
+                assert sizes == [1] * cfg.drops
+            elif budget == math.inf:
+                assert sizes == [cfg.drops]
+            elif name == "default":
+                assert max(sizes) > 1, sizes   # the default budget does form blocks
+            sweep = run_sweep(replace(cfg, drops=3), (5.0, 40.0, 80.0))
+            results[budget] = (
+                {kind: (r.sinr_db.tobytes(), r.rate_bps.tobytes(),
+                        np.array([r.outage_fraction, r.median_rate_bps, r.p05_rate_bps,
+                                  r.median_sinr_db]).tobytes())
+                 for kind, r in res.items()},
+                [np.asarray(getattr(sweep, f)).tobytes()
+                 for f in ("densities", "median_rate_bps", "p05_rate_bps",
+                           "mean_rate_bps", "outage_fraction", "fitted_exponent")])
+        assert results[-1] == results[default_budget] == results[math.inf], name
+        # and the pooled samples are the drops run alone, one after the other
+        drops = [run_drop(cfg, SCENARIO_KINDS, mix_seed(cfg.master_seed, j))
+                 for j in range(cfg.drops)]
+        for kind in SCENARIO_KINDS:
+            for field in ("sinr_db", "rate_bps"):
+                alone = np.concatenate([getattr(d[kind], field) for d in drops])
+                assert alone.tobytes() == getattr(res[kind], field).tobytes(), (name, kind)
 
 
 def test_run_scenarios_kind_subsets_match_each_kind_alone():
@@ -221,7 +293,7 @@ def test_kinds_share_link_tables_at_one_seed():
     def drop(kind):
         [realized] = build_scenario([replace(cfg.scenario, kind=kind)], cfg.region,
                                     cfg.bs_density_per_km2, cfg.ue_density_per_km2, seed)
-        return realized, _links(cfg, realized, seed)
+        return realized, _links(cfg, [realized], [seed])
 
     ref_real, ref = drop("NoSharing")
     for kind in ("Spectrum", "SpectrumAccess"):
