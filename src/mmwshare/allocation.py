@@ -41,11 +41,13 @@ table:
 
 Boresights come from the table too. A served UE's receive boresight, and
 the transmit boresight of a BS whose lowest-index attached UE it is, is
-the displacement of the UE's serving link. Blind association serves only
-over listed (live) links, so `network_sinr` reads that displacement from
-the link's `delta_km`, which equals `wrapped_delta` at those coordinates
-bit for bit; only a UE served over a blocked, unlisted link (a search
-assignment can do this) has it recomputed with `wrapped_delta`.
+the displacement of the UE's serving link. `network_sinr` evaluates the
+associations the drop engine makes: blind association serves only over
+listed (live) links, so it reads that displacement, and the signal, from
+the serving link's `delta_km` and `serving_rx_dbm`, and it refuses a UE
+served over a blocked, unlisted link. A search assignment can serve over
+a blocked link; `compute_sinr` and the kernel score it from the dense
+`wrapped_delta` geometry of `_dense_table`, with no signal.
 
 `associate_blind` reads the same flat links. Both take the sharing rules
 as per-link flags, which the drop engine reads from the scenario's labels
@@ -220,6 +222,18 @@ def user_rate(gamma, bandwidth_hz, params: RateParams):
     return float(r) if np.isscalar(gamma) and np.isscalar(bandwidth_hz) else r
 
 
+def _sectored_gain_db(bore, delta, norm, mainlobe_db, sidelobe_db, beamwidth_deg):
+    """Per link, the gain of a beam aimed along `bore` towards `delta` (of length
+    `norm`). arccos angles lie in [0, 180], so `beam_gain_db` applies unchanged."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (np.einsum("lk,lk->l", bore, delta)
+               / (np.hypot(bore[:, 0], bore[:, 1]) * norm))
+    # fmin takes a 0/0 NaN (coincident points) to 1.0, boresight-aligned as
+    # in the scalar path, and fmax/fmin clip rounding overshoot to [-1, 1]
+    angle = np.degrees(np.arccos(np.fmax(np.fmin(cos, 1.0), -1.0)))
+    return beam_gain_db(angle, mainlobe_db, sidelobe_db, beamwidth_deg)
+
+
 def network_sinr(links: LinkTable, assoc: Association, cochannel: np.ndarray,
                  noise_figure_db: float) -> np.ndarray:
     """Vectorized linear SINR for every UE (0 where unassociated).
@@ -234,70 +248,51 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel: np.ndarray,
     accumulated per UE from +0.0, which is the operation sequence of a
     dense axis-0 sum over all BSs; agreement with the scalar path is to
     rounding, not bit-exact.
-    Interference angles come from the links' `delta_km` and from each
-    served UE's serving-link displacement, which gives both the victim's
-    boresight and, at a BS's lowest-index attached UE, the interferer's.
-    That displacement is the `delta_km` of the UE's listed serving link;
-    `wrapped_delta` computes it only for a UE served over a blocked link,
-    which the table does not list. arccos angles already lie in [0, 180],
-    so `beam_gain_db` applies the sectored pattern unchanged. Rows are
-    gathered with `take`, not fancy indexing.
+    The association must serve every served UE over a listed (live) link,
+    as `associate_blind` does: each served UE's signal and its serving-link
+    displacement are read from that link, and a UE served over a blocked
+    link raises ValueError. The displacement gives both the victim's
+    boresight and, at a BS's lowest-index attached UE, the interferer's;
+    the links' `delta_km` give the directions to the victims. Both beam
+    ends go through one gain step (`_sectored_gain_db`). Rows are gathered
+    with `take`, not fancy indexing.
     """
-    n_bs, n_ue = links.n_bs, links.n_ue
-    gamma = np.zeros(n_ue)
-    served = assoc.serving_bs != NONE
-    if n_bs == 0 or not served.any():
-        return gamma
+    n_ue = links.n_ue
     ant = links.antenna
     s = assoc.serving_bs
-    targets = interferer_targets(s, n_bs)
+    served = s != NONE
+    targets = interferer_targets(s, links.n_bs)
     lb, lu = links.link_bs, links.link_ue
     server = s.take(lu)                           # NONE where the victim is unserved
     own = np.flatnonzero(lb == server)            # listed serving links
     own_ue = lu.take(own)
-    sig_dbm = np.full(n_ue, -np.inf)              # blocked serving links stay -inf
-    sig_dbm[own_ue] = links.serving_rx_dbm.take(own)
+    if len(own) != np.count_nonzero(served):
+        raise ValueError("a served UE has no listed serving link: "
+                         "its link is blocked and carries no signal")
     site = links.site_of_bs
     live = np.flatnonzero(cochannel & (assoc.load.take(lb) > 0)
                           & (server != NONE) & (site.take(lb) != site.take(server)))
     b, u = lb.take(live), lu.take(live)           # ascending b within each UE
 
-    # serving-link displacements, bs -> ue, at served UEs (rows of others are
-    # never read): the listed serving link's delta_km, else wrapped_delta
+    # serving-link displacements (bs -> ue) and powers; rows of unserved UEs are never read
     to_ue = np.empty((n_ue, 2))
     to_ue[own_ue] = links.delta_km.take(own, axis=0)
-    unlisted = served.copy()
-    unlisted[own_ue] = False
-    if unlisted.any():   # only a non-blind association serves over an OUT link
-        blocked = np.flatnonzero(unlisted)
-        to_ue[blocked] = wrapped_delta(links.bs_xy.take(s.take(blocked), axis=0),
-                                       links.ue_xy.take(blocked, axis=0), links.region)
+    sig_dbm = np.empty(n_ue)
+    sig_dbm[own_ue] = links.serving_rx_dbm.take(own)
     delta = links.delta_km.take(live, axis=0)     # (L, 2), bs -> ue
     norm = np.hypot(delta[:, 0], delta[:, 1])
-    bore = to_ue.take(targets.take(b), axis=0)    # interferer's mainlobe direction
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_bs = (np.einsum("lk,lk->l", bore, delta)
-                  / (np.hypot(bore[:, 0], bore[:, 1]) * norm))
-    # fmin takes a 0/0 NaN (coincident points) to 1.0, boresight-aligned as
-    # in the scalar path, and fmax/fmin clip rounding overshoot to [-1, 1]
-    ang_bs = np.degrees(np.arccos(np.fmax(np.fmin(cos_bs, 1.0), -1.0)))
-    gt = beam_gain_db(ang_bs, ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db,
-                      ant.bs_beamwidth_deg)
-
-    # UE boresight: towards serving BS. Both UE-side vectors are negated
-    # bs->ue deltas, so the sign cancels in the cosine.
-    bore_ue = to_ue.take(u, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_ue = (np.einsum("lk,lk->l", bore_ue, delta)
-                  / (np.hypot(bore_ue[:, 0], bore_ue[:, 1]) * norm))
-    ang_ue = np.degrees(np.arccos(np.fmax(np.fmin(cos_ue, 1.0), -1.0)))
-    gr = beam_gain_db(ang_ue, ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db,
-                      ant.ue_beamwidth_deg)
+    # the interferer aims at its target UE; the victim aims at its serving BS,
+    # and both UE-side vectors are negated bs -> ue deltas, so the sign cancels
+    gt = _sectored_gain_db(to_ue.take(targets.take(b), axis=0), delta, norm,
+                           ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db, ant.bs_beamwidth_deg)
+    gr = _sectored_gain_db(to_ue.take(u, axis=0), delta, norm,
+                           ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db, ant.ue_beamwidth_deg)
 
     rx_dbm = (links.tx_power_dbm + gt + gr
               - links.path_loss_db.take(live) - links.shadowing_db.take(live))
     i_mw = np.bincount(u, weights=10.0 ** (rx_dbm / 10.0), minlength=n_ue)
 
+    gamma = np.zeros(n_ue)
     ues = np.flatnonzero(served)
     w = assoc.ue_bandwidth_hz[ues]
     noise_dbm = THERMAL_NOISE_DBM_PER_HZ + 10.0 * np.log10(w) + noise_figure_db

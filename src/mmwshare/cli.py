@@ -36,10 +36,6 @@ from .metrics import cdf, percentile
 from .scenario import SCENARIO_KINDS
 
 
-def _fmt(v) -> str:
-    return str(float(v))
-
-
 def _provenance(cfg: ExperimentConfig) -> dict:
     """The fields every artifact of a command opens with; a command computes
     them, and so `config_hash`, once."""
@@ -65,7 +61,7 @@ def write_cdf_csv(path: Path, provenance: dict, values, cum_prob) -> None:
 
     `cum_prob` is the formatted (i + 1) / n column, one entry per sample.
     Rows are streamed `_ROWS_PER_WRITE` at a time, each value formatted
-    once as the repr of a Python float, the string `_fmt` gives.
+    once as the repr of a Python float, the `str` that `write_table_csv` gives.
     """
     v = np.sort(np.asarray(values, dtype=float), kind="stable")
     if len(v) != len(cum_prob):
@@ -77,23 +73,11 @@ def write_cdf_csv(path: Path, provenance: dict, values, cum_prob) -> None:
             fh.write("".join([f"{x!r},{p}\n" for x, p in rows]))
 
 
-def write_sweep_csv(path: Path, provenance: dict, sweep) -> None:
-    lines = [_csv_header(provenance, "density_bs_km2,median_rate_bps,p05_rate_bps,"
-                                     "outage_fraction")]
-    for i in range(len(sweep.densities)):
-        lines.append(",".join(_fmt(x) for x in (
-            sweep.densities[i], sweep.median_rate_bps[i],
-            sweep.p05_rate_bps[i], sweep.outage_fraction[i])) + "\n")
-    _write_text(path, "".join(lines))
-
-
-def write_gap_csv(path: Path, provenance: dict, rows) -> None:
-    lines = [_csv_header(provenance, "instance_id,blind_sum_rate_bps,ub_sum_rate_bps,"
-                                     "gap_percent")]
-    for r in rows:
-        lines.append(f"{r.instance_id},{_fmt(r.blind_sum_rate_bps)},"
-                     f"{_fmt(r.ub_sum_rate_bps)},{_fmt(r.gap_percent)}\n")
-    _write_text(path, "".join(lines))
+def write_table_csv(path: Path, provenance: dict, columns: str, rows) -> None:
+    """A small CSV: provenance, column names, then one line per row of Python
+    numbers, each written as its `str` (a float's repr, an int's digits)."""
+    _write_text(path, _csv_header(provenance, columns)
+                + "".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 def _finite_or_null(obj):
@@ -212,7 +196,10 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     sweep = run_sweep(cfg, densities)
     provenance = _provenance(cfg)
-    write_sweep_csv(out / "sweep.csv", provenance, sweep)
+    write_table_csv(out / "sweep.csv", provenance,
+                    "density_bs_km2,median_rate_bps,p05_rate_bps,outage_fraction",
+                    np.array([sweep.densities, sweep.median_rate_bps, sweep.p05_rate_bps,
+                              sweep.outage_fraction], dtype=float).T.tolist())
     write_summary_json(out / "sweep.json", provenance, {
         "densities_bs_km2": list(sweep.densities),
         "mean_rate_bps": list(sweep.mean_rate_bps),
@@ -228,7 +215,10 @@ def cmd_gap(args) -> int:
     out = _outdir(args)
     rows = run_gap(cfg, n_instances=cfg.drops)
     provenance = _provenance(cfg)
-    write_gap_csv(out / "gap.csv", provenance, rows)
+    write_table_csv(out / "gap.csv", provenance,
+                    "instance_id,blind_sum_rate_bps,ub_sum_rate_bps,gap_percent",
+                    [(r.instance_id, r.blind_sum_rate_bps, r.ub_sum_rate_bps, r.gap_percent)
+                     for r in rows])
     gaps = [r.gap_percent for r in rows]
     median_gap = percentile(cdf(gaps), 0.5)
     write_summary_json(out / "gap.json", provenance, {

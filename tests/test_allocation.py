@@ -305,20 +305,22 @@ def test_network_sinr_equals_dense_reference():
                     checked["interfered" if (got < snr).any() else "quiet"] += 1
     assert min(checked.values()) > 0
 
-    # edge cases: no BS, no UE, no served UE, no live interferer
+    # edge cases: no BS, no UE, no served UE, no live interferer; none of
+    # them returns early, so each runs the general path on empty arrays
     sole = make_table([[0.5, 0.5]], [[0.52, 0.5], [0.5, 0.53]])
     blocked = make_table([[0.5, 0.5], [0.6, 0.5]], [[0.52, 0.5]],
                          state=[[LinkState.OUT], [LinkState.OUT]])
     apart = make_table([[0.2, 0.5], [0.6, 0.5]], [[0.22, 0.5], [0.62, 0.5]])
     cases = [
-        (make_table(np.zeros((0, 2)), [[0.5, 0.5]]), np.zeros((0, 1), bool)),
-        (make_table([[0.5, 0.5]], np.zeros((0, 2))), np.ones((1, 0), bool)),
-        (blocked, np.ones((2, 1), bool)),
-        (sole, np.ones((1, 2), bool)),                   # only the serving BS
-        (apart, np.eye(2, dtype=bool)),                  # interferers off-channel
+        (make_table(np.zeros((0, 2)), [[0.5, 0.5]]), np.zeros((0, 1), bool), True),
+        (make_table([[0.5, 0.5]], np.zeros((0, 2))), np.ones((1, 0), bool), True),
+        (blocked, np.ones((2, 1), bool), True),          # every link blocked
+        (apart, np.ones((2, 2), bool), False),           # live links, no access
+        (sole, np.ones((1, 2), bool), True),             # only the serving BS
+        (apart, np.eye(2, dtype=bool), True),            # interferers off-channel
     ]
-    for links, coch in cases:
-        assoc = split_bandwidth(associate_blind(links, np.ones(len(links.link_bs), bool)),
+    for links, coch, access in cases:
+        assoc = split_bandwidth(associate_blind(links, np.full(len(links.link_bs), access)),
                                 links.n_bs, 1e9)
         got = network_sinr(links, assoc, links.at_links(coch), 7.0)
         assert got.shape == (links.n_ue,)
@@ -326,45 +328,21 @@ def test_network_sinr_equals_dense_reference():
     assert (network_sinr(apart, split_bandwidth(
         associate_blind(apart, np.ones(len(apart.link_bs), bool)), 2, 1e9),
         apart.at_links(np.eye(2, dtype=bool)), 7.0) > 0).all()
-    # a hand-made association may serve over a blocked link (the search's
-    # assignments can): that UE gets SINR 0, and its server still aims its
-    # mainlobe at it when interfering with the other UE
+
+
+def test_network_sinr_refuses_a_served_ue_without_a_listed_link():
+    # blind association serves only over listed links; an association that
+    # serves UE 0 over its blocked link to BS 0 has no signal to read
     state = np.zeros((2, 3), dtype=np.int8)
     state[0, 0] = LinkState.OUT
-    partly = make_table([[0.2, 0.5], [0.3, 0.5]], [[0.25, 0.55], [0.28, 0.5], [0.32, 0.52]],
-                        state=state)
-    coch = np.ones((2, 3), bool)
-    for serving in ([0, 1, 0], [1, 0, 1], [0, 0, 1]):
-        assoc = split_bandwidth(np.array(serving), 2, 1e9)
-        got = network_sinr(partly, assoc, partly.at_links(coch), 7.0)
-        assert got.tobytes() == _dense_network_sinr(partly, assoc, coch, 7.0).tobytes()
-        assert (got[0] == 0.0) == (serving[0] == 0)
-        assert (got[1:] > 0.0).all()
-
-
-def test_network_sinr_boresight_over_unlisted_serving_link():
-    # UE 0 is served by BS 0 over a blocked link, which the table does not
-    # list (a search assignment can do this), and it is BS 0's lowest-index
-    # UE, so BS 0's mainlobe tracks it; UE 1 is served by BS 1. That
-    # boresight must come from wrapped_delta, since no listed link holds it.
-    # West across the torus seam it points away from UE 1 (BS 0 adds a
-    # sidelobe only); just past UE 1 it points at UE 1 (BS 0 dominates).
-    torus = Region(1.0, 1.0, wraparound=True)
-    state = np.zeros((2, 2), dtype=np.int8)
-    state[0, 0] = LinkState.OUT
-    coch = np.ones((2, 2), bool)
-    assoc = split_bandwidth(np.array([0, 1]), 2, 1e9)
-    assert_array_equal(interferer_targets(assoc.serving_bs, 2), [0, 1])
-    for bs_xy, ue_xy, interference_limited in (
-            ([[0.02, 0.5], [0.15, 0.5]], [[0.98, 0.5], [0.1, 0.5]], False),
-            ([[0.5, 0.5], [0.6, 0.5]], [[0.58, 0.5], [0.55, 0.5]], True)):
-        links = make_table(bs_xy, ue_xy, region=torus, state=state)
-        got = network_sinr(links, assoc, links.at_links(coch), 7.0)
-        assert got.tobytes() == _dense_network_sinr(links, assoc, coch, 7.0).tobytes()
-        assert got[0] == 0.0
-        assert_allclose(got[1], compute_sinr(1, assoc, links, coch, 7.0), rtol=1e-9)
-        snr = _dense_network_sinr(links, assoc, np.zeros_like(coch), 7.0)[1]
-        assert (got[1] < snr / 10.0) == interference_limited
+    links = make_table([[0.2, 0.5], [0.3, 0.5]], [[0.25, 0.55], [0.28, 0.5], [0.32, 0.52]],
+                       state=state)
+    cochannel = np.ones(len(links.link_bs), bool)
+    for serving in ([0, 1, 0], [0, NONE, NONE]):
+        with pytest.raises(ValueError, match="no listed serving link"):
+            network_sinr(links, split_bandwidth(np.array(serving), 2, 1e9), cochannel, 7.0)
+    got = network_sinr(links, split_bandwidth(np.array([1, 0, 1]), 2, 1e9), cochannel, 7.0)
+    assert (got > 0.0).all()
 
 
 def test_user_rate_examples():
@@ -673,6 +651,34 @@ def test_kernel_equals_scalar_reference_on_every_assignment():
         assert _one_row(links, row, coch, pool, params, full) == _scalar_objective(
             links, row, coch, pool, params, 7.0, full)
     assert min(seen.values()) > 0
+
+
+def test_kernel_aims_over_a_blocked_serving_link_across_the_seam():
+    # A search assignment may serve UE 0 by BS 0 over a blocked link, which
+    # the table does not list; UE 0 is BS 0's lowest-index UE, so BS 0's
+    # mainlobe tracks it while interfering with UE 1, served by BS 1. That
+    # boresight comes from the dense wrapped geometry. West across the torus
+    # seam it points away from UE 1 (BS 0 adds a sidelobe only); just past
+    # UE 1 it points at UE 1 (BS 0 dominates).
+    torus = Region(1.0, 1.0, wraparound=True)
+    state = np.zeros((2, 2), dtype=np.int8)
+    state[0, 0] = LinkState.OUT
+    coch = np.ones((2, 2), bool)
+    params = RateParams()
+    assoc = split_bandwidth(np.array([0, 1]), 2, 1e9)
+    assert_array_equal(interferer_targets(assoc.serving_bs, 2), [0, 1])
+    block = np.array(list(itertools.product(range(NONE, 2), repeat=2)), dtype=np.int64)
+    for bs_xy, ue_xy, interference_limited in (
+            ([[0.02, 0.5], [0.15, 0.5]], [[0.98, 0.5], [0.1, 0.5]], False),
+            ([[0.5, 0.5], [0.6, 0.5]], [[0.58, 0.5], [0.55, 0.5]], True)):
+        links = make_table(bs_xy, ue_xy, region=torus, state=state)
+        tables = allocation._objective_tables(links, coch, 1e9, params, 7.0, False)
+        for row, value in zip(block, allocation._score_block(tables, block)):
+            assert value == _scalar_objective(links, row, coch, 1e9, params, 7.0, False)
+            assert value == _oracle_value(links, row, coch, 1e9, params, 7.0)
+        assert compute_sinr(0, assoc, links, coch, 7.0) == 0.0
+        snr = compute_sinr(1, assoc, links, np.zeros_like(coch), 7.0)
+        assert (compute_sinr(1, assoc, links, coch, 7.0) < snr / 10.0) == interference_limited
 
 
 def test_upper_bound_tie_across_blocks_keeps_earlier_assignment():

@@ -356,6 +356,21 @@ def test_write_cdf_csv_matches_per_row_formatter(tmp_path):
         cli.write_cdf_csv(tmp_path / "short.csv", cli._provenance(cfg), [1.0, 2.0], ["1.0"])
 
 
+def test_write_table_csv_pins_number_formats(tmp_path):
+    # each field is str() of a Python number: the shortest repr of a float,
+    # the digits of an int
+    cfg = default_config()
+    rows = [(0, math.nan, math.inf, -math.inf), (1, -0.0, 5e-324, 0.1), (12, 1e16, 2.5, 0.0)]
+    path = tmp_path / "table.csv"
+    cli.write_table_csv(path, cli._provenance(cfg), "id,a,b,c", rows)
+    assert path.read_bytes() == (
+        f"# spec_revision={SPEC_REVISION}\n# config_hash={config_hash(cfg)}\n"
+        f"# master_seed={cfg.master_seed}\nid,a,b,c\n"
+        "0,nan,inf,-inf\n1,-0.0,5e-324,0.1\n12,1e+16,2.5,0.0\n").encode()
+    cli.write_table_csv(path, cli._provenance(cfg), "id,a", [])
+    assert path.read_bytes().decode().splitlines()[3:] == ["id,a"]
+
+
 def test_cli_empty_population(tmp_path):
     # a near-zero UE density leaves every drop without UEs: both commands
     # succeed, count no sample and write every statistic as null
