@@ -56,14 +56,15 @@ def _write_text(path: Path, text: str) -> None:
 _ROWS_PER_WRITE = 4096   # CDF rows formatted and written at a time
 
 
-def write_cdf_csv(path: Path, provenance: dict, values, cum_prob) -> None:
-    """CSV of an empirical CDF: columns value,cum_prob (one row per sample).
+def write_cdf_csv(path: Path, provenance: dict, sorted_values, cum_prob) -> None:
+    """CSV of an empirical CDF: columns value,cum_prob, one row per sample
+    of `sorted_values` (a `metrics.cdf`), written in the order given.
 
     `cum_prob` is the formatted (i + 1) / n column, one entry per sample.
     Rows are streamed `_ROWS_PER_WRITE` at a time, each value formatted
     once as the repr of a Python float, the `str` that `write_table_csv` gives.
     """
-    v = np.sort(np.asarray(values, dtype=float), kind="stable")
+    v = np.asarray(sorted_values, dtype=float)
     if len(v) != len(cum_prob):
         raise ValueError(f"{len(v)} values but {len(cum_prob)} cum_prob entries")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -64,7 +64,6 @@ class DropOutcome:
     ue_bandwidth_hz: np.ndarray
     sinr_db: np.ndarray       # -inf for unassociated UEs
     rate_bps: np.ndarray
-    in_outage: np.ndarray
     n_bs: int
 
     @property
@@ -96,7 +95,7 @@ def _evaluate(config: ExperimentConfig, realized: RealizedScenario, links: LinkT
         sinr_db = 10.0 * np.log10(gamma)
     rate = user_rate(gamma, assoc.ue_bandwidth_hz, config.rate)
     return DropOutcome(scn.kind, assoc.serving_bs, assoc.ue_bandwidth_hz,
-                       sinr_db, rate, rate < config.rate.target_rate_bps, links.n_bs)
+                       sinr_db, rate, links.n_bs)
 
 
 def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]],
@@ -183,7 +182,8 @@ def _blocks(config: ExperimentConfig, kinds, base_seed: int):
 
 @dataclass
 class ScenarioRunResult:
-    """Pooled per-UE samples for one kind over all drops, plus summary stats."""
+    """One kind's pooled per-UE samples over all drops, as their CDFs
+    (`metrics.cdf`: the stable-sorted samples), plus summary stats."""
 
     kind: str
     sinr_db: np.ndarray
@@ -191,6 +191,7 @@ class ScenarioRunResult:
     outage_fraction: float
     median_rate_bps: float
     p05_rate_bps: float
+    mean_rate_bps: float      # summed in drop order, before the sort
     median_sinr_db: float
     drops: int
 
@@ -199,7 +200,8 @@ def _pooled(config: ExperimentConfig, kinds,
             base_seed: int) -> dict[str, ScenarioRunResult]:
     """Pool `config.drops` drops of every kind in `kinds`, drop j seeded
     mix_seed(base_seed, j), block by block (`_blocks`). Each kind's samples
-    are concatenated in drop order; a kind listed twice is pooled once. A
+    are concatenated in drop order, averaged, then kept only as their CDF,
+    which the percentiles read; a kind listed twice is pooled once. A
     population with no UE in any drop pools no sample, and every statistic
     of it is NaN."""
     sinr_parts = {kind: [] for kind in kinds}
@@ -213,12 +215,13 @@ def _pooled(config: ExperimentConfig, kinds,
         sinr = np.concatenate(sinr_parts[kind])
         rate = np.concatenate(rate_parts[kind])
         if rate.size == 0:
-            stats = (math.nan,) * 4
+            stats = (math.nan,) * 5
         else:
-            rate_cdf = cdf(rate)
+            mean = float(rate.mean())   # its bits depend on the drop order
+            sinr, rate = cdf(sinr), cdf(rate)
             stats = (outage_rate(rate, config.rate.target_rate_bps),
-                     percentile(rate_cdf, 0.5), percentile(rate_cdf, 0.05),
-                     percentile(cdf(sinr), 0.5))
+                     percentile(rate, 0.5), percentile(rate, 0.05), mean,
+                     percentile(sinr, 0.5))
         results[kind] = ScenarioRunResult(kind, sinr, rate, *stats, config.drops)
     return results
 
@@ -231,8 +234,8 @@ def run_scenarios(config: ExperimentConfig,
     and every kind of a block of drops is evaluated (`_run_block`) before
     the next block starts, so deployments are identical across kinds drop
     by drop. The pooled samples of each kind are byte-identical to those
-    of `run_scenarios(config, (kind,))` and to the concatenated
-    `run_drop` outcomes.
+    of `run_scenarios(config, (kind,))` and to the stable sort of the
+    concatenated `run_drop` outcomes.
     """
     for kind in kinds:
         if kind not in SCENARIO_KINDS:
@@ -268,7 +271,7 @@ def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
     """Pooled rate statistics of the configured scenario at each BS density.
 
     Density index i pools `config.drops` drops from base seed
-    mix_seed(master_seed, 1000000 + i); the pooled samples are not kept.
+    mix_seed(master_seed, 1000000 + i); only its statistics are kept.
     """
     densities = [float(d) for d in densities]
     if not densities:
@@ -283,7 +286,7 @@ def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
                       mix_seed(config.master_seed, _SWEEP_SEED_BASE + i))[kind]
         medians.append(res.median_rate_bps)
         p05s.append(res.p05_rate_bps)
-        means.append(float(res.rate_bps.mean()) if res.rate_bps.size else math.nan)
+        means.append(res.mean_rate_bps)
         outages.append(res.outage_fraction)
 
     # a log-log line needs three points at two distinct densities at least

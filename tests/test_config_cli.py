@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mmwshare import cli
+from mmwshare import cli, experiment, metrics
 from mmwshare.channel import ChannelParams
 from mmwshare.cli import build_parser, main
 from mmwshare.config import (SPEC_REVISION, ConfigError, ExperimentConfig, canonical_json,
@@ -347,13 +347,33 @@ def test_write_cdf_csv_matches_per_row_formatter(tmp_path):
         cum_prob = [str(float((i + 1) / n)) for i in range(n)]
         lines = [f"# spec_revision={SPEC_REVISION}", f"# config_hash={config_hash(cfg)}",
                  f"# master_seed={cfg.master_seed}", "value,cum_prob"]
-        lines += [f"{str(float(x))},{p}"
-                  for x, p in zip(np.sort(values, kind="stable"), cum_prob, strict=True)]
+        sorted_values = np.sort(values, kind="stable")
+        lines += [f"{str(float(x))},{p}" for x, p in zip(sorted_values, cum_prob, strict=True)]
         path = tmp_path / f"cdf_{n}.csv"
-        cli.write_cdf_csv(path, cli._provenance(cfg), values, cum_prob)
+        cli.write_cdf_csv(path, cli._provenance(cfg), sorted_values, cum_prob)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     with pytest.raises(ValueError):
         cli.write_cdf_csv(tmp_path / "short.csv", cli._provenance(cfg), [1.0, 2.0], ["1.0"])
+
+
+def test_scenarios_sorts_each_pooled_kind_once(tmp_path, monkeypatch):
+    # the percentiles and the CDF files read one sorted array per pooled kind
+    sorted_arrays, written = [], []
+    write_cdf_csv = cli.write_cdf_csv
+
+    def recording_cdf(samples):
+        sorted_arrays.append(metrics.cdf(samples))
+        return sorted_arrays[-1]
+
+    def recording_writer(path, provenance, sorted_values, cum_prob):
+        written.append(sorted_values)
+        return write_cdf_csv(path, provenance, sorted_values, cum_prob)
+
+    monkeypatch.setattr(experiment, "cdf", recording_cdf)
+    monkeypatch.setattr(cli, "write_cdf_csv", recording_writer)
+    assert main(["scenarios", "--drops", "2", "--out", str(tmp_path)]) == 0
+    assert len(sorted_arrays) == len(written) == 2 * len(SCENARIO_KINDS)
+    assert sorted(map(id, sorted_arrays)) == sorted(map(id, written))
 
 
 def test_write_table_csv_pins_number_formats(tmp_path):

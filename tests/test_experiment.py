@@ -15,6 +15,7 @@ from mmwshare.channel import LinkTable
 from mmwshare.config import default_config
 from mmwshare.experiment import _links, run_drop, run_gap, run_scenarios, run_sweep
 from mmwshare.geometry import Region, mix_seed
+from mmwshare.metrics import outage_rate
 from mmwshare.scenario import SCENARIO_KINDS, Scenario, build_scenario
 
 
@@ -35,11 +36,13 @@ def test_run_drop_deterministic():
 
 
 def test_outcome_fields_consistent():
-    out = run_drop(small_config(), ("NoSharing",), seed=7)["NoSharing"]
+    cfg = small_config()
+    out = run_drop(cfg, ("NoSharing",), seed=7)["NoSharing"]
     served = out.serving_bs >= 0
+    assert not served.all()
     assert np.all(np.isneginf(out.sinr_db[~served]))
     assert np.all(out.rate_bps[~served] == 0.0)
-    assert np.all(out.in_outage[~served])
+    assert outage_rate(out.rate_bps[~served], cfg.rate.target_rate_bps) == 1.0
     assert np.all(out.ue_bandwidth_hz[served] > 0)
     assert np.all(out.rate_bps[served] >= 0)
     assert out.n_ue == len(out.serving_bs)
@@ -160,19 +163,24 @@ def test_blocks_of_drops_equal_drops_alone(monkeypatch):
             results[budget] = (
                 {kind: (r.sinr_db.tobytes(), r.rate_bps.tobytes(),
                         np.array([r.outage_fraction, r.median_rate_bps, r.p05_rate_bps,
-                                  r.median_sinr_db]).tobytes())
+                                  r.mean_rate_bps, r.median_sinr_db]).tobytes())
                  for kind, r in res.items()},
                 [np.asarray(getattr(sweep, f)).tobytes()
                  for f in ("densities", "median_rate_bps", "p05_rate_bps",
                            "mean_rate_bps", "outage_fraction", "fitted_exponent")])
         assert results[-1] == results[default_budget] == results[math.inf], name
-        # and the pooled samples are the drops run alone, one after the other
+        # and the pooled samples are the drops run alone, one after the other:
+        # their stable sort, and for the rates their mean, summed in drop order
         drops = [run_drop(cfg, SCENARIO_KINDS, mix_seed(cfg.master_seed, j))
                  for j in range(cfg.drops)]
         for kind in SCENARIO_KINDS:
             for field in ("sinr_db", "rate_bps"):
                 alone = np.concatenate([getattr(d[kind], field) for d in drops])
-                assert alone.tobytes() == getattr(res[kind], field).tobytes(), (name, kind)
+                assert (np.sort(alone, kind="stable").tobytes()
+                        == getattr(res[kind], field).tobytes()), (name, kind)
+            mean = alone.mean() if alone.size else math.nan
+            assert (np.float64(mean).tobytes()
+                    == np.float64(res[kind].mean_rate_bps).tobytes()), (name, kind)
 
 
 def test_run_scenarios_kind_subsets_match_each_kind_alone():

@@ -1,8 +1,10 @@
 """Empirical CDFs, percentiles, outage, log-log fits, density sweeps."""
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,37 +14,28 @@ import mmwshare
 from mmwshare.config import default_config
 from mmwshare.experiment import _SWEEP_SEED_BASE, SweepResult, run_drop, run_sweep
 from mmwshare.geometry import mix_seed
-from mmwshare.metrics import (EmpiricalCdf, cdf, fit_scaling_exponent, outage_rate,
-                              percentile)
+from mmwshare.metrics import cdf, fit_scaling_exponent, outage_rate, percentile
 
 
-def test_cdf_matches_counting_oracle():
+def test_cdf_is_the_stable_sort_of_its_samples():
+    # byte for byte, so the CDF files print each signed zero where it was pooled
     rng = np.random.default_rng(77)
-    samples = np.round(rng.normal(size=200), 1)   # rounding forces ties
-    c = cdf(samples)
-    probe = np.concatenate([samples, samples + 0.05, [-10.0, 10.0]])
-    # oracle first: P(X <= x) by direct counting
-    want = np.array([np.count_nonzero(samples <= x) for x in probe]) / len(samples)
-    assert_array_equal(c.evaluate(probe), want)
-    assert c.evaluate(-10.0) == 0.0
-    assert c.evaluate(10.0) == 1.0
+    ties = np.round(rng.normal(size=200), 1)   # rounding forces ties
+    for samples in (ties, [0.0, -0.0, 2.0, -np.inf, -0.0, 0.0, -np.inf, 1.0],
+                    [-0.0, 0.0, -np.inf, 0.0, -0.0, 1.0, 1.0]):
+        want = np.sort(np.asarray(samples, dtype=float), kind="stable")
+        got = cdf(samples)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
-def test_cdf_right_continuous_at_atoms():
-    c = cdf([1.0, 1.0, 2.0])
-    assert c.evaluate(1.0) == 2.0 / 3.0
-    assert c.evaluate(1.0 - 1e-12) == 0.0
-    assert c.evaluate(2.0) == 1.0
-
-
-def test_cdf_rejects_empty_and_unsorted():
+def test_cdf_rejects_empty_and_non_1d():
     with pytest.raises(ValueError, match="empty population"):
         cdf([])
-    with pytest.raises(ValueError):
-        EmpiricalCdf(np.array([2.0, 1.0]))
+    with pytest.raises(ValueError, match="1-d"):
+        cdf([[2.0, 1.0], [0.0, 3.0]])
     # -inf atoms (outage-heavy SINR samples) are legal
-    c = cdf([-np.inf, 1.0, 2.0])
-    assert percentile(c, 0.2) == -np.inf
+    assert percentile(cdf([2.0, -np.inf, 1.0]), 0.2) == -np.inf
 
 
 def test_percentile_reference_cases():
@@ -60,12 +53,11 @@ def test_percentile_reference_cases():
 def test_percentile_nearest_rank_random():
     rng = np.random.default_rng(3)
     values = np.sort(rng.normal(size=83))
-    c = EmpiricalCdf(values)
     for p in rng.uniform(0.01, 0.99, size=50):
         exact = p * len(values)
         if abs(exact - round(exact)) < 1e-6:
             continue   # rank is ambiguous under float rounding; skip
-        assert percentile(c, p) == values[math.ceil(exact) - 1]
+        assert percentile(values, p) == values[math.ceil(exact) - 1]
 
 
 def test_outage_rate_strictness():
@@ -87,8 +79,13 @@ def test_fit_recovers_exact_power_law():
         fit_scaling_exponent([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_scaling_exponent([1.0, 2.0, 3.0], [1.0, 0.0, 2.0])
-    with pytest.raises(ValueError, match="distinct"):
-        fit_scaling_exponent([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])   # no slope to fit
+    # no slope to fit: one distinct density, NaNs counting as one value
+    for same in ([5.0, 5.0, 5.0], [0.0, -0.0, 0.0], [math.inf] * 3, [math.nan] * 3):
+        with pytest.raises(ValueError, match="distinct"):
+            fit_scaling_exponent(same, [1.0, 2.0, 3.0])
+    for two in ([math.nan, -5.0, -5.0], [-5.0, -5.0, math.nan], [-5.0, math.nan, math.nan]):
+        with pytest.raises(ValueError, match="positive"):   # past the distinct check
+            fit_scaling_exponent(two, [1.0, 2.0, 3.0])
 
 
 def test_sweep_result_validation():
@@ -172,3 +169,20 @@ def test_metrics_loads_no_other_package_module():
                          text=True, check=True).stdout
     assert "mmwshare.experiment" not in out
     assert out.strip() == "['mmwshare.metrics']"
+
+
+def test_sweep_loads_no_numpy_ma():
+    # np.unique imports numpy.ma (about 15 ms); a sweep that fits its
+    # exponent must not pay for it
+    src = str(Path(mmwshare.__path__[0]).parent)
+    code = (
+        "import math, sys\n"
+        "from dataclasses import replace\n"
+        "from mmwshare.config import default_config\n"
+        "from mmwshare.experiment import run_sweep\n"
+        "sweep = run_sweep(replace(default_config(), drops=1), [10.0, 20.0, 40.0])\n"
+        "assert math.isfinite(sweep.fitted_exponent)\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
