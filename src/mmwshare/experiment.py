@@ -12,7 +12,8 @@ into blocks of at most `_BLOCK_PAIRS` expected candidate links.
 `_run_block` realizes one block link table for the kinds that keep the
 drawn sites (NoSharing, Spectrum, SpectrumAccess), holding every drop of
 the block side by side, and then one for SpectrumInfra's co-located
-towers. Association, bandwidth split, SINR and rates then run once per
+towers (`Scenario.co_located`). Association (one per table for the kinds
+with home-only access), bandwidth split, SINR and rates then run once per
 kind per block, with per-link access and co-channel flags read from the
 kinds' sharing labels; no link crosses a drop, so each drop's values are
 those of the drop alone, and each kind's outcome comes out in pooled drop
@@ -103,31 +104,31 @@ def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]]
     """Evaluate a block of drops, drop d being `build_scenario`'s kinds
     from seeds[d], as one outcome per kind over the block's UEs.
 
-    Kinds realized on the same `bs_xy` array share a geometry (every kind
-    but SpectrumInfra) and are evaluated on one block link table,
-    SpectrumInfra on its own, so at most two tables are realized. Each
-    table is released before the next one is built: keeping both alive
-    raised the peak RSS of the default 4-kind benchmark by about 1 MB
-    (2.5%). Kinds of one geometry with the same access rule (NoSharing and
-    Spectrum: home-only) share one blind association, and each splits its
-    own pool. Every kind's outcome lists the block's UEs in drop order and
-    equals the concatenation of its drops run alone.
+    The kinds that keep the drawn sites share one block link table, the
+    co-located kind (`Scenario.co_located`) has its own, so at most two
+    tables are realized. Each is released before the next one is built:
+    keeping both alive raised the peak RSS of the default 4-kind benchmark
+    by about 1 MB (2.5%). Kinds of one geometry that open no BS (all but
+    SpectrumAccess, which opens some or none) have home-only access and
+    share one blind association; each splits its own pool. Every kind's
+    outcome lists the block's UEs in drop order and equals the
+    concatenation of its drops run alone.
     """
-    geometries: dict[int, list[tuple[RealizedScenario, ...]]] = {}
+    geometries: dict[bool, list[tuple[RealizedScenario, ...]]] = {}
     for parts in zip(*drops):   # one kind in every drop of the block
-        geometries.setdefault(id(parts[0].bs_xy), []).append(parts)
+        geometries.setdefault(parts[0].scenario.co_located, []).append(parts)
     outcomes = {}
     for group in geometries.values():
         links = _links(config, group[0], seeds)
-        serving: dict[bytes, np.ndarray] = {}
+        serving: dict[bool, np.ndarray] = {}
         for parts in group:
             realized = stack_drops(parts)
-            rule = realized.access_mb.tobytes()
-            if rule not in serving:
-                serving[rule] = associate_blind(
+            opened = bool(realized.open_bs.any())
+            if opened not in serving:
+                serving[opened] = associate_blind(
                     links, realized.access_at(links.link_bs, links.link_ue))
             outcomes[realized.scenario.kind] = _evaluate(config, realized, links,
-                                                         serving[rule])
+                                                         serving[opened])
         del links   # one table alive at a time
     return {r.scenario.kind: outcomes[r.scenario.kind] for r in drops[0]}
 

@@ -58,7 +58,7 @@ def fit_scaling_exponent(densities, values) -> float:
     # the numpy.ma import it costs
     if d.min() == d.max() or np.isnan(d).all():
         raise ValueError("need at least two distinct densities for a slope")
-    if np.any(d <= 0) or np.any(v <= 0):
-        raise ValueError("densities and values must be positive for a log-log fit")
+    if not (np.all((0 < d) & (d < math.inf)) and np.all((0 < v) & (v < math.inf))):
+        raise ValueError("densities and values must be finite and positive for a log-log fit")
     slope, _ = np.polyfit(np.log(d), np.log(v), 1)
     return float(slope)

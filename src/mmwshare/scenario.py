@@ -19,12 +19,13 @@ on the scenario kind, so kinds are directly comparable drop by drop, and
 `build_scenario` draws them once per drop for every requested kind.
 Every sharing rule has one builder, `realize_scenario`, shared by the drop
 engine (`build_scenario`) and the coordination-gap instances: where the
-BSs stand (SpectrumInfra's co-location), which BSs may serve a UE and
-which interfere with it. The rules are kept as labels, each BS's and UE's
-operator and the (M, B) rule of which BSs each operator's UEs may use;
-the drop engine reads per-link access and co-channel flags from them
-(`access_at`, `cochannel_at`) for the live links of a link table, and
-the (B, U) masks are built only on demand, for gap instances and tests.
+BSs stand (`Scenario.co_located`: SpectrumInfra's towers), which BSs may
+serve a UE and which interfere with it. The rules are kept as labels,
+each BS's and UE's operator and whether SpectrumAccess opened the BS to
+foreign UEs (`open_bs`); the drop engine reads per-link access and
+co-channel flags from them (`access_at`, `cochannel_at`) for the live
+links of a link table, and the (B, U) masks are built only on demand,
+for gap instances and tests.
 `stack_drops` lays several drops of one kind side by side, as the block
 engine's link tables do. Under ``SpectrumAccess`` at the default
 ``access_share_fraction=1.0`` every BS is open to every UE, so a gap
@@ -81,6 +82,11 @@ class Scenario:
             return float(self.license_bandwidth_hz)
         return float(self.total_bandwidth_hz)
 
+    @property
+    def co_located(self) -> bool:
+        """Every operator's radios stand on operator 0's towers (SpectrumInfra only)."""
+        return self.kind == "SpectrumInfra"
+
 
 def shared_bs_selection(n: int, fraction: float, seed: int) -> np.ndarray:
     """Indices of the round(fraction * n) BSs an operator opens to foreign UEs.
@@ -100,12 +106,12 @@ class RealizedScenario:
     """One drop of a scenario (or a block of drops side by side): positions,
     owners and the sharing rules as labels.
 
-    Operators are concatenated in id order into flat BS/UE arrays.
-    `access_mb[m, b]` says whether BS b may serve operator m's UEs; which BS
-    transmits in which UE's pool follows from the kind and the operator
-    labels. `access_at` and `cochannel_at` read both rules at given links;
-    `access_bu` and `cochannel_bu` are the dense (B, U) masks, built on
-    demand.
+    Operators are concatenated in id order into flat BS/UE arrays. A BS
+    serves its own operator's UEs, and foreign ones where `open_bs` says
+    so; which BS transmits in which UE's pool follows from the kind and
+    the operator labels. `access_at` and `cochannel_at` read both rules
+    at given links; `access_bu` and `cochannel_bu` are the dense (B, U)
+    masks, built on demand.
     """
 
     scenario: Scenario
@@ -113,12 +119,11 @@ class RealizedScenario:
     ue_xy: np.ndarray = field(repr=False)         # (U, 2) km
     bs_operator: np.ndarray = field(repr=False)   # (B,)
     ue_operator: np.ndarray = field(repr=False)   # (U,)
-    access_mb: np.ndarray = field(repr=False)     # (M, B) bool: b may serve operator m's UEs
+    open_bs: np.ndarray = field(repr=False)       # (B,) bool: b also serves foreign UEs
 
     def access_at(self, bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
         """Per link (bs[i], ue[i]): may the BS serve the UE."""
-        return self.access_mb.ravel().take(
-            self.ue_operator.take(ue) * len(self.bs_operator) + bs)
+        return (self.bs_operator.take(bs) == self.ue_operator.take(ue)) | self.open_bs.take(bs)
 
     def cochannel_at(self, bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
         """Per link (bs[i], ue[i]): does the BS transmit in the UE's pool,
@@ -145,53 +150,46 @@ class RealizedScenario:
 
 def stack_drops(parts: Sequence[RealizedScenario]) -> RealizedScenario:
     """Several drops of one scenario side by side, as one block: positions
-    and operator labels concatenated in drop order, and the access rules
-    along their BS axis, so drop d's BS and UE indices are offset by the
-    counts of the drops before it. Its per-link flags read the links of a
-    block link table, where no link crosses a drop; its dense masks pair
-    every BS with every UE of the block, which is meaningful for one drop
-    only. One part is returned as it is."""
+    and labels concatenated in drop order, so drop d's BS and UE indices
+    are offset by the counts of the drops before it. Its per-link flags
+    read the links of a block link table, where no link crosses a drop;
+    its dense masks pair every BS with every UE of the block, which is
+    meaningful for one drop only. One part is returned as it is."""
     if len(parts) == 1:
         return parts[0]
     return RealizedScenario(
         parts[0].scenario,
         *(np.concatenate([getattr(p, name) for p in parts])
-          for name in ("bs_xy", "ue_xy", "bs_operator", "ue_operator")),
-        np.concatenate([p.access_mb for p in parts], axis=1))
+          for name in ("bs_xy", "ue_xy", "bs_operator", "ue_operator", "open_bs")))
 
 
 def realize_scenario(scenario: Scenario, bs_xy, ue_xy, n_bs_per_operator,
                      ue_operator, seed: int) -> RealizedScenario:
     """Apply the sharing rules of `scenario` to concrete positions.
 
-    Operator m owns the next n_bs_per_operator[m] rows of `bs_xy`. Under
-    SpectrumInfra every operator mounts its radios on operator 0's towers:
-    `bs_xy` becomes operator 0's rows repeated M times and every operator
-    gets operator 0's count. Every other kind keeps the caller's `bs_xy`
-    object itself; the drop engine groups kinds by that object's identity
-    to share one link table, so it must not be copied. A UE may always use
-    its home operator's BSs; under SpectrumAccess, operator m also opens
-    its `shared_bs_selection`, drawn from mix_seed(seed, M + m), to every
-    foreign UE (the (M, B) `access_mb` label). A BS interferes with a UE
+    Operator m owns the next n_bs_per_operator[m] rows of `bs_xy`. Under a
+    co-located kind (`Scenario.co_located`) every operator mounts its
+    radios on operator 0's towers: `bs_xy` becomes operator 0's rows
+    repeated M times and every operator gets operator 0's count; every
+    other kind keeps `bs_xy`. A UE may always use its home operator's BSs;
+    under SpectrumAccess, operator m also opens its `shared_bs_selection`,
+    drawn from mix_seed(seed, M + m), to every foreign UE (the `open_bs`
+    label; at M = 1 no foreign UE can use them). A BS interferes with a UE
     when both are in the same pool: the own operator's under NoSharing,
     every BS otherwise (`RealizedScenario.cochannel_at`).
     """
     m_ops = scenario.num_operators
     counts = [int(n) for n in n_bs_per_operator]
-    if scenario.kind == "SpectrumInfra":
+    if scenario.co_located:
         bs_xy = np.tile(bs_xy[:counts[0]], (m_ops, 1))
         counts = [counts[0]] * m_ops
     bs_operator = np.repeat(np.arange(m_ops), counts)
-    ue_operator = np.asarray(ue_operator)
-    allowed = np.arange(m_ops)[:, None] == bs_operator[None, :]   # (M, B)
+    open_bs = np.zeros(len(bs_operator), dtype=bool)
     if scenario.kind == "SpectrumAccess":
-        offsets = np.cumsum([0, *counts])
-        for m in range(m_ops):
-            opened = shared_bs_selection(
-                counts[m], scenario.access_share_fraction, mix_seed(seed, m_ops + m))
-            foreign = np.arange(m_ops) != m
-            allowed[np.ix_(foreign, offsets[m] + opened)] = True
-    return RealizedScenario(scenario, bs_xy, ue_xy, bs_operator, ue_operator, allowed)
+        for m, start in enumerate(np.cumsum([0, *counts[:-1]])):
+            open_bs[start + shared_bs_selection(
+                counts[m], scenario.access_share_fraction, mix_seed(seed, m_ops + m))] = True
+    return RealizedScenario(scenario, bs_xy, ue_xy, bs_operator, np.asarray(ue_operator), open_bs)
 
 
 def build_scenario(
@@ -208,11 +206,9 @@ def build_scenario(
     selection (SpectrumAccess) uses mix_seed(seed, M + m). Neither depends
     on the scenario kind, so the scenarios must agree on M. The operators'
     BSs are concatenated once and every kind is realized on that array by
-    `realize_scenario`, which holds every sharing rule, SpectrumInfra's
-    co-location included. Every scenario shares one `ue_xy` array, and
-    every kind but SpectrumInfra one `bs_xy` array: two realized scenarios
-    with the same `bs_xy` object have the same geometry, hence the same
-    link table.
+    `realize_scenario`, which holds every sharing rule, co-location
+    included: every kind that is not `co_located` has the drawn geometry,
+    hence the same link table.
     """
     scenarios = list(scenarios)
     if not scenarios:

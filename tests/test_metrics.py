@@ -71,7 +71,7 @@ def test_outage_rate_strictness():
         outage_rate([], 1.0)
 
 
-def test_fit_recovers_exact_power_law():
+def test_fit_recovers_exact_power_law(capfd):
     d = np.array([5.0, 10.0, 20.0, 40.0, 80.0])
     assert_allclose(fit_scaling_exponent(d, 3.0 * d ** 1.35), 1.35, atol=1e-9)
     assert_allclose(fit_scaling_exponent(d, 7.0 / d), -1.0, atol=1e-9)
@@ -86,6 +86,16 @@ def test_fit_recovers_exact_power_law():
     for two in ([math.nan, -5.0, -5.0], [-5.0, -5.0, math.nan], [-5.0, math.nan, math.nan]):
         with pytest.raises(ValueError, match="positive"):   # past the distinct check
             fit_scaling_exponent(two, [1.0, 2.0, 3.0])
+    # a non-finite density or value is refused before the fit reaches LAPACK,
+    # which would print to stderr and raise LinAlgError, or return NaN
+    capfd.readouterr()
+    for dens, vals in (([math.nan, 5.0, 5.0], [1.0, 2.0, 3.0]),
+                       ([5.0, 5.0, math.inf], [1.0, 2.0, 3.0]),
+                       ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0]),
+                       ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0])):
+        with pytest.raises(ValueError, match="finite"):
+            fit_scaling_exponent(dens, vals)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_sweep_result_validation():

@@ -7,7 +7,7 @@ from numpy.testing import assert_array_equal
 
 from mmwshare.geometry import Region, mix_seed
 from mmwshare.scenario import (SCENARIO_KINDS, Scenario, build_scenario,
-                               realize_scenario, shared_bs_selection)
+                               realize_scenario, shared_bs_selection, stack_drops)
 
 UNIT = Region(1.0, 1.0)
 
@@ -102,6 +102,60 @@ def test_access_matrix_expansion():
     assert_array_equal(real.access_bu, want)
 
 
+def access_oracle(scn, counts, ue_operator, seed):
+    """(B, U) access rights written out per BS: the home operator's UEs,
+    and under SpectrumAccess every UE where the BS is in its operator's
+    `shared_bs_selection`."""
+    m_ops = scn.num_operators
+    if scn.kind == "SpectrumInfra":
+        counts = [counts[0]] * m_ops
+    rows = []
+    for m, n in enumerate(counts):
+        opened = set()
+        if scn.kind == "SpectrumAccess":
+            opened = set(shared_bs_selection(n, scn.access_share_fraction,
+                                             mix_seed(seed, m_ops + m)).tolist())
+        rows += [[op == m or i in opened for op in ue_operator] for i in range(n)]
+    return np.array(rows, dtype=bool).reshape(len(rows), len(ue_operator))
+
+
+def test_sharing_labels_match_oracle():
+    rng = np.random.default_rng(12)
+    for m_ops in (1, 2, 3):
+        for fraction in (0.0, 0.3, 0.5, 1.0):
+            for kind in SCENARIO_KINDS:
+                scn = Scenario(kind, num_operators=m_ops, access_share_fraction=fraction)
+                parts = []
+                for trial in range(6):
+                    counts = rng.integers(0, 7, size=m_ops).tolist()
+                    ue_op = rng.integers(0, m_ops, size=int(rng.integers(0, 9)))
+                    seed = int(rng.integers(1 << 30))
+                    real = realize(scn, counts, ue_op, seed)
+                    want = access_oracle(scn, counts, ue_op.tolist(), seed)
+                    bs, ue = np.divmod(np.arange(want.size), max(len(ue_op), 1))
+                    assert_array_equal(real.access_at(bs, ue), want.ravel())
+                    assert_array_equal(real.access_bu, want)
+                    # only SpectrumAccess opens BSs (at M = 1 to no foreign UE)
+                    assert real.open_bs.shape == real.bs_operator.shape
+                    if kind != "SpectrumAccess":
+                        assert not real.open_bs.any()
+                    assert scn.co_located == (kind == "SpectrumInfra")
+                    parts.append(real)
+                # three drops side by side: each drop's labels at its offsets
+                block = stack_drops(parts[:3])
+                n_bs = n_ue = 0
+                for part in parts[:3]:
+                    b, u = len(part.bs_operator), len(part.ue_operator)
+                    assert_array_equal(block.open_bs[n_bs:n_bs + b], part.open_bs)
+                    bs, ue = np.divmod(np.arange(b * u), max(u, 1))
+                    assert_array_equal(block.access_at(n_bs + bs, n_ue + ue),
+                                       part.access_at(bs, ue))
+                    assert_array_equal(block.cochannel_at(n_bs + bs, n_ue + ue),
+                                       part.cochannel_at(bs, ue))
+                    n_bs, n_ue = n_bs + b, n_ue + u
+                assert (len(block.open_bs), len(block.ue_operator)) == (n_bs, n_ue)
+
+
 def test_shared_selection_size_and_nesting():
     sel = shared_bs_selection(10, 0.3, seed=0)
     assert sel.shape == (3,)
@@ -178,13 +232,15 @@ def test_realize_scenario_colocation_rule():
                        infra.bs_operator[:, None] == ue_op[None, :])
     assert infra.cochannel_bu.shape == (6, 4)
     assert np.all(infra.cochannel_bu)
-    assert infra.ue_xy is ue_xy
-    # every other kind keeps the caller's array object: run_drop shares a
-    # link table between kinds by that identity
+    assert_array_equal(infra.ue_xy, ue_xy)
+    assert infra.scenario.co_located
+    # every other kind keeps the drawn sites: the drop engine shares one
+    # link table between the kinds that are not co-located
     for kind in ("NoSharing", "Spectrum", "SpectrumAccess"):
         real = realize_scenario(Scenario(kind, num_operators=3),
                                 bs_xy, ue_xy, counts, ue_op, seed=0)
-        assert real.bs_xy is bs_xy
+        assert not real.scenario.co_located
+        assert_array_equal(real.bs_xy, bs_xy)
         assert_array_equal(np.bincount(real.bs_operator), counts)
 
 
@@ -232,14 +288,17 @@ def test_build_scenario_draws_once_for_every_kind():
         for name in ("bs_xy", "ue_xy", "bs_operator", "ue_operator",
                      "access_bu", "cochannel_bu"):
             assert_array_equal(getattr(real, name), getattr(alone, name))
-    # one array per geometry: the kinds that keep the drawn sites share
-    # `bs_xy`, SpectrumInfra's co-located towers do not, all share `ue_xy`
+    # one geometry for the kinds that keep the drawn sites, another for
+    # SpectrumInfra's co-located towers; every kind has the drawn UEs
     by_kind = dict(zip(SCENARIO_KINDS, joint))
     sites = by_kind["NoSharing"].bs_xy
-    assert by_kind["Spectrum"].bs_xy is sites
-    assert by_kind["SpectrumAccess"].bs_xy is sites
-    assert by_kind["SpectrumInfra"].bs_xy is not sites
-    assert all(r.ue_xy is joint[0].ue_xy for r in joint)
+    assert [r.scenario.co_located for r in joint] == [k == "SpectrumInfra"
+                                                       for k in SCENARIO_KINDS]
+    assert_array_equal(by_kind["Spectrum"].bs_xy, sites)
+    assert_array_equal(by_kind["SpectrumAccess"].bs_xy, sites)
+    assert not np.array_equal(by_kind["SpectrumInfra"].bs_xy, sites)
+    for r in joint:
+        assert_array_equal(r.ue_xy, joint[0].ue_xy)
     assert build_scenario([], UNIT, 30.0, 200.0, seed=4) == []
     with pytest.raises(ValueError):
         build_scenario([Scenario("Spectrum"), Scenario("NoSharing", num_operators=3)],
