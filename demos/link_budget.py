@@ -1,14 +1,17 @@
 """Anatomy of a single 28 GHz link: path loss, blockage, noise floors."""
+import math
+
 import numpy as np
 
-from mmwshare.channel import (ChannelParams, LinkState, friis_intercept_db,
-                              noise_power_dbm, outage_radius_m, path_loss_db,
-                              state_probabilities)
+from mmwshare.channel import (ChannelParams, LinkState, noise_power_dbm,
+                              outage_radius_m, path_loss_db, state_probabilities)
 
 p = ChannelParams()
 
+# free-space path loss at 1 m: 20*log10(4*pi*f/c)
+friis_db = 20.0 * math.log10(4.0 * math.pi * p.carrier_ghz * 1e9 / 299_792_458.0)
 print(f"1 m free-space intercept at {p.carrier_ghz} GHz: "
-      f"{friis_intercept_db(p.carrier_ghz):.2f} dB (model uses {p.pl_intercept_db})")
+      f"{friis_db:.2f} dB (model uses {p.pl_intercept_db})")
 print(f"hard blockage radius: {outage_radius_m(p):.1f} m "
       f"(coverage area {p.hard_coverage_area_km2} km^2)")
 print(f"noise floor, NF {7.0:.0f} dB: "

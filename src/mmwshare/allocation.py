@@ -9,35 +9,36 @@ the small instances of the coordination-gap study: at most `_MAX_UES`
 UEs and `_MAX_ASSIGNMENTS` assignments.
 
 Interference has one model, deterministic given positions and an
-association: every loaded BS aims its mainlobe at its lowest-index
-attached UE, every victim UE aims at its serving BS, and off-boresight
-angles come from the true (torus) geometry. Transmitters mounted at the
-victim's serving site are scheduled orthogonally by the shared site and
-add no interference (this only triggers under co-located deployments,
-where the victim's receive mainlobe would otherwise point straight at
-the co-sited array).
+association. A served UE's SINR is its serving-link power over the sum of
+noise, taken over its allocated bandwidth, and the power of every loaded
+co-channel BS off its serving site whose link to it is not OUT. Every
+loaded BS aims its mainlobe at its lowest-index attached UE, every victim
+UE aims at its serving BS, and both sectored gains are read at the
+off-boresight angles of the true (torus) geometry; a zero displacement
+(coincident points) counts as boresight-aligned. Transmitters mounted at
+the victim's serving site are scheduled orthogonally by the shared site
+and add no interference (this only triggers under co-located
+deployments, where the victim's receive mainlobe would otherwise point
+straight at the co-sited array).
 
 The serving site is the `LinkTable`'s `site_of_bs` label: BSs at equal
-coordinates share one. Three implementations of the model read the
-table:
-- `compute_sinr`, the scalar reference: one UE, interferers accumulated
-  in ascending BS index in linear milliwatts. No engine path calls it;
-  the tests hold the kernel to it.
-- one batched objective kernel that scores blocks of complete
-  assignments. Its one caller is `coordinated_upper_bound`, which scores
-  the blind baseline of the coordination-gap study as a one-row block and
-  the exhaustive search in blocks of `_BLOCK_ROWS`. Per instance it
-  tabulates every term `compute_sinr` can form, then evaluates each
-  assignment with the same IEEE operations in the same order, so its
-  values equal the scalar reference bit for bit. Both expand the table
-  to dense (B, U) arrays (`_dense_table`), which suits the search's
-  instances of at most `_MAX_UES` UEs.
+coordinates share one. Two implementations of the model read the table,
+one per use:
 - `network_sinr`, vectorized over a whole drop for Monte Carlo volume.
   It works on the table's flat live links (co-channel, loaded, off the
   victim's serving site; a few percent of a default drop's pairs) and
   adds them per UE in ascending BS order from +0.0, the same sequence
-  as a dense sum over every BS with zeros elsewhere. It equals the
-  reference only to rounding.
+  as a dense sum over every BS with zeros elsewhere.
+- one batched objective kernel that scores blocks of complete
+  assignments. Its one caller is `coordinated_upper_bound`, which scores
+  the blind baseline of the coordination-gap study as a one-row block and
+  the exhaustive search in blocks of `_BLOCK_ROWS`. Per instance it
+  tabulates every term of the model on dense (B, U) arrays, which suits
+  the search's instances of at most `_MAX_UES` UEs, then evaluates each
+  assignment per UE: noise, then interferers in ascending BS index in
+  linear milliwatts, with scalar IEEE operations in a fixed order. Its
+  values equal a scalar per-UE evaluation of the model bit for bit, and
+  `network_sinr`'s only to rounding.
 
 Boresights come from the table too. A served UE's receive boresight, and
 the transmit boresight of a BS whose lowest-index attached UE it is, is
@@ -46,8 +47,8 @@ associations the drop engine makes: blind association serves only over
 listed (live) links, so it reads that displacement, and the signal, from
 the serving link's `delta_km` and `serving_rx_dbm`, and it refuses a UE
 served over a blocked, unlisted link. A search assignment can serve over
-a blocked link; `compute_sinr` and the kernel score it from the dense
-`wrapped_delta` geometry of `_dense_table`, with no signal.
+a blocked link; the kernel scores it from the dense `wrapped_delta`
+geometry of `_objective_tables`, with no signal.
 
 `associate_blind` reads the same flat links. Both take the sharing rules
 as per-link flags, which the drop engine reads from the scenario's labels
@@ -163,56 +164,6 @@ def _angle_between_deg(v, w) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
 
-def _dense_table(links: LinkTable):
-    """(B, U, 2) displacements and (B, U) path loss, shadowing and serving
-    power of a small instance: geometry from `wrapped_delta` over every
-    pair, the budget scattered from the live links (+inf, 0 and -inf where
-    OUT)."""
-    delta = wrapped_delta(links.bs_xy[:, None, :], links.ue_xy[None, :, :], links.region)
-    return (delta, links.dense(links.path_loss_db, np.inf),
-            links.dense(links.shadowing_db, 0.0), links.dense(links.serving_rx_dbm, -np.inf))
-
-
-def compute_sinr(ue: int, assoc: Association, links: LinkTable,
-                 cochannel_bu: np.ndarray, noise_figure_db: float) -> float:
-    """Linear SINR of one served UE under a full association.
-
-    Signal is the boresight-aligned serving-link power; noise is taken over
-    the UE's allocated bandwidth; interference sums every loaded co-channel
-    BS off the serving site with both sectored gains evaluated at the true
-    geometry, accumulated in ascending BS index in linear milliwatts.
-    This is the scalar reference of the batched objective kernel; it
-    expands the table to dense (B, U) arrays, so it suits small instances.
-    """
-    s = int(assoc.serving_bs[ue])
-    if s == NONE:
-        raise ValueError(f"UE {ue} has no serving BS")
-    ant = links.antenna
-    targets = interferer_targets(assoc.serving_bs, links.n_bs)
-    delta, path_loss, shadowing, serving_rx = _dense_table(links)
-    state = links.state
-    sig_mw = 10.0 ** (float(serving_rx[s, ue]) / 10.0)
-    acc = 10.0 ** (noise_power_dbm(float(assoc.ue_bandwidth_hz[ue]), noise_figure_db) / 10.0)
-    for b in range(links.n_bs):
-        if assoc.load[b] == 0 or not cochannel_bu[b, ue]:
-            continue
-        if links.site_of_bs[b] == links.site_of_bs[s]:
-            continue   # serving site (the server itself or a co-sited array)
-        if state[b, ue] == LinkState.OUT:
-            continue
-        gt = beam_gain_db(_angle_between_deg(delta[b, targets[b]], delta[b, ue]),
-                          ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db,
-                          ant.bs_beamwidth_deg)
-        # UE side: both vectors are negated (bs -> ue, not ue -> bs); the sign cancels
-        gr = beam_gain_db(_angle_between_deg(delta[s, ue], delta[b, ue]),
-                          ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db,
-                          ant.ue_beamwidth_deg)
-        rx_dbm = (links.tx_power_dbm + gt + gr
-                  - float(path_loss[b, ue]) - float(shadowing[b, ue]))
-        acc += 10.0 ** (rx_dbm / 10.0)
-    return sig_mw / acc
-
-
 def user_rate(gamma, bandwidth_hz, params: RateParams):
     """Per-user rate: eta * duty * (1 - overhead) * W * log2(1 + gamma)."""
     if np.any(np.asarray(gamma) < 0):
@@ -240,14 +191,14 @@ def network_sinr(links: LinkTable, assoc: Association, cochannel: np.ndarray,
 
     `cochannel` flags each live link of the table whose BS transmits in
     its UE's pool (`RealizedScenario.cochannel_at`, or `links.at_links` of
-    a (B, U) mask). Same model as `compute_sinr`, evaluated on the
+    a (B, U) mask). The model of the module docstring, evaluated on the
     table's live links only: those from a loaded co-channel BS to a
     served victim, off the victim's serving site (`site_of_bs`). Every
     other (BS, UE) pair adds exactly 0 mW, so it is never formed. The
     flat links are in row-major order (ascending BS per UE) and are
     accumulated per UE from +0.0, which is the operation sequence of a
-    dense axis-0 sum over all BSs; agreement with the scalar path is to
-    rounding, not bit-exact.
+    dense axis-0 sum over all BSs; agreement with a scalar evaluation
+    is to rounding, not bit-exact.
     The association must serve every served UE over a listed (live) link,
     as `associate_blind` does: each served UE's signal and its serving-link
     displacement are read from that link, and a UE served over a blocked
@@ -308,7 +259,8 @@ _MAX_ASSIGNMENTS = 4 ** _MAX_UES  # the work with the number of assignments
 
 
 def _mw(dbm) -> np.ndarray:
-    """dBm -> mW entry by entry with Python's float power, as `compute_sinr` does."""
+    """dBm -> mW entry by entry with Python's float power, the value a scalar
+    evaluation gets (numpy's vector power can differ in the last ulp)."""
     dbm = np.asarray(dbm, dtype=float)
     return np.array([10.0 ** (x / 10.0) for x in dbm.ravel().tolist()]).reshape(dbm.shape)
 
@@ -318,9 +270,10 @@ class _ObjectiveTables:
     """Per-instance constants of the batched objective kernel, in mW and Hz.
 
     `interference[b, t, u, s]` is what BS b adds at UE u when its mainlobe
-    tracks UE t and u is served by BS s; it is 0 where `compute_sinr` skips
-    b (other channel, OUT link, u's serving site) and at t = U, the slot of
-    an idle BS. `noise` and `width` are indexed by the serving BS's load.
+    tracks UE t and u is served by BS s; it is 0 where the model adds
+    nothing (b off u's channel, b's link to u OUT, b on u's serving site)
+    and at t = U, the slot of an idle BS. `noise` and `width` are indexed
+    by the serving BS's load.
     """
 
     interference: np.ndarray   # (B, U+1, U, B)
@@ -333,16 +286,23 @@ class _ObjectiveTables:
 def _objective_tables(links: LinkTable, cochannel_bu: np.ndarray, pool_hz: float,
                       params: RateParams, noise_figure_db: float,
                       full_bandwidth: bool) -> _ObjectiveTables:
-    """Precompute every term `compute_sinr` can form on this instance.
+    """Precompute every term of the interference model on this instance.
 
-    Gains come from the scalar angle function and one array `beam_gain_db`
-    call per side (its ops are exact); dB sums keep the scalar operand
-    order, so each table entry is bit-identical to the scalar path's value.
+    Geometry comes from `wrapped_delta` over every (BS, UE) pair and the
+    link budget is scattered from the live links (+inf path loss, 0
+    shadowing and -inf serving power where OUT). Gains come from the
+    scalar angle function and one array `beam_gain_db` call per side (its
+    ops are exact); each received power adds transmit power, BS gain and
+    UE gain, then subtracts path loss and shadowing, in that order, and
+    goes to mW through `_mw`, so each entry is bit-identical to a scalar
+    evaluation of the term.
     """
     n_bs, n_ue = links.n_bs, links.n_ue
     ant = links.antenna
-    delta, path_loss, shadowing, serving_rx = _dense_table(links)
-    delta = delta.tolist()   # (B, U, 2), bs -> ue
+    delta = wrapped_delta(links.bs_xy[:, None, :], links.ue_xy[None, :, :],
+                          links.region).tolist()   # (B, U, 2), bs -> ue
+    path_loss = links.dense(links.path_loss_db, np.inf)
+    shadowing = links.dense(links.shadowing_db, 0.0)
     # BS side [b, t, u]: b tracks UE t, victim u
     ang_bs = np.array([_angle_between_deg(delta[b][t], delta[b][u])
                        for b in range(n_bs) for t in range(n_ue) for u in range(n_ue)])
@@ -369,7 +329,8 @@ def _objective_tables(links: LinkTable, cochannel_bu: np.ndarray, pool_hz: float
     width[1:] = _bandwidth_share_hz(np.arange(1, n_ue + 1), pool_hz, full_bandwidth)
     noise = np.zeros(n_ue + 1)
     noise[1:] = _mw([noise_power_dbm(w, noise_figure_db) for w in width[1:].tolist()])
-    return _ObjectiveTables(interference, _mw(serving_rx), noise, width, params)
+    return _ObjectiveTables(interference, _mw(links.dense(links.serving_rx_dbm, -np.inf)),
+                            noise, width, params)
 
 
 def _score_block(tables: _ObjectiveTables, serving: np.ndarray) -> np.ndarray:
@@ -378,8 +339,8 @@ def _score_block(tables: _ObjectiveTables, serving: np.ndarray) -> np.ndarray:
     Per row: loads and interferer targets from the assignment; per UE:
     noise, then interferers in ascending BS order, then `user_rate`; the
     rates add up in ascending UE index, unassociated UEs contributing 0.
-    This is the operation sequence of `compute_sinr` and `user_rate`
-    summed per UE, element by element.
+    Element by element, this is the operation sequence of a scalar
+    evaluation of the model followed by `user_rate`, summed per UE.
     """
     n_rows, n_ue = serving.shape
     served = serving != NONE

@@ -103,11 +103,6 @@ class AntennaModel:
             raise ValueError("UE mainlobe must exceed sidelobe")
 
 
-def friis_intercept_db(carrier_ghz: float) -> float:
-    """Free-space path loss at 1 m: 20*log10(4*pi*f/c)."""
-    return 20.0 * math.log10(4.0 * math.pi * 1.0 * carrier_ghz * 1e9 / 299_792_458.0)
-
-
 def outage_radius_m(params: ChannelParams) -> float:
     """Hard-blockage radius: the radius of a disc of the per-cell coverage area."""
     return 1000.0 * math.sqrt(params.hard_coverage_area_km2 / math.pi)

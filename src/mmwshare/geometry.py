@@ -71,7 +71,6 @@ def wrapped_delta(p_xy: np.ndarray, q_xy: np.ndarray, region: Region) -> np.ndar
     """Displacement q - p under the region metric (minimum torus image if wrapping)."""
     d = np.asarray(q_xy, dtype=float) - np.asarray(p_xy, dtype=float)
     if region.wraparound:
-        d = d.copy()
         w, h = region.width_km, region.height_km
         d[..., 0] -= w * np.round(d[..., 0] / w)
         d[..., 1] -= h * np.round(d[..., 1] / h)

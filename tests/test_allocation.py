@@ -1,6 +1,7 @@
 """Association, bandwidth splits, SINR, rates, and the brute-force bound."""
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mmwshare import allocation
 from mmwshare.allocation import (NONE, Association, InstanceSizeError, RateParams,
-                                 associate_blind, compute_sinr, coordinated_upper_bound,
+                                 associate_blind, coordinated_upper_bound,
                                  interferer_targets, network_sinr, split_bandwidth,
                                  user_rate)
 from mmwshare.channel import (THERMAL_NOISE_DBM_PER_HZ, AntennaModel, ChannelParams,
@@ -136,6 +137,91 @@ def test_interferer_targets_lowest_index():
         assert_array_equal(interferer_targets(serving, n_bs), expected)
 
 
+# --- independent mirror of the interference model: the one scalar reference
+# of `network_sinr` and of the search kernel. It shares no wrap, angle, gain
+# or noise code with the package.
+
+
+def _wrap(p, q, region):
+    dx = float(q[0]) - float(p[0])
+    dy = float(q[1]) - float(p[1])
+    if region.wraparound:
+        dx -= region.width_km * round(dx / region.width_km)
+        dy -= region.height_km * round(dy / region.height_km)
+    return dx, dy
+
+
+def _angle(v, w):
+    nv = math.hypot(v[0], v[1])
+    nw = math.hypot(w[0], w[1])
+    if nv == 0.0 or nw == 0.0:
+        return 0.0   # coincident points: boresight-aligned
+    c = (v[0] * w[0] + v[1] * w[1]) / (nv * nw)
+    return math.degrees(math.acos(max(-1.0, min(1.0, c))))
+
+
+def _gain(angle, main, side, bw):
+    a = abs(angle) % 360.0
+    a = min(a, 360.0 - a)
+    return main if a <= bw / 2.0 else side
+
+
+def _oracle_gamma(links, serving, coch, pool_hz, nf, full_bandwidth=False):
+    """Per UE of a complete assignment, the linear SINR and the bandwidth
+    (both 0 where unassociated): interferers in ascending BS index, in mW."""
+    ant = links.antenna
+    serving_rx, path_loss = rx_dbm(links), links.dense(links.path_loss_db, np.inf)
+    shadowing = links.dense(links.shadowing_db, 0.0)
+    load = [0] * links.n_bs
+    for s in serving:
+        if s != NONE:
+            load[s] += 1
+    targets = [-1] * links.n_bs
+    for u in range(links.n_ue - 1, -1, -1):
+        if serving[u] != NONE:
+            targets[serving[u]] = u
+    gamma, width = [0.0] * links.n_ue, [0.0] * links.n_ue
+    for u in range(links.n_ue):
+        s = serving[u]
+        if s == NONE:
+            continue
+        w = pool_hz if full_bandwidth else pool_hz / load[s]
+        sig = 10.0 ** (float(serving_rx[s, u]) / 10.0)
+        acc = 10.0 ** ((-174.0 + 10.0 * math.log10(w) + nf) / 10.0)
+        sx, sy = float(links.bs_xy[s, 0]), float(links.bs_xy[s, 1])
+        to_serving = _wrap(links.ue_xy[u], links.bs_xy[s], links.region)
+        for b in range(links.n_bs):
+            if load[b] == 0 or not coch[b, u]:
+                continue
+            if float(links.bs_xy[b, 0]) == sx and float(links.bs_xy[b, 1]) == sy:
+                continue
+            if links.state[b, u] == LinkState.OUT:
+                continue
+            bore = _wrap(links.bs_xy[b], links.ue_xy[targets[b]], links.region)
+            to_victim = _wrap(links.bs_xy[b], links.ue_xy[u], links.region)
+            gt = _gain(_angle(bore, to_victim), ant.bs_mainlobe_gain_db,
+                       ant.bs_sidelobe_gain_db, ant.bs_beamwidth_deg)
+            to_interferer = _wrap(links.ue_xy[u], links.bs_xy[b], links.region)
+            gr = _gain(_angle(to_serving, to_interferer), ant.ue_mainlobe_gain_db,
+                       ant.ue_sidelobe_gain_db, ant.ue_beamwidth_deg)
+            rx = (links.tx_power_dbm + gt + gr
+                  - float(path_loss[b, u]) - float(shadowing[b, u]))
+            acc += 10.0 ** (rx / 10.0)
+        gamma[u], width[u] = sig / acc, w
+    return gamma, width
+
+
+def _oracle_value(links, serving, coch, pool_hz, params, nf, full_bandwidth=False):
+    """Sum rate of a complete assignment, served UEs added in ascending index."""
+    gamma, width = _oracle_gamma(links, serving, coch, pool_hz, nf, full_bandwidth)
+    total = 0.0
+    for u in range(links.n_ue):
+        if serving[u] != NONE:
+            total += (params.eta * params.duty_factor * (1.0 - params.overhead_beta)
+                      * width[u] * math.log2(1.0 + gamma[u]))
+    return total
+
+
 def test_sinr_worked_example():
     # serving BS 100 m west of the UE; interferer also 100 m out but 10 deg
     # off the UE boresight (inside the 30 deg receive lobe), with its own
@@ -150,7 +236,7 @@ def test_sinr_worked_example():
     # out, mainlobe in: 30-10+10-101.4 = -71.4; noise over 500 MHz, NF 7
     noise_dbm = -174.0 + 10.0 * math.log10(5e8) + 7.0
     expected = 10.0 ** -4.14 / (10.0 ** (noise_dbm / 10.0) + 10.0 ** -7.14)
-    gamma = compute_sinr(0, assoc, links, np.ones((2, 2), bool), 7.0)
+    gamma = network_sinr(links, assoc, links.at_links(np.ones((2, 2), bool)), 7.0)[0]
     assert_allclose(gamma, expected, rtol=1e-9)
     assert abs(10.0 * math.log10(gamma) - 29.44) < 0.01
 
@@ -158,32 +244,28 @@ def test_sinr_worked_example():
 def test_sinr_without_interferers_is_snr():
     links = make_table([[0.0, 0.0]], [[0.1, 0.0]])
     assoc = Association(np.array([0]), np.array([5e8]), np.array([1]))
-    gamma = compute_sinr(0, assoc, links, np.ones((1, 1), bool), 7.0)
+    gamma = network_sinr(links, assoc, links.at_links(np.ones((1, 1), bool)), 7.0)[0]
     sig = 10.0 ** (float(rx_dbm(links)[0, 0]) / 10.0)
-    assert gamma == sig / 10.0 ** (noise_power_dbm(5e8, 7.0) / 10.0)
-
-
-def test_sinr_unassociated_ue_is_error():
-    links = make_table([[0.0, 0.0]], [[0.1, 0.0]])
-    assoc = Association(np.array([NONE]), np.zeros(1), np.array([0]))
-    with pytest.raises(ValueError):
-        compute_sinr(0, assoc, links, np.ones((1, 1), bool), 7.0)
+    assert_allclose(gamma, sig / 10.0 ** (noise_power_dbm(5e8, 7.0) / 10.0), rtol=1e-12)
 
 
 def test_same_site_transmitter_adds_no_interference():
     # a loaded co-channel array on the serving tower is scheduled
-    # orthogonally: the victim's SINR stays exactly at S/N
+    # orthogonally: each victim's SINR is exactly its SINR with no
+    # co-channel transmitter at all, S/N
     links = make_table([[0.2, 0.2], [0.2, 0.2]], [[0.25, 0.2], [0.21, 0.2]])
     assoc = Association(np.array([0, 1]), np.array([5e8, 5e8]),
                         np.array([1, 1]))
-    coch = np.ones((2, 2), bool)
-    gamma = compute_sinr(0, assoc, links, coch, 7.0)
+    coch = links.at_links(np.ones((2, 2), bool))
+    gamma = network_sinr(links, assoc, coch, 7.0)
+    assert gamma.tobytes() == network_sinr(links, assoc, np.zeros_like(coch), 7.0).tobytes()
     sig = 10.0 ** (float(rx_dbm(links)[0, 0]) / 10.0)
-    assert gamma == sig / 10.0 ** (noise_power_dbm(5e8, 7.0) / 10.0)
+    assert_allclose(gamma[0], sig / 10.0 ** (noise_power_dbm(5e8, 7.0) / 10.0), rtol=1e-12)
     # a barely off-site transmitter does interfere
     shifted = make_table([[0.2, 0.2], [0.2 + 1e-6, 0.2]],
                          [[0.25, 0.2], [0.21, 0.2]])
-    assert compute_sinr(0, assoc, shifted, coch, 7.0) < gamma
+    assert network_sinr(shifted, assoc, shifted.at_links(np.ones((2, 2), bool)),
+                        7.0)[0] < gamma[0]
 
 
 def test_interference_ignores_access_rights():
@@ -192,10 +274,10 @@ def test_interference_ignores_access_rights():
                        [[0.25, 0.5], [0.41, 0.5]])
     access = np.array([[True, False], [False, True]])
     assoc = split_bandwidth(associate_blind(links, links.at_links(access)), 2, 5e8)
-    both = compute_sinr(0, assoc, links, np.ones((2, 2), bool), 7.0)
-    masked = compute_sinr(0, assoc, links,
-                          np.array([[True, True], [False, True]]), 7.0)
-    assert both < masked
+    both = network_sinr(links, assoc, links.at_links(np.ones((2, 2), bool)), 7.0)
+    masked = network_sinr(links, assoc,
+                          links.at_links(np.array([[True, True], [False, True]])), 7.0)
+    assert both[0] < masked[0]
 
 
 def test_network_sinr_matches_scalar():
@@ -214,13 +296,13 @@ def test_network_sinr_matches_scalar():
         assoc = split_bandwidth(associate_blind(links, everywhere), n_bs, 1e9)
         coch = rng.random((n_bs, n_ue)) < 0.8
         vec = network_sinr(links, assoc, links.at_links(coch), 7.0)
+        want, _ = _oracle_gamma(links, assoc.serving_bs, coch, 1e9, 7.0)
         for u in range(n_ue):
             s = assoc.serving_bs[u]
             if s == NONE:
                 assert vec[u] == 0.0
                 continue
-            assert_allclose(vec[u], compute_sinr(u, assoc, links, coch, 7.0),
-                            rtol=1e-9)
+            assert_allclose(vec[u], want[u], rtol=1e-12)
             # interference can only hurt: capped by SNR over the UE's own slice
             noise = 10.0 ** (noise_power_dbm(float(assoc.ue_bandwidth_hz[u]), 7.0) / 10.0)
             snr = 10.0 ** (float(rx_dbm(links)[s, u]) / 10.0) / noise
@@ -386,87 +468,14 @@ def test_assignment_objective_matches_manual_sum():
     coch = np.ones((2, 3), bool)
     params = RateParams()
     got = _one_row(links, serving, coch, 1e9, params)
-    assoc = split_bandwidth(serving, 2, 1e9)
+    gamma, width = _oracle_gamma(links, serving, coch, 1e9, 7.0)
     manual = 0.0
     for u in range(3):
-        g = compute_sinr(u, assoc, links, coch, 7.0)
-        manual += user_rate(g, float(assoc.ue_bandwidth_hz[u]), params)
-    assert got == manual
+        manual += user_rate(gamma[u], width[u], params)
+    assert got == manual == _oracle_value(links, serving, coch, 1e9, params, 7.0)
     # the search's tables take the pool check of the one bandwidth-share rule
     with pytest.raises(ValueError):
         allocation._objective_tables(links, coch, 0.0, params, 7.0, False)
-
-
-# --- independent mirror of the scalar evaluation chain, for the search oracle
-
-
-def _wrap(p, q, region):
-    dx = float(q[0]) - float(p[0])
-    dy = float(q[1]) - float(p[1])
-    if region.wraparound:
-        dx -= region.width_km * round(dx / region.width_km)
-        dy -= region.height_km * round(dy / region.height_km)
-    return dx, dy
-
-
-def _angle(v, w):
-    nv = math.hypot(v[0], v[1])
-    nw = math.hypot(w[0], w[1])
-    if nv == 0.0 or nw == 0.0:
-        return 0.0
-    c = (v[0] * w[0] + v[1] * w[1]) / (nv * nw)
-    return math.degrees(math.acos(max(-1.0, min(1.0, c))))
-
-
-def _gain(angle, main, side, bw):
-    a = abs(angle) % 360.0
-    a = min(a, 360.0 - a)
-    return main if a <= bw / 2.0 else side
-
-
-def _oracle_value(links, serving, coch, pool_hz, params, nf):
-    ant = links.antenna
-    serving_rx, path_loss = rx_dbm(links), links.dense(links.path_loss_db, np.inf)
-    shadowing = links.dense(links.shadowing_db, 0.0)
-    load = [0] * links.n_bs
-    for s in serving:
-        if s != NONE:
-            load[s] += 1
-    targets = [-1] * links.n_bs
-    for u in range(links.n_ue - 1, -1, -1):
-        if serving[u] != NONE:
-            targets[serving[u]] = u
-    total = 0.0
-    for u in range(links.n_ue):
-        s = serving[u]
-        if s == NONE:
-            continue
-        w = pool_hz / load[s]
-        sig = 10.0 ** (float(serving_rx[s, u]) / 10.0)
-        acc = 10.0 ** ((-174.0 + 10.0 * math.log10(w) + nf) / 10.0)
-        sx, sy = float(links.bs_xy[s, 0]), float(links.bs_xy[s, 1])
-        to_serving = _wrap(links.ue_xy[u], links.bs_xy[s], links.region)
-        for b in range(links.n_bs):
-            if load[b] == 0 or not coch[b, u]:
-                continue
-            if float(links.bs_xy[b, 0]) == sx and float(links.bs_xy[b, 1]) == sy:
-                continue
-            if links.state[b, u] == LinkState.OUT:
-                continue
-            bore = _wrap(links.bs_xy[b], links.ue_xy[targets[b]], links.region)
-            to_victim = _wrap(links.bs_xy[b], links.ue_xy[u], links.region)
-            gt = _gain(_angle(bore, to_victim), ant.bs_mainlobe_gain_db,
-                       ant.bs_sidelobe_gain_db, ant.bs_beamwidth_deg)
-            to_interferer = _wrap(links.ue_xy[u], links.bs_xy[b], links.region)
-            gr = _gain(_angle(to_serving, to_interferer), ant.ue_mainlobe_gain_db,
-                       ant.ue_sidelobe_gain_db, ant.ue_beamwidth_deg)
-            rx = (links.tx_power_dbm + gt + gr
-                  - float(path_loss[b, u]) - float(shadowing[b, u]))
-            acc += 10.0 ** (rx / 10.0)
-        gamma = sig / acc
-        total += (params.eta * params.duty_factor * (1.0 - params.overhead_beta)
-                  * w * math.log2(1.0 + gamma))
-    return total
 
 
 def _oracle_search(links, access, coch, pool_hz, params, nf):
@@ -604,19 +613,7 @@ def test_upper_bound_size_refusals(monkeypatch):
     assert tabulated == [1]
 
 
-# --- the batched objective kernel against the scalar reference
-
-
-def _scalar_objective(links, serving, coch, pool_hz, params, nf, full_bandwidth):
-    """Reference sum rate: `compute_sinr` and `user_rate` per UE, ascending."""
-    assoc = split_bandwidth(serving, links.n_bs, pool_hz, full_bandwidth)
-    total = 0.0
-    for u in range(links.n_ue):
-        if serving[u] == NONE:
-            continue
-        total += user_rate(compute_sinr(u, assoc, links, coch, nf),
-                           float(assoc.ue_bandwidth_hz[u]), params)
-    return total
+# --- the batched objective kernel against the mirror
 
 
 def test_kernel_equals_scalar_reference_on_every_assignment():
@@ -646,9 +643,9 @@ def test_kernel_equals_scalar_reference_on_every_assignment():
         tables = allocation._objective_tables(links, coch, pool, params, 7.0, full)
         got = allocation._score_block(tables, block)
         for row, value in zip(block, got):
-            assert value == _scalar_objective(links, row, coch, pool, params, 7.0, full)
+            assert value == _oracle_value(links, row, coch, pool, params, 7.0, full)
         row = block[int(rng.integers(len(block)))]
-        assert _one_row(links, row, coch, pool, params, full) == _scalar_objective(
+        assert _one_row(links, row, coch, pool, params, full) == _oracle_value(
             links, row, coch, pool, params, 7.0, full)
     assert min(seen.values()) > 0
 
@@ -674,11 +671,48 @@ def test_kernel_aims_over_a_blocked_serving_link_across_the_seam():
         links = make_table(bs_xy, ue_xy, region=torus, state=state)
         tables = allocation._objective_tables(links, coch, 1e9, params, 7.0, False)
         for row, value in zip(block, allocation._score_block(tables, block)):
-            assert value == _scalar_objective(links, row, coch, 1e9, params, 7.0, False)
             assert value == _oracle_value(links, row, coch, 1e9, params, 7.0)
-        assert compute_sinr(0, assoc, links, coch, 7.0) == 0.0
-        snr = compute_sinr(1, assoc, links, np.zeros_like(coch), 7.0)
-        assert (compute_sinr(1, assoc, links, coch, 7.0) < snr / 10.0) == interference_limited
+        gamma, _ = _oracle_gamma(links, assoc.serving_bs, coch, 1e9, 7.0)
+        snr, _ = _oracle_gamma(links, assoc.serving_bs, np.zeros_like(coch), 1e9, 7.0)
+        assert gamma[0] == 0.0
+        assert (gamma[1] < snr[1] / 10.0) == interference_limited
+
+
+def test_coincident_points_count_as_boresight_aligned():
+    # UE 0 stands on its server BS 0, which tracks it; UE 1 stands on BS 1
+    # but is served by BS 0; UE 2 is served by BS 1, which tracks it, west
+    # towards UE 0. Every zero displacement is boresight-aligned: UE 0 hears
+    # BS 1 on its receive mainlobe, BS 1 reaches UE 1 mainlobe to mainlobe,
+    # and BS 0 reaches UE 2 on its transmit mainlobe (UE 2's receive beam
+    # faces away). Path loss clamps the zero distance to 1 m. On the torus
+    # the scene straddles the seam.
+    serving = np.array([0, 0, 1])
+    coch = np.ones((2, 3), bool)
+    params = RateParams()
+    block = np.array(list(itertools.product(range(NONE, 2), repeat=3)), dtype=np.int64)
+    for region, shift in ((FLAT, 0.0), (Region(1.0, 1.0, wraparound=True), 0.45)):
+        bs_xy = [[(0.3 + shift) % 1.0, 0.5], [(0.6 + shift) % 1.0, 0.5]]
+        ue_xy = [bs_xy[0], bs_xy[1], [(0.5 + shift) % 1.0, 0.5]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            links = make_table(bs_xy, ue_xy, region=region)
+            tables = allocation._objective_tables(links, coch, 1e9, params, 7.0, False)
+            for row, value in zip(block, allocation._score_block(tables, block)):
+                assert value == _oracle_value(links, row, coch, 1e9, params, 7.0)
+            got = network_sinr(links, split_bandwidth(serving, 2, 1e9),
+                               links.at_links(coch), 7.0)
+            want, width = _oracle_gamma(links, serving, coch, 1e9, 7.0)
+        assert_allclose(got, want, rtol=1e-12)
+        assert width == [5e8, 5e8, 1e9]
+        # both ends mainlobe, as every listed link's serving power assumes
+        rx = rx_dbm(links)
+        ant = links.antenna
+        side_rx = rx[0, 2] - ant.ue_mainlobe_gain_db + ant.ue_sidelobe_gain_db
+        mw = [10.0 ** (x / 10.0) for x in (rx[0, 0], rx[1, 0], rx[0, 1], rx[1, 1],
+                                            rx[1, 2], side_rx)]
+        noise = [10.0 ** (noise_power_dbm(w, 7.0) / 10.0) for w in width]
+        assert_allclose(want, [mw[0] / (noise[0] + mw[1]), mw[2] / (noise[1] + mw[3]),
+                               mw[4] / (noise[2] + mw[5])], rtol=1e-12)
 
 
 def test_upper_bound_tie_across_blocks_keeps_earlier_assignment():

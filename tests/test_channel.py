@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mmwshare.channel import (AntennaModel, ChannelParams, LinkState, LinkTable,
                               beam_gain_db, candidate_share, draw_link_states,
-                              friis_intercept_db,
                               noise_power_dbm, outage_radius_m, path_loss_db,
                               state_probabilities)
 from mmwshare.geometry import Region, wrapped_delta
@@ -17,11 +16,13 @@ FLAT = Region(10.0, 10.0, wraparound=False)
 
 
 def test_friis_intercept_28ghz():
+    # free-space path loss at 1 m: 20*log10(4*pi*f/c)
     oracle = 20.0 * math.log10(4.0 * math.pi * 28e9 / 299_792_458.0)
-    assert_allclose(friis_intercept_db(28.0), oracle, rtol=1e-12)
     assert abs(oracle - 61.4) < 0.05
-    # default intercept is free space at 1 m within 3 dB
-    assert abs(ChannelParams().pl_intercept_db - oracle) < 3.0
+    # the default intercept is free space at 1 m at the default carrier
+    params = ChannelParams()
+    assert params.carrier_ghz == 28.0
+    assert abs(params.pl_intercept_db - oracle) < 0.05
 
 
 def test_params_validation():
