@@ -13,13 +13,14 @@ association. A served UE's SINR is its serving-link power over the sum of
 noise, taken over its allocated bandwidth, and the power of every loaded
 co-channel BS off its serving site whose link to it is not OUT. Every
 loaded BS aims its mainlobe at its lowest-index attached UE, every victim
-UE aims at its serving BS, and both sectored gains are read at the
-off-boresight angles of the true (torus) geometry; a zero displacement
-(coincident points) counts as boresight-aligned. Transmitters mounted at
-the victim's serving site are scheduled orthogonally by the shared site
-and add no interference (this only triggers under co-located
-deployments, where the victim's receive mainlobe would otherwise point
-straight at the co-sited array).
+UE aims at its serving BS, and both sectored gains are read from the
+true (torus) geometry: a link is in a beam's mainlobe iff the cosine of
+its off-boresight angle is at least cos(beamwidth / 2) (`beam_gain_db`),
+and a zero displacement (coincident points, a 0/0 cosine) counts as
+boresight-aligned. Transmitters mounted at the victim's serving site are
+scheduled orthogonally by the shared site and add no interference (this
+only triggers under co-located deployments, where the victim's receive
+mainlobe would otherwise point straight at the co-sited array).
 
 The serving site is the `LinkTable`'s `site_of_bs` label: BSs at equal
 coordinates share one. Two implementations of the model read the table,
@@ -48,7 +49,8 @@ listed (live) links, so it reads that displacement, and the signal, from
 the serving link's `delta_km` and `serving_rx_dbm`, and it refuses a UE
 served over a blocked, unlisted link. A search assignment can serve over
 a blocked link; the kernel scores it from the dense `wrapped_delta`
-geometry of `_objective_tables`, with no signal.
+geometry of `_objective_tables`, with no signal. Both read every beam
+through one gain step, `_sectored_gain_db`.
 
 `associate_blind` reads the same flat links. Both take the sharing rules
 as per-link flags, which the drop engine reads from the scenario's labels
@@ -155,15 +157,6 @@ def interferer_targets(serving_bs: np.ndarray, n_bs: int) -> np.ndarray:
     return np.where(first < n_ue, first, -1)
 
 
-def _angle_between_deg(v, w) -> float:
-    nv = math.hypot(v[0], v[1])
-    nw = math.hypot(w[0], w[1])
-    if nv == 0.0 or nw == 0.0:
-        return 0.0   # coincident points: treat as boresight-aligned
-    c = (v[0] * w[0] + v[1] * w[1]) / (nv * nw)
-    return math.degrees(math.acos(max(-1.0, min(1.0, c))))
-
-
 def user_rate(gamma, bandwidth_hz, params: RateParams):
     """Per-user rate: eta * duty * (1 - overhead) * W * log2(1 + gamma)."""
     if np.any(np.asarray(gamma) < 0):
@@ -174,15 +167,14 @@ def user_rate(gamma, bandwidth_hz, params: RateParams):
 
 
 def _sectored_gain_db(bore, delta, norm, mainlobe_db, sidelobe_db, beamwidth_deg):
-    """Per link, the gain of a beam aimed along `bore` towards `delta` (of length
-    `norm`). arccos angles lie in [0, 180], so `beam_gain_db` applies unchanged."""
+    """Gain of a beam aimed along `bore` towards `delta` (of length `norm`),
+    over broadcast leading axes; the last axis holds (x, y). The cosine is
+    `b0*d0 + b1*d1` over the product of the lengths, in that order, and a
+    zero vector makes it 0/0 = NaN, which `beam_gain_db` reads as mainlobe."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos = (np.einsum("lk,lk->l", bore, delta)
-               / (np.hypot(bore[:, 0], bore[:, 1]) * norm))
-    # fmin takes a 0/0 NaN (coincident points) to 1.0, boresight-aligned as
-    # in the scalar path, and fmax/fmin clip rounding overshoot to [-1, 1]
-    angle = np.degrees(np.arccos(np.fmax(np.fmin(cos, 1.0), -1.0)))
-    return beam_gain_db(angle, mainlobe_db, sidelobe_db, beamwidth_deg)
+        cos = ((bore[..., 0] * delta[..., 0] + bore[..., 1] * delta[..., 1])
+               / (np.hypot(bore[..., 0], bore[..., 1]) * norm))
+    return beam_gain_db(cos, mainlobe_db, sidelobe_db, beamwidth_deg)
 
 
 def network_sinr(links: LinkTable, assoc: Association, cochannel: np.ndarray,
@@ -290,29 +282,27 @@ def _objective_tables(links: LinkTable, cochannel_bu: np.ndarray, pool_hz: float
 
     Geometry comes from `wrapped_delta` over every (BS, UE) pair and the
     link budget is scattered from the live links (+inf path loss, 0
-    shadowing and -inf serving power where OUT). Gains come from the
-    scalar angle function and one array `beam_gain_db` call per side (its
-    ops are exact); each received power adds transmit power, BS gain and
-    UE gain, then subtracts path loss and shadowing, in that order, and
-    goes to mW through `_mw`, so each entry is bit-identical to a scalar
-    evaluation of the term.
+    shadowing and -inf serving power where OUT). Each beam end's gains
+    come from one broadcast cosine array and one `beam_gain_db` call
+    (`_sectored_gain_db`); each received power adds transmit power, BS
+    gain and UE gain, then subtracts path loss and shadowing, in that
+    order, and goes to mW through `_mw`, so each entry is bit-identical to
+    a scalar evaluation of the term.
     """
     n_bs, n_ue = links.n_bs, links.n_ue
     ant = links.antenna
     delta = wrapped_delta(links.bs_xy[:, None, :], links.ue_xy[None, :, :],
-                          links.region).tolist()   # (B, U, 2), bs -> ue
+                          links.region)   # (B, U, 2), bs -> ue
+    norm = np.hypot(delta[..., 0], delta[..., 1])
     path_loss = links.dense(links.path_loss_db, np.inf)
     shadowing = links.dense(links.shadowing_db, 0.0)
     # BS side [b, t, u]: b tracks UE t, victim u
-    ang_bs = np.array([_angle_between_deg(delta[b][t], delta[b][u])
-                       for b in range(n_bs) for t in range(n_ue) for u in range(n_ue)])
-    gt = beam_gain_db(ang_bs.reshape(n_bs, n_ue, n_ue), ant.bs_mainlobe_gain_db,
-                      ant.bs_sidelobe_gain_db, ant.bs_beamwidth_deg)
+    gt = _sectored_gain_db(delta[:, :, None], delta[:, None], norm[:, None],
+                           ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db, ant.bs_beamwidth_deg)
     # UE side [u, s, b]: victim u served by s, interferer b (the sign cancels)
-    ang_ue = np.array([_angle_between_deg(delta[s][u], delta[b][u])
-                       for u in range(n_ue) for s in range(n_bs) for b in range(n_bs)])
-    gr = beam_gain_db(ang_ue.reshape(n_ue, n_bs, n_bs), ant.ue_mainlobe_gain_db,
-                      ant.ue_sidelobe_gain_db, ant.ue_beamwidth_deg)
+    by_ue = delta.transpose(1, 0, 2)
+    gr = _sectored_gain_db(by_ue[:, :, None], by_ue[:, None], norm.T[:, None],
+                           ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db, ant.ue_beamwidth_deg)
 
     rx_dbm = ((((links.tx_power_dbm + gt[:, :, :, None])
                 + gr.transpose(2, 0, 1)[:, None, :, :])

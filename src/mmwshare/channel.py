@@ -158,22 +158,6 @@ def _states_from_uniforms(distance_m, uniform, params: ChannelParams) -> np.ndar
     return drawn
 
 
-def draw_link_states(distance_m, params: ChannelParams, rng: np.random.Generator):
-    """Draw LOS/NLOS/OUT states for an array of distances (one uniform per link).
-
-    The uniforms are drawn full-shaped, one per link, whatever the states;
-    LOS/NLOS probabilities are computed only for candidate links, those that
-    can be anything but OUT: inside the hard radius, or every link under the
-    exponential outage model. The rest are OUT.
-    """
-    d = np.asarray(distance_m, dtype=float)
-    candidate = d <= _reach_m(params)
-    states = np.full(d.shape, LinkState.OUT, dtype=np.int8)
-    states[candidate] = _states_from_uniforms(d[candidate], rng.random(d.shape)[candidate],
-                                              params)
-    return states
-
-
 def path_loss_db(distance_m, state, params: ChannelParams):
     """Distance-power-law path loss in dB; distances are clamped below 1 m."""
     state_arr = np.asarray(state)
@@ -186,12 +170,15 @@ def path_loss_db(distance_m, state, params: ChannelParams):
     return float(pl) if np.isscalar(distance_m) else pl
 
 
-def beam_gain_db(angle_off_boresight_deg, mainlobe_db, sidelobe_db, beamwidth_deg):
-    """Sectored pattern: mainlobe inside the half-beamwidth (inclusive), sidelobe outside."""
-    a = np.abs(np.asarray(angle_off_boresight_deg, dtype=float)) % 360.0
-    a = np.minimum(a, 360.0 - a)
-    g = np.where(a <= beamwidth_deg / 2.0, mainlobe_db, sidelobe_db)
-    return float(g) if np.isscalar(angle_off_boresight_deg) else g
+def beam_gain_db(cos_off_boresight, mainlobe_db, sidelobe_db, beamwidth_deg):
+    """Sectored pattern read from the cosine of the off-boresight angle:
+    mainlobe within half the beamwidth, edge inclusive (cosine at least
+    cos(beamwidth / 2)), sidelobe outside. A NaN cosine (0/0, coincident
+    points) is mainlobe. A 360-deg beam is omnidirectional: its edge is
+    -inf, as an antiparallel pair's cosine can round below -1."""
+    edge = -math.inf if beamwidth_deg >= 360.0 else math.cos(math.radians(beamwidth_deg / 2.0))
+    g = np.where(np.asarray(cos_off_boresight, dtype=float) < edge, sidelobe_db, mainlobe_db)
+    return float(g) if np.isscalar(cos_off_boresight) else g
 
 
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
@@ -324,13 +311,13 @@ class LinkTable:
 
     `realize_block` finds candidate (site, UE) pairs with a cell grid
     (`_candidate_pairs`), computes `wrapped_delta` and distances on those
-    alone, and draws states for the pairs within the outage reach (the
-    test `draw_link_states` applies). Each drop keeps its own generator:
-    the uniform (state) and normal (shadowing) draws stay full-shaped per
-    site link of the drop, in that order, and are read at its pairs, so the
-    random streams do not depend on which links are live or on the other
-    drops of the block; every entry equals that of a dense evaluation of
-    the drop alone over all pairs.
+    alone, and draws states for the pairs within the outage reach
+    (`_states_from_uniforms`, one uniform each). Each drop keeps its own
+    generator: the uniform (state) and normal (shadowing) draws stay
+    full-shaped per site link of the drop, in that order, and are read at
+    its pairs, so the random streams do not depend on which links are live
+    or on the other drops of the block; every entry equals that of a dense
+    evaluation of the drop alone over all pairs.
     """
 
     region: Region

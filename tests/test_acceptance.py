@@ -12,8 +12,7 @@ import numpy as np
 from mmwshare.allocation import (RateParams, associate_blind,
                                  coordinated_upper_bound, user_rate)
 from mmwshare.analytic import bandwidth_per_ue, outage_fraction
-from mmwshare.channel import (AntennaModel, ChannelParams, LinkState,
-                              LinkTable, draw_link_states)
+from mmwshare.channel import AntennaModel, ChannelParams, LinkState, LinkTable
 from mmwshare.cli import main as cli_main
 from mmwshare.config import default_config
 from mmwshare.experiment import run_scenarios, run_sweep
@@ -22,6 +21,7 @@ from mmwshare.metrics import cdf, percentile
 from mmwshare.scenario import Scenario
 
 from test_allocation import _oracle_search, _oracle_value
+from test_channel import draw_link_states
 
 
 def _report(n: int, ok: bool, detail: str) -> None:

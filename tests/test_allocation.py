@@ -14,8 +14,7 @@ from mmwshare.allocation import (NONE, Association, InstanceSizeError, RateParam
                                  interferer_targets, network_sinr, split_bandwidth,
                                  user_rate)
 from mmwshare.channel import (THERMAL_NOISE_DBM_PER_HZ, AntennaModel, ChannelParams,
-                              LinkState, LinkTable, beam_gain_db, noise_power_dbm,
-                              path_loss_db)
+                              LinkState, LinkTable, noise_power_dbm, path_loss_db)
 from mmwshare.config import default_config
 from mmwshare.experiment import _links
 from mmwshare.geometry import Region, wrapped_delta
@@ -222,6 +221,31 @@ def _oracle_value(links, serving, coch, pool_hz, params, nf, full_bandwidth=Fals
     return total
 
 
+def test_cosine_rule_equals_angle_rule():
+    # the package's one gain step (a cosine against cos(beamwidth / 2))
+    # against the mirror's angle rule, on random direction pairs at every
+    # scale, zero vectors and exact antiparallel pairs
+    rng = np.random.default_rng(20)
+    n = 100_000
+    scale = 10.0 ** rng.integers(-4, 4, size=(n, 1))
+    bore = rng.normal(size=(n, 2)) * scale
+    delta = rng.normal(size=(n, 2)) * scale
+    bore[:2000:2] = 0.0
+    delta[1:2000:2] = 0.0
+    delta[2000:20000] = -bore[2000:20000]
+    norm = np.hypot(delta[:, 0], delta[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = ((bore[:, 0] * delta[:, 0] + bore[:, 1] * delta[:, 1])
+               / (np.hypot(bore[:, 0], bore[:, 1]) * norm))
+    # antiparallel cosines can round below -1, where only the omnidirectional
+    # beam's -inf edge keeps them in the mainlobe
+    assert (cos < -1.0).any()
+    angles = [_angle(v, w) for v, w in zip(bore.tolist(), delta.tolist())]
+    for bw in (1.0, 10.0, 30.0, 179.9, 360.0):
+        got = allocation._sectored_gain_db(bore, delta, norm, 10.0, -10.0, bw)
+        assert got.tolist() == [_gain(a, 10.0, -10.0, bw) for a in angles]
+
+
 def test_sinr_worked_example():
     # serving BS 100 m west of the UE; interferer also 100 m out but 10 deg
     # off the UE boresight (inside the 30 deg receive lobe), with its own
@@ -330,17 +354,18 @@ def _dense_network_sinr(links, assoc, cochannel_bu, noise_figure_db):
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_bs = (np.einsum("bk,buk->bu", bore, delta)
                   / (np.hypot(bore[:, 0], bore[:, 1])[:, None] * norm))
+    # arccos angles lie in [0, 180], so the angle rule needs no fold
     ang_bs = np.degrees(np.arccos(np.clip(np.nan_to_num(cos_bs, nan=1.0), -1.0, 1.0)))
-    gt = beam_gain_db(ang_bs, ant.bs_mainlobe_gain_db, ant.bs_sidelobe_gain_db,
-                      ant.bs_beamwidth_deg)
+    gt = np.where(ang_bs <= ant.bs_beamwidth_deg / 2.0, ant.bs_mainlobe_gain_db,
+                  ant.bs_sidelobe_gain_db)
     s_safe = np.where(served, s, 0)
     bore_ue = delta[s_safe, np.arange(n_ue)]
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_ue = (np.einsum("uk,buk->bu", bore_ue, delta)
                   / (np.hypot(bore_ue[:, 0], bore_ue[:, 1])[None, :] * norm))
     ang_ue = np.degrees(np.arccos(np.clip(np.nan_to_num(cos_ue, nan=1.0), -1.0, 1.0)))
-    gr = beam_gain_db(ang_ue, ant.ue_mainlobe_gain_db, ant.ue_sidelobe_gain_db,
-                      ant.ue_beamwidth_deg)
+    gr = np.where(ang_ue <= ant.ue_beamwidth_deg / 2.0, ant.ue_mainlobe_gain_db,
+                  ant.ue_sidelobe_gain_db)
     rx = links.tx_power_dbm + gt + gr - path_loss - shadowing
     same_site = ((links.bs_xy[:, 0][:, None] == links.bs_xy[s_safe, 0][None, :])
                  & (links.bs_xy[:, 1][:, None] == links.bs_xy[s_safe, 1][None, :]))

@@ -7,12 +7,28 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mmwshare.channel import (AntennaModel, ChannelParams, LinkState, LinkTable,
-                              beam_gain_db, candidate_share, draw_link_states,
-                              noise_power_dbm, outage_radius_m, path_loss_db,
-                              state_probabilities)
+                              _reach_m, _states_from_uniforms, beam_gain_db,
+                              candidate_share, noise_power_dbm, outage_radius_m,
+                              path_loss_db, state_probabilities)
 from mmwshare.geometry import Region, wrapped_delta
 
 FLAT = Region(10.0, 10.0, wraparound=False)
+
+
+def draw_link_states(distance_m, params: ChannelParams, rng: np.random.Generator):
+    """Draw LOS/NLOS/OUT states for an array of distances (one uniform per link).
+
+    The uniforms are drawn full-shaped, one per link, whatever the states;
+    LOS/NLOS probabilities are computed only for candidate links, those that
+    can be anything but OUT: inside the hard radius, or every link under the
+    exponential outage model. The rest are OUT.
+    """
+    d = np.asarray(distance_m, dtype=float)
+    candidate = d <= _reach_m(params)
+    states = np.full(d.shape, LinkState.OUT, dtype=np.int8)
+    states[candidate] = _states_from_uniforms(d[candidate], rng.random(d.shape)[candidate],
+                                              params)
+    return states
 
 
 def test_friis_intercept_28ghz():
@@ -137,17 +153,26 @@ def test_single_link_state_draw():
         draw_link_states(-2.0, p, np.random.default_rng(0))
 
 
-def test_beam_gain_boundaries():
-    # boundary inclusive: angle == beamwidth/2 is still mainlobe
-    assert beam_gain_db(0.0, 20.0, -10.0, 10.0) == 20.0
-    assert beam_gain_db(5.0, 20.0, -10.0, 10.0) == 20.0
-    assert beam_gain_db(5.0001, 20.0, -10.0, 10.0) == -10.0
-    assert beam_gain_db(90.0, 20.0, -10.0, 10.0) == -10.0
-    # angles normalized onto [0, 180]
-    assert beam_gain_db(355.0, 20.0, -10.0, 10.0) == 20.0
-    assert beam_gain_db(-3.0, 20.0, -10.0, 10.0) == 20.0
-    g = beam_gain_db(np.array([0.0, 14.9, 15.0, 15.1]), 10.0, -10.0, 30.0)
-    assert_array_equal(g, [10.0, 10.0, 10.0, -10.0])
+def test_beam_gain_reads_the_cosine():
+    def cos_deg(a):
+        return math.cos(math.radians(a))
+
+    # the edge is inclusive: an angle of exactly beamwidth/2 is still mainlobe
+    assert beam_gain_db(1.0, 20.0, -10.0, 10.0) == 20.0
+    assert beam_gain_db(cos_deg(5.0), 20.0, -10.0, 10.0) == 20.0
+    assert beam_gain_db(cos_deg(5.0001), 20.0, -10.0, 10.0) == -10.0
+    assert beam_gain_db(0.0, 20.0, -10.0, 10.0) == -10.0
+    assert beam_gain_db(-1.0, 20.0, -10.0, 10.0) == -10.0
+    # a 0/0 cosine (coincident points) is boresight-aligned
+    assert beam_gain_db(math.nan, 20.0, -10.0, 10.0) == 20.0
+    # a 360-deg beam is omnidirectional, below a cosine of -1 too
+    assert beam_gain_db(-1.0000000000000002, 20.0, -10.0, 360.0) == 20.0
+    assert beam_gain_db(-1.0000000000000002, 20.0, -10.0, 359.9) == -10.0
+    # a scalar gives a float, an array an array of its shape
+    assert type(beam_gain_db(cos_deg(3.0), 20.0, -10.0, 10.0)) is float
+    g = beam_gain_db(np.array([[cos_deg(a) for a in (0.0, 14.9, 15.0, 15.1)]
+                               + [math.nan]]), 10.0, -10.0, 30.0)
+    assert_array_equal(g, [[10.0, 10.0, 10.0, -10.0, 10.0]])
 
 
 def test_noise_power_examples():
