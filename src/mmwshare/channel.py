@@ -9,8 +9,8 @@ smooth exponential ramp. The antenna pattern is flat-top sectored
 (mainlobe within a beamwidth, sidelobe floor outside).
 
 Links are realized one way, in bulk, by `LinkTable.realize_block`; a
-`LinkTable` holds the live links of one or more drops (`realize` is the
-one-drop block). Most links of a default drop are OUT (about 3% of its
+`LinkTable` holds the live links of one or more drops (a single drop is
+a block of one). Most links of a default drop are OUT (about 3% of its
 (BS, UE) pairs lie inside the hard coverage radius), so the table lists
 only the live links, as flat row-major arrays with their state and torus
 geometry, and builds the dense (B, U) state only on demand; `allocation`
@@ -295,10 +295,10 @@ class LinkTable:
     Only a few percent of a drop's (BS, UE) pairs are not OUT, so the table
     keeps those live links alone, as flat arrays in row-major (b, u) order
     (ascending BS, then ascending UE): `link_bs` and `link_ue` name each
-    link, and `link_state`, `delta_km`, `dist_m`, `path_loss_db`,
-    `shadowing_db` and `serving_rx_dbm` hold its state, torus geometry and
-    link budget. `serving_rx_dbm` is the long-term received power with
-    boresight-aligned gains on both ends (the blind association metric).
+    link, and `link_state`, `delta_km`, `path_loss_db`, `shadowing_db` and
+    `serving_rx_dbm` hold its state, torus geometry and link budget.
+    `serving_rx_dbm` is the long-term received power with boresight-aligned
+    gains on both ends (the blind association metric).
     A block table lays its drops side by side: drop d's BSs, UEs and sites
     follow those of the drops before it, and no link crosses a drop, so
     each UE's links are its own drop's, in ascending BS order.
@@ -324,14 +324,12 @@ class LinkTable:
     bs_xy: np.ndarray          # (B, 2) km
     ue_xy: np.ndarray          # (U, 2) km
     tx_power_dbm: float
-    params: ChannelParams
     antenna: AntennaModel
     site_of_bs: np.ndarray     # (B,) int64, equal for BSs of one drop at equal coordinates
     link_bs: np.ndarray        # (L,) int64, live links in row-major (b, u) order
     link_ue: np.ndarray        # (L,) int64
     link_state: np.ndarray     # (L,) int8, LOS or NLOS
     delta_km: np.ndarray       # (L, 2), BS -> UE displacement under the region metric
-    dist_m: np.ndarray         # (L,), 1000 * |delta_km|
     path_loss_db: np.ndarray   # (L,)
     shadowing_db: np.ndarray   # (L,)
     serving_rx_dbm: np.ndarray  # (L,)
@@ -360,11 +358,6 @@ class LinkTable:
     def at_links(self, values_bu) -> np.ndarray:
         """(L,) entries of a (B, U) array at the live links."""
         return np.asarray(values_bu).ravel().take(self.link_bs * self.n_ue + self.link_ue)
-
-    @classmethod
-    def realize(cls, bs_xy, ue_xy, region, tx_power_dbm, params, antenna, seed: int) -> "LinkTable":
-        """The table of one drop: `realize_block` with one geometry."""
-        return cls.realize_block([(bs_xy, ue_xy, seed)], region, tx_power_dbm, params, antenna)
 
     @classmethod
     def realize_block(cls, drops, region, tx_power_dbm, params, antenna) -> "LinkTable":
@@ -430,7 +423,6 @@ class LinkTable:
         count = np.bincount(site, minlength=len(first_bs))
         per_bs = count.take(site_of_bs)
         at = _ranges((np.cumsum(count) - count).take(site_of_bs), per_bs)
-        return cls(region, bs_xy, ue_xy, tx_power_dbm, params, antenna, site_of_bs,
+        return cls(region, bs_xy, ue_xy, tx_power_dbm, antenna, site_of_bs,
                    np.repeat(np.arange(n_bs), per_bs), ue.take(at), state.take(at),
-                   delta.take(at, axis=0), dist.take(at), pl.take(at), shadow.take(at),
-                   rx.take(at))
+                   delta.take(at, axis=0), pl.take(at), shadow.take(at), rx.take(at))

@@ -172,8 +172,3 @@ def load_config(path) -> ExperimentConfig:
         return from_dict(doc)
     except ConfigError as exc:
         raise ConfigError(f"{p}: {exc}") from exc
-
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(
-        json.dumps(to_dict(cfg), sort_keys=True, indent=2) + "\n", encoding="utf-8")

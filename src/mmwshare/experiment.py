@@ -19,9 +19,9 @@ kinds' sharing labels; no link crosses a drop, so each drop's values are
 those of the drop alone, and each kind's outcome comes out in pooled drop
 order. Only one table is alive at a time, and a block's tables hold its
 live links and candidates only, never a (B, U) array of the block.
-`run_drop` is a block of one drop, and a gap instance's table a block of
-one instance. Drops and gap instances take every sharing rule,
-co-location included, from one builder, `scenario.realize_scenario`.
+A gap instance's table is a block of one instance. Drops and gap
+instances take every sharing rule, co-location included, from one
+builder, `scenario.realize_scenario`.
 
 Seed layout, all via mix_seed: within a drop, operator m's deployment uses
 k=m of the drop seed, its shared-BS selection k=M+m, the link table k=2M.
@@ -133,26 +133,6 @@ def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]]
     return {r.scenario.kind: outcomes[r.scenario.kind] for r in drops[0]}
 
 
-def _draw(config: ExperimentConfig, kinds, seed: int) -> list[RealizedScenario]:
-    """`build_scenario` of every distinct kind in `kinds`, in order of first appearance."""
-    return build_scenario([replace(config.scenario, kind=kind) for kind in dict.fromkeys(kinds)],
-                          config.region, config.bs_density_per_km2,
-                          config.ue_density_per_km2, seed)
-
-
-def run_drop(config: ExperimentConfig, kinds, seed: int) -> dict[str, DropOutcome]:
-    """Realize and evaluate one drop of every kind in `kinds` from one seed:
-    a block of one drop.
-
-    One `build_scenario` call draws the operators once for all kinds.
-    Every stage seeds its own generator from mix_seed(seed, k), so the
-    order of the kinds moves no random draw and each outcome equals that
-    of the kind run alone. Returns one outcome per distinct kind, in the
-    order of first appearance in `kinds`.
-    """
-    return _run_block(config, [_draw(config, kinds, seed)], [seed])
-
-
 # expected candidate (site, UE) pairs per block of drops (`channel.candidate_share`):
 # bounds the working memory of a block's link table
 _BLOCK_PAIRS = 1 << 15
@@ -160,16 +140,19 @@ _BLOCK_PAIRS = 1 << 15
 
 def _blocks(config: ExperimentConfig, kinds, base_seed: int):
     """Yield (drops, seeds) blocks of drops 0 .. config.drops - 1, drop j
-    seeded mix_seed(base_seed, j) and drawn by `_draw`. A block takes
-    drops in order while their expected candidate pairs stay within
-    `_BLOCK_PAIRS`, and holds one drop at least; a drop counts the BSs x
-    UEs of its larger geometry times `candidate_share` (every pair under
-    the exponential outage model)."""
+    seeded mix_seed(base_seed, j) and drawn by one `build_scenario` call
+    for every distinct kind in `kinds`, in order of first appearance. A
+    block takes drops in order while their expected candidate pairs stay
+    within `_BLOCK_PAIRS`, and holds one drop at least; a drop counts the
+    BSs x UEs of its larger geometry times `candidate_share` (every pair
+    under the exponential outage model)."""
+    scenarios = [replace(config.scenario, kind=kind) for kind in dict.fromkeys(kinds)]
     share = candidate_share(config.region, config.channel)
     drops, seeds, pairs = [], [], 0.0
     for j in range(config.drops):
         seed = mix_seed(base_seed, j)
-        drop = _draw(config, kinds, seed)
+        drop = build_scenario(scenarios, config.region, config.bs_density_per_km2,
+                              config.ue_density_per_km2, seed)
         n = share * max((len(r.bs_xy) * len(r.ue_xy) for r in drop), default=0)
         if drops and pairs + n > _BLOCK_PAIRS:
             yield drops, seeds
@@ -236,7 +219,8 @@ def run_scenarios(config: ExperimentConfig,
     the next block starts, so deployments are identical across kinds drop
     by drop. The pooled samples of each kind are byte-identical to those
     of `run_scenarios(config, (kind,))` and to the stable sort of the
-    concatenated `run_drop` outcomes.
+    concatenated outcomes of its drops, each run alone as a block of one
+    drop.
     """
     for kind in kinds:
         if kind not in SCENARIO_KINDS:

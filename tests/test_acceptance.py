@@ -161,8 +161,7 @@ def test_criterion_08_coordination_gap():
         ue_op = rng.integers(0, 2, size=n_ue)
         access = bs_op[:, None] == ue_op[None, :]
         coch = np.ones(access.shape, bool)
-        links = LinkTable.realize(bs_xy, ue_xy, region, 30.0, channel,
-                                  antenna, seed=i)
+        links = LinkTable.realize_block([(bs_xy, ue_xy, i)], region, 30.0, channel, antenna)
         serving, ub_v, blind_v = coordinated_upper_bound(links, access, coch,
                                                          pool, params, 7.0)
         want_a, want_v = _oracle_search(links, access, coch, pool, params, 7.0)
@@ -226,8 +225,8 @@ def test_criterion_10_statistical_sanity():
     # shadowing: one BS against 1e5 all-LOS UEs
     p = ChannelParams(los_decay_per_m=0.0, hard_coverage_area_km2=1e6)
     ue = np.random.default_rng(56).random((100_000, 2))
-    table = LinkTable.realize(np.array([[0.5, 0.5]]), ue, Region(1.0, 1.0),
-                              30.0, p, AntennaModel(), seed=57)
+    table = LinkTable.realize_block([(np.array([[0.5, 0.5]]), ue, 57)], Region(1.0, 1.0), 30.0, p,
+                                    AntennaModel())
     sh = table.shadowing_db   # one BS, every link LOS: one entry per UE
     assert sh.shape == (100_000,)
     ok_shadow = (abs(float(sh.mean())) <= 0.02 * 4.0

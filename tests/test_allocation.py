@@ -40,8 +40,8 @@ def make_table(bs_xy, ue_xy, region=FLAT, state=None, shadow=None, tx=30.0):
     rx = tx + antenna.bs_mainlobe_gain_db + antenna.ue_mainlobe_gain_db - pl - sh
     site_of_bs = np.unique(bs_xy, axis=0, return_inverse=True)[1].reshape(-1)
     link_bs, link_ue = np.nonzero(ok)
-    return LinkTable(region, bs_xy, ue_xy, tx, params, antenna, site_of_bs,
-                     link_bs, link_ue, state[ok], delta[ok], dist_m[ok], pl, sh, rx)
+    return LinkTable(region, bs_xy, ue_xy, tx, antenna, site_of_bs,
+                     link_bs, link_ue, state[ok], delta[ok], pl, sh, rx)
 
 
 def rx_dbm(links):
@@ -314,8 +314,8 @@ def test_network_sinr_matches_scalar():
         ue = rng.random((n_ue, 2)) * 0.3
         if trial == 0:
             bs[1] = bs[0]   # exercise the co-sited branch
-        links = LinkTable.realize(bs, ue, region, 30.0, ChannelParams(),
-                                  AntennaModel(), seed=int(rng.integers(1 << 30)))
+        links = LinkTable.realize_block([(bs, ue, int(rng.integers(1 << 30)))], region, 30.0,
+                                        ChannelParams(), AntennaModel())
         everywhere = np.ones(len(links.link_bs), bool)
         assoc = split_bandwidth(associate_blind(links, everywhere), n_bs, 1e9)
         coch = rng.random((n_bs, n_ue)) < 0.8
@@ -540,8 +540,8 @@ def test_upper_bound_matches_independent_enumeration():
         n_ue = int(rng.integers(1, 6))
         bs = rng.random((n_bs, 2)) * 0.25
         ue = rng.random((n_ue, 2)) * 0.25
-        links = LinkTable.realize(bs, ue, region, 30.0, ChannelParams(),
-                                  AntennaModel(), seed=trial)
+        links = LinkTable.realize_block([(bs, ue, trial)], region, 30.0, ChannelParams(),
+                                        AntennaModel())
         access = rng.random((n_bs, n_ue)) < 0.85
         coch = np.ones((n_bs, n_ue), bool)
         serving, value, _ = coordinated_upper_bound(links, access, coch, 1e9, params, 7.0)
@@ -559,10 +559,9 @@ def test_upper_bound_dominates_blind():
     for trial in range(12):
         n_bs = int(rng.integers(2, 5))
         n_ue = int(rng.integers(2, 6))
-        links = LinkTable.realize(rng.random((n_bs, 2)) * 0.25,
-                                  rng.random((n_ue, 2)) * 0.25,
-                                  region, 30.0, ChannelParams(), AntennaModel(),
-                                  seed=100 + trial)
+        links = LinkTable.realize_block(
+            [(rng.random((n_bs, 2)) * 0.25, rng.random((n_ue, 2)) * 0.25, 100 + trial)],
+            region, 30.0, ChannelParams(), AntennaModel())
         access = np.ones((n_bs, n_ue), bool)
         coch = np.ones((n_bs, n_ue), bool)
         blind = associate_blind(links, links.at_links(access))
@@ -654,9 +653,9 @@ def test_kernel_equals_scalar_reference_on_every_assignment():
             bs[1] = bs[0]
             seen["cosited"] += 1
         # a small coverage area blocks some links
-        links = LinkTable.realize(bs, rng.random((n_ue, 2)) * 0.25, region, 30.0,
-                                  ChannelParams(hard_coverage_area_km2=0.01),
-                                  AntennaModel(), seed=500 + trial)
+        links = LinkTable.realize_block([(bs, rng.random((n_ue, 2)) * 0.25, 500 + trial)], region,
+                                        30.0, ChannelParams(hard_coverage_area_km2=0.01),
+                                        AntennaModel())
         seen["out"] += int((links.state == LinkState.OUT).any())
         coch = rng.random((n_bs, n_ue)) < (0.0 if trial % 3 == 0 else 0.6)
         seen["all_false" if not coch.any() else "partial"] += 1
@@ -761,9 +760,9 @@ def test_upper_bound_tie_across_blocks_keeps_earlier_assignment():
 def test_upper_bound_eight_ues_two_plus_two_bss_matches_oracle():
     rng = np.random.default_rng(8)
     region = Region(0.2, 0.2)
-    links = LinkTable.realize(rng.random((4, 2)) * 0.2, rng.random((8, 2)) * 0.2,
-                              region, 30.0, ChannelParams(hard_coverage_area_km2=0.02),
-                              AntennaModel(), seed=88)
+    links = LinkTable.realize_block([(rng.random((4, 2)) * 0.2, rng.random((8, 2)) * 0.2, 88)],
+                                    region, 30.0, ChannelParams(hard_coverage_area_km2=0.02),
+                                    AntennaModel())
     # operator 0 owns BSs 0-1 and UEs 0-3, operator 1 the rest; one pool
     access = np.zeros((4, 8), bool)
     access[:2, :4] = access[2:, 4:] = True
@@ -783,10 +782,9 @@ def test_upper_bound_eight_ues_two_plus_two_bss_matches_oracle():
 def test_upper_bound_full_default_size_completes(monkeypatch):
     # max_ues=8 UEs x 4 BSs, all accessible and unblocked: 4**8 assignments
     rng = np.random.default_rng(65536)
-    links = LinkTable.realize(rng.random((4, 2)) * 0.1, rng.random((8, 2)) * 0.1,
-                              Region(0.1, 0.1), 30.0,
-                              ChannelParams(hard_coverage_area_km2=1.0),
-                              AntennaModel(), seed=1)
+    links = LinkTable.realize_block([(rng.random((4, 2)) * 0.1, rng.random((8, 2)) * 0.1, 1)],
+                                    Region(0.1, 0.1), 30.0,
+                                    ChannelParams(hard_coverage_area_km2=1.0), AntennaModel())
     assert (links.state != LinkState.OUT).all()
     blocks = []
     real = allocation._score_block

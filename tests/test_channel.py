@@ -184,8 +184,15 @@ def test_noise_power_examples():
 
 
 def _one_link(bs, ue, params, region=FLAT, seed=0):
-    return LinkTable.realize(np.array([bs]), np.array([ue]), region, 30.0, params,
-                             AntennaModel(), seed)
+    return LinkTable.realize_block([(np.array([bs]), np.array([ue]), seed)], region, 30.0,
+                                   params, AntennaModel())
+
+
+def path_loss_at_delta(links, params):
+    """The model's path loss at each listed link's state and distance
+    1000 * |delta_km|: a table prices exactly its own displacements."""
+    dist_m = 1000.0 * np.hypot(links.delta_km[:, 0], links.delta_km[:, 1])
+    return path_loss_db(dist_m, links.link_state, params)
 
 
 def test_realize_link_serving_budget():
@@ -204,8 +211,7 @@ def test_realize_link_serving_budget():
 def test_realize_link_out_is_minus_inf():
     links = _one_link((0.0, 0.0), (0.1, 0.0), ChannelParams(hard_coverage_area_km2=1e-6))
     assert links.state[0, 0] == LinkState.OUT
-    for name in ("link_bs", "link_ue", "dist_m", "path_loss_db", "shadowing_db",
-                 "serving_rx_dbm"):
+    for name in ("link_bs", "link_ue", "path_loss_db", "shadowing_db", "serving_rx_dbm"):
         assert getattr(links, name).shape == (0,)
     assert links.delta_km.shape == (0, 2)
     # scattered to dense, a blocked link reads +inf path loss and -inf power
@@ -219,7 +225,7 @@ def test_realize_link_torus_region():
     links = _one_link((0.05, 0.5), (0.95, 0.5), p, region=Region(1.0, 1.0), seed=1)
     # wrapped distance is 100 m, not 900 m, reached across the x = 0 edge
     assert_allclose(links.delta_km[0], [-0.1, 0.0], atol=1e-15)
-    assert_allclose(links.dist_m[0], 100.0, rtol=1e-12)
+    assert links.path_loss_db.tobytes() == path_loss_at_delta(links, p).tobytes()
     assert_allclose(links.path_loss_db[0], 101.4, rtol=1e-12)
 
 
@@ -227,28 +233,29 @@ def test_link_table_matches_field_composition():
     rng = np.random.default_rng(5)
     bs = rng.random((6, 2)) * 0.4
     ue = rng.random((15, 2)) * 0.4
-    links = LinkTable.realize(bs, ue, Region(0.4, 0.4), 30.0, ChannelParams(),
-                              AntennaModel(), seed=11)
+    params = ChannelParams()
+    links = LinkTable.realize_block([(bs, ue, 11)], Region(0.4, 0.4), 30.0, params,
+                                    AntennaModel())
     # the listed links are exactly the non-OUT ones, in row-major order
     served = links.state != LinkState.OUT
     assert_array_equal(links.link_bs * links.n_ue + links.link_ue, np.flatnonzero(served))
     recomposed = (30.0 + 20.0 + 10.0 - links.path_loss_db - links.shadowing_db)
     assert_array_equal(links.serving_rx_dbm, recomposed)
-    # path loss agrees with the scalar op at every realized state
+    # path loss is the model's at every link's distance and realized state,
+    # and agrees with the scalar op
+    assert links.path_loss_db.tobytes() == path_loss_at_delta(links, params).tobytes()
+    dist_m = 1000.0 * np.hypot(links.delta_km[:, 0], links.delta_km[:, 1])
     for i, (b, u) in enumerate(zip(links.link_bs, links.link_ue)):
         assert_allclose(links.path_loss_db[i],
-                        path_loss_db(links.dist_m[i], LinkState(links.state[b, u]),
-                                     links.params),
+                        path_loss_db(dist_m[i], LinkState(links.state[b, u]), params),
                         rtol=1e-12)
 
 
 def test_link_table_deterministic():
     rng = np.random.default_rng(8)
     bs, ue = rng.random((5, 2)), rng.random((9, 2))
-    a = LinkTable.realize(bs, ue, Region(1, 1), 30.0, ChannelParams(),
-                          AntennaModel(), seed=4)
-    b = LinkTable.realize(bs, ue, Region(1, 1), 30.0, ChannelParams(),
-                          AntennaModel(), seed=4)
+    a = LinkTable.realize_block([(bs, ue, 4)], Region(1, 1), 30.0, ChannelParams(), AntennaModel())
+    b = LinkTable.realize_block([(bs, ue, 4)], Region(1, 1), 30.0, ChannelParams(), AntennaModel())
     for name in ("state", "link_bs", "link_ue", "shadowing_db", "serving_rx_dbm"):
         assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -260,8 +267,8 @@ def test_link_table_colocated_share_propagation():
     site = rng.random((4, 2))
     bs = np.vstack([site, site])       # two arrays per tower
     ue = rng.random((40, 2))
-    links = LinkTable.realize(bs, ue, Region(1, 1), 30.0, ChannelParams(),
-                              AntennaModel(), seed=21)
+    links = LinkTable.realize_block([(bs, ue, 21)], Region(1, 1), 30.0, ChannelParams(),
+                                    AntennaModel())
     assert_array_equal(links.state[:4], links.state[4:])
     shadowing = links.dense(links.shadowing_db, 0.0)
     rx = links.dense(links.serving_rx_dbm, -np.inf)
@@ -305,9 +312,9 @@ def _dense_realize(bs_xy, ue_xy, region, tx_power_dbm, params, antenna, seed):
 def _assert_equals_dense_reference(bs, ue, region, params, seed):
     """The flat table, scattered to dense, equals `_dense_realize` byte for
     byte; its listed links are the non-OUT ones, in row-major order, with
-    the dense geometry's displacements and distances."""
+    the dense geometry's displacements, priced at their distances."""
     antenna = AntennaModel()
-    links = LinkTable.realize(bs, ue, region, 30.0, params, antenna, seed=seed)
+    links = LinkTable.realize_block([(bs, ue, seed)], region, 30.0, params, antenna)
     states, shadow, pl, rx = _dense_realize(bs, ue, region, 30.0, params, antenna, seed)
     got = (links.state, links.dense(links.shadowing_db, 0.0),
            links.dense(links.path_loss_db, np.inf), links.dense(links.serving_rx_dbm, -np.inf))
@@ -319,7 +326,7 @@ def _assert_equals_dense_reference(bs, ue, region, params, seed):
     delta = wrapped_delta(bs[:, None, :], ue[None, :, :], region)
     live = delta[links.link_bs, links.link_ue]
     assert links.delta_km.tobytes() == live.tobytes()
-    assert links.dist_m.tobytes() == (1000.0 * np.hypot(live[:, 0], live[:, 1])).tobytes()
+    assert links.path_loss_db.tobytes() == path_loss_at_delta(links, params).tobytes()
     return links
 
 
@@ -377,7 +384,7 @@ def test_link_table_grid_edge_cases_equal_dense_reference():
             wrapped_delta(bs[:, None, :], ue[None, :, :], region), -1, 0))
         reach_m = outage_radius_m(params)
         assert (dist == reach_m).any() and (dist > reach_m).any()
-        assert links.dist_m.size > 0
+        assert links.path_loss_db.size > 0
 
     # points on cell borders: 0, multiples of the cell side, just below the side
     for n in (1, 2, 3, 4, 10):
@@ -439,7 +446,7 @@ def test_block_table_is_its_drops_side_by_side():
                                                            region.height_km],
                               int(rng.integers(1 << 40))))
             block = LinkTable.realize_block(drops, region, 30.0, params, antenna)
-            alone = [LinkTable.realize(bs, ue, region, 30.0, params, antenna, seed)
+            alone = [LinkTable.realize_block([(bs, ue, seed)], region, 30.0, params, antenna)
                      for bs, ue, seed in drops]
             n_bs = np.cumsum([0] + [t.n_bs for t in alone])
             n_ue = np.cumsum([0] + [t.n_ue for t in alone])
@@ -449,8 +456,8 @@ def test_block_table_is_its_drops_side_by_side():
                 "link_ue": [t.link_ue + o for t, o in zip(alone, n_ue)],
                 "site_of_bs": [t.site_of_bs + o for t, o in zip(alone, n_site)],
             }
-            for name in ("link_state", "delta_km", "dist_m", "path_loss_db",
-                         "shadowing_db", "serving_rx_dbm", "bs_xy", "ue_xy"):
+            for name in ("link_state", "delta_km", "path_loss_db", "shadowing_db",
+                         "serving_rx_dbm", "bs_xy", "ue_xy"):
                 want[name] = [getattr(t, name) for t in alone]
             for name, parts in want.items():
                 got = getattr(block, name)
@@ -477,8 +484,8 @@ def test_shadowing_moments_los():
     p = ChannelParams(los_decay_per_m=0.0, hard_coverage_area_km2=1e6)
     rng = np.random.default_rng(3)
     ue = rng.random((100_000, 2))
-    links = LinkTable.realize(np.array([[0.5, 0.5]]), ue, Region(1, 1), 30.0, p,
-                              AntennaModel(), seed=6)
+    links = LinkTable.realize_block([(np.array([[0.5, 0.5]]), ue, 6)], Region(1, 1), 30.0, p,
+                                    AntennaModel())
     assert np.all(links.state == LinkState.LOS)
     sh = links.shadowing_db   # one BS: every listed link is one of its links
     assert sh.shape == (100_000,)
@@ -490,8 +497,8 @@ def test_shadowing_moments_nlos():
     p = ChannelParams(los_decay_per_m=1e9, hard_coverage_area_km2=1e6)
     rng = np.random.default_rng(13)
     ue = rng.random((100_000, 2)) + 0.001   # keep distances well above zero
-    links = LinkTable.realize(np.array([[0.0, 0.0]]), ue, Region(2, 2), 30.0, p,
-                              AntennaModel(), seed=14)
+    links = LinkTable.realize_block([(np.array([[0.0, 0.0]]), ue, 14)], Region(2, 2), 30.0, p,
+                                    AntennaModel())
     assert np.all(links.state == LinkState.NLOS)
     sh = links.shadowing_db
     assert sh.shape == (100_000,)

@@ -14,7 +14,7 @@ from mmwshare.channel import ChannelParams
 from mmwshare.cli import build_parser, main
 from mmwshare.config import (SPEC_REVISION, ConfigError, ExperimentConfig, canonical_json,
                              config_hash, default_config, from_dict,
-                             load_config, save_config, to_dict)
+                             load_config, to_dict)
 from mmwshare.geometry import Region
 from mmwshare.scenario import SCENARIO_KINDS, Scenario
 
@@ -179,7 +179,8 @@ def test_config_value_validation():
 def test_file_round_trip_and_diagnostics(tmp_path):
     path = tmp_path / "exp.json"
     cfg = custom_config()
-    save_config(cfg, path)
+    path.write_text(json.dumps(to_dict(cfg), sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8")
     assert load_config(path) == cfg
 
     bad = tmp_path / "bad.json"

@@ -13,7 +13,7 @@ from mmwshare import allocation, experiment, scenario
 from mmwshare.allocation import InstanceSizeError
 from mmwshare.channel import LinkTable
 from mmwshare.config import default_config
-from mmwshare.experiment import _links, run_drop, run_gap, run_scenarios, run_sweep
+from mmwshare.experiment import _links, run_gap, run_scenarios, run_sweep
 from mmwshare.geometry import Region, mix_seed
 from mmwshare.metrics import outage_rate
 from mmwshare.scenario import SCENARIO_KINDS, Scenario, build_scenario
@@ -22,6 +22,15 @@ from mmwshare.scenario import SCENARIO_KINDS, Scenario, build_scenario
 def small_config(**overrides):
     cfg = default_config()
     return replace(cfg, ue_density_per_km2=60.0, drops=2, **overrides)
+
+
+def run_drop(config, kinds, seed):
+    """One drop of every distinct kind in `kinds`, in order of first
+    appearance, from one seed: the engine's block of one drop."""
+    drop = build_scenario([replace(config.scenario, kind=kind) for kind in dict.fromkeys(kinds)],
+                          config.region, config.bs_density_per_km2,
+                          config.ue_density_per_km2, seed)
+    return experiment._run_block(config, [drop], [seed])
 
 
 def test_run_drop_deterministic():

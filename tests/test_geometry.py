@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
-from mmwshare.channel import AntennaModel, ChannelParams, LinkTable
+from mmwshare.channel import AntennaModel, ChannelParams, LinkTable, path_loss_db
 from mmwshare.geometry import (Region, avg_cell_radius_m, deploy_operator,
                                deploy_ppp, mix_seed, wrapped_delta)
 
@@ -144,16 +144,17 @@ def test_pairwise_distance_shape():
     ue = np.array([[0.1, 0.0]])
     # at its live links: only the BS 100 m away is inside the 126 m outage
     # radius, and it is LOS for sure
-    links = LinkTable.realize(bs, ue, UNIT, 30.0,
-                              ChannelParams(los_decay_per_m=0.0, hard_coverage_area_km2=0.05),
-                              AntennaModel(), seed=0)
+    params = ChannelParams(los_decay_per_m=0.0, hard_coverage_area_km2=0.05)
+    links = LinkTable.realize_block([(bs, ue, 0)], UNIT, 30.0, params, AntennaModel())
     assert links.state.shape == (2, 1)
     assert (links.link_bs.tolist(), links.link_ue.tolist()) == ([0], [0])
     assert links.delta_km.shape == (1, 2)
-    assert links.dist_m.shape == (1,)
-    assert_allclose(links.dist_m[0], 100.0, rtol=1e-12)
-    assert_array_equal(links.dist_m,
-                       1000.0 * np.hypot(links.delta_km[:, 0], links.delta_km[:, 1]))
+    assert links.path_loss_db.shape == (1,)
+    # the table prices the distance 1000 * |delta_km|, bit for bit
+    dist_m = 1000.0 * np.hypot(links.delta_km[:, 0], links.delta_km[:, 1])
+    assert_allclose(dist_m[0], 100.0, rtol=1e-12)
+    assert (links.path_loss_db.tobytes()
+            == path_loss_db(dist_m, links.link_state, params).tobytes())
 
 
 def test_avg_cell_radius_reference_values():

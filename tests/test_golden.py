@@ -7,9 +7,9 @@ moves them changes the model's output: report it, never re-record the
 digests to make a refactor pass.
 
 The digests also depend on the host's SIMD. They hold for numpy 2.4.6 on
-its X86_V4 (AVX512) dispatch path. `LinkTable.realize`, `network_sinr`
-and the rate formula call numpy's exp, log10, power and log2, whose
-results change in the last ulp with the dispatch path. Under
+its X86_V4 (AVX512) dispatch path. `LinkTable.realize_block`,
+`network_sinr` and the rate formula call numpy's exp, log10, power and
+log2, whose results change in the last ulp with the dispatch path. Under
 NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" (the AVX2 path),
 `test_golden_scenarios` and `test_golden_gap_spectrum_access_opened_bs`
 fail, so a host without AVX512 fails them too. What does hold on both

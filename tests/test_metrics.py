@@ -12,9 +12,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import mmwshare
 from mmwshare.config import default_config
-from mmwshare.experiment import _SWEEP_SEED_BASE, SweepResult, run_drop, run_sweep
+from mmwshare.experiment import _SWEEP_SEED_BASE, SweepResult, run_sweep
 from mmwshare.geometry import mix_seed
 from mmwshare.metrics import cdf, fit_scaling_exponent, outage_rate, percentile
+
+from test_experiment import run_drop
 
 
 def test_cdf_is_the_stable_sort_of_its_samples():
