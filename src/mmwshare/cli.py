@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from json import dumps
@@ -109,6 +110,18 @@ def _parse_densities(text: str) -> list[float]:
     return values
 
 
+def _default_jobs() -> int:
+    """Processes that share the drops of `scenarios` and `sweep`: the CPUs
+    this process may run on, at most 2, the one count measured. 1 where
+    there is no `os.fork`, and on Python 3.12 and later, whose `os.fork`
+    warns in a process with threads (numpy's BLAS pool)."""
+    if not hasattr(os, "fork") or sys.version_info >= (3, 12):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmwshare",
@@ -166,7 +179,7 @@ def cmd_scenarios(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     kinds = (args.scenario,) if args.scenario else SCENARIO_KINDS
-    results = run_scenarios(cfg, kinds)
+    results = run_scenarios(cfg, kinds, jobs=_default_jobs())
     provenance = _provenance(cfg)
     # every kind pools the same UEs, so one cum_prob column serves every file
     n = len(next(iter(results.values())).rate_bps)
@@ -195,7 +208,7 @@ def cmd_sweep(args) -> int:
         cfg = replace(cfg, scenario=replace(cfg.scenario, kind=args.scenario))
     densities = _parse_densities(args.densities)
     out = _outdir(args)
-    sweep = run_sweep(cfg, densities)
+    sweep = run_sweep(cfg, densities, jobs=_default_jobs())
     provenance = _provenance(cfg)
     write_table_csv(out / "sweep.csv", provenance,
                     "density_bs_km2,median_rate_bps,p05_rate_bps,outage_fraction",

@@ -23,6 +23,19 @@ A gap instance's table is a block of one instance. Drops and gap
 instances take every sharing rule, co-location included, from one
 builder, `scenario.realize_scenario`.
 
+A pooled run is two steps. `_outcomes` evaluates drops [lo, hi) of the
+run, block by block, into each kind's (sinr, rate) samples in drop order.
+`_statistics` concatenates the outcomes of consecutive ranges in drop
+order before the mean and the stable sort, so no bit depends on where the
+ranges, or the blocks within them, are cut. With `jobs` > 1 the drops are
+cut into that many ranges (`_drop_ranges`, never more than the drops) and
+`_fork_map` evaluates the first in this process and each other one in a
+child forked for it (POSIX `os.fork`, results pickled back through a
+pipe). `run_sweep` forks once for all its densities, each process taking
+the same range of drop indices at every density; the scaling fit
+(LAPACK) runs in the parent only, and no forked code calls BLAS.
+`run_gap` stays serial.
+
 Seed layout, all via mix_seed: within a drop, operator m's deployment uses
 k=m of the drop seed, its shared-BS selection k=M+m, the link table k=2M.
 Every stage seeds its own generator, so neither the order in which kinds
@@ -40,6 +53,9 @@ only in `run_gap`, on instances small enough to enumerate.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -138,8 +154,8 @@ def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]]
 _BLOCK_PAIRS = 1 << 15
 
 
-def _blocks(config: ExperimentConfig, kinds, base_seed: int):
-    """Yield (drops, seeds) blocks of drops 0 .. config.drops - 1, drop j
+def _blocks(config: ExperimentConfig, kinds, base_seed: int, lo: int, hi: int):
+    """Yield (drops, seeds) blocks of drops lo .. hi - 1, drop j
     seeded mix_seed(base_seed, j) and drawn by one `build_scenario` call
     for every distinct kind in `kinds`, in order of first appearance. A
     block takes drops in order while their expected candidate pairs stay
@@ -149,7 +165,7 @@ def _blocks(config: ExperimentConfig, kinds, base_seed: int):
     scenarios = [replace(config.scenario, kind=kind) for kind in dict.fromkeys(kinds)]
     share = candidate_share(config.region, config.channel)
     drops, seeds, pairs = [], [], 0.0
-    for j in range(config.drops):
+    for j in range(lo, hi):
         seed = mix_seed(base_seed, j)
         drop = build_scenario(scenarios, config.region, config.bs_density_per_km2,
                               config.ue_density_per_km2, seed)
@@ -180,24 +196,31 @@ class ScenarioRunResult:
     drops: int
 
 
-def _pooled(config: ExperimentConfig, kinds,
-            base_seed: int) -> dict[str, ScenarioRunResult]:
-    """Pool `config.drops` drops of every kind in `kinds`, drop j seeded
-    mix_seed(base_seed, j), block by block (`_blocks`). Each kind's samples
-    are concatenated in drop order, averaged, then kept only as their CDF,
-    which the percentiles read; a kind listed twice is pooled once. A
-    population with no UE in any drop pools no sample, and every statistic
-    of it is NaN."""
-    sinr_parts = {kind: [] for kind in kinds}
-    rate_parts = {kind: [] for kind in kinds}
-    for drops, seeds in _blocks(config, kinds, base_seed):
+def _outcomes(config: ExperimentConfig, kinds, base_seed: int,
+              lo: int, hi: int) -> dict[str, tuple[list, list]]:
+    """Each distinct kind's (sinr_db, rate_bps) samples over drops [lo, hi),
+    drop j seeded mix_seed(base_seed, j), as lists of the arrays of its
+    blocks (`_blocks`) in drop order."""
+    parts = {kind: ([], []) for kind in kinds}
+    for drops, seeds in _blocks(config, kinds, base_seed, lo, hi):
         for kind, out in _run_block(config, drops, seeds).items():
-            sinr_parts[kind].append(out.sinr_db)
-            rate_parts[kind].append(out.rate_bps)
+            parts[kind][0].append(out.sinr_db)
+            parts[kind][1].append(out.rate_bps)
+    return parts
+
+
+def _statistics(config: ExperimentConfig, shares: Sequence[dict[str, tuple[list, list]]]
+                ) -> dict[str, ScenarioRunResult]:
+    """Pool `_outcomes` of consecutive drop ranges covering drops
+    0 .. config.drops - 1. Each kind's block arrays are concatenated once,
+    in drop order, averaged, then kept only as their CDF, which the
+    percentiles read: the arrays, and so every bit, are those of one range
+    over all the drops. A population with no UE in any drop pools no
+    sample, and every statistic of it is NaN."""
     results = {}
-    for kind in sinr_parts:
-        sinr = np.concatenate(sinr_parts[kind])
-        rate = np.concatenate(rate_parts[kind])
+    for kind in shares[0]:
+        sinr = np.concatenate([a for share in shares for a in share[kind][0]])
+        rate = np.concatenate([a for share in shares for a in share[kind][1]])
         if rate.size == 0:
             stats = (math.nan,) * 5
         else:
@@ -210,8 +233,75 @@ def _pooled(config: ExperimentConfig, kinds,
     return results
 
 
-def run_scenarios(config: ExperimentConfig,
-                  kinds=SCENARIO_KINDS) -> dict[str, ScenarioRunResult]:
+def _drop_ranges(drops: int, jobs: int) -> list[tuple[int, int]]:
+    """min(jobs, drops) contiguous [lo, hi) ranges of drops 0 .. drops - 1,
+    in order, their sizes differing by one at most."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    n = min(jobs, drops)
+    return [(drops * p // n, drops * (p + 1) // n) for p in range(n)]
+
+
+def _fork_map(fn, args: Sequence) -> list:
+    """[fn(a) for a in args]: args[0] in this process, every other in a
+    child forked for it, whose result comes back pickled through a pipe.
+
+    A child always leaves through `os._exit`, so it never returns into the
+    caller nor flushes the caller's buffers. Every child is reaped before
+    this returns or raises, killed first when its result is no longer
+    wanted (this process's own share or an earlier child failed). A child's
+    exception is raised here as a RuntimeError with its message; a child
+    that dies without a result is an error too.
+    """
+    workers = []   # (pid, read end of its pipe), not yet reaped
+    try:
+        for a in args[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:   # the child
+                status = 1
+                try:
+                    os.close(r)
+                    try:
+                        payload = (True, fn(a))
+                    except Exception as exc:
+                        payload = (False, f"{type(exc).__name__}: {exc}")
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            workers.append((pid, os.fdopen(r, "rb")))
+            os.close(w)   # only the child may hold it, so its death ends the pipe
+        results = [fn(args[0])]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            if code != 0:
+                raise RuntimeError(f"drop worker {pid} died without a result "
+                                   f"(exit status {code})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise RuntimeError(f"drop worker {pid} failed: {value}")
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def run_scenarios(config: ExperimentConfig, kinds=SCENARIO_KINDS,
+                  jobs: int = 1) -> dict[str, ScenarioRunResult]:
     """Run every requested kind over the same drop seeds and pool per-UE samples.
 
     The loop is block-major: drop j is seeded mix_seed(master_seed, j),
@@ -220,12 +310,15 @@ def run_scenarios(config: ExperimentConfig,
     by drop. The pooled samples of each kind are byte-identical to those
     of `run_scenarios(config, (kind,))` and to the stable sort of the
     concatenated outcomes of its drops, each run alone as a block of one
-    drop.
+    drop. `jobs` processes share the drops (`_drop_ranges`, `_fork_map`),
+    and the result is the same bits for every `jobs`.
     """
     for kind in kinds:
         if kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {kind!r}")
-    return _pooled(config, kinds, config.master_seed)
+    return _statistics(config, _fork_map(
+        lambda r: _outcomes(config, kinds, config.master_seed, *r),
+        _drop_ranges(config.drops, jobs)))
 
 
 # offset separating the sweep's per-density seed streams from the
@@ -252,11 +345,14 @@ class SweepResult:
             raise ValueError("outage fractions must lie in [0, 1]")
 
 
-def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
+def run_sweep(config: ExperimentConfig, densities, jobs: int = 1) -> SweepResult:
     """Pooled rate statistics of the configured scenario at each BS density.
 
     Density index i pools `config.drops` drops from base seed
     mix_seed(master_seed, 1000000 + i); only its statistics are kept.
+    `jobs` processes share the drops, each taking one range of drop indices
+    at every density, so that each carries a share of the costly dense
+    drops; the result is the same bits for every `jobs`.
     """
     densities = [float(d) for d in densities]
     if not densities:
@@ -265,10 +361,14 @@ def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
         raise ValueError("densities must be finite and > 0")
 
     kind = config.scenario.kind
+    tasks = [(replace(config, bs_density_per_km2=rho),
+              mix_seed(config.master_seed, _SWEEP_SEED_BASE + i))
+             for i, rho in enumerate(densities)]
+    shares = _fork_map(lambda r: [_outcomes(cfg, (kind,), seed, *r) for cfg, seed in tasks],
+                       _drop_ranges(config.drops, jobs))
     medians, p05s, means, outages = [], [], [], []
-    for i, rho in enumerate(densities):
-        res = _pooled(replace(config, bs_density_per_km2=rho), (kind,),
-                      mix_seed(config.master_seed, _SWEEP_SEED_BASE + i))[kind]
+    for i, (cfg, _) in enumerate(tasks):
+        res = _statistics(cfg, [share[i] for share in shares])[kind]
         medians.append(res.median_rate_bps)
         p05s.append(res.p05_rate_bps)
         means.append(res.mean_rate_bps)

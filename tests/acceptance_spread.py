@@ -78,7 +78,7 @@ def criterion_07(seed: int, drops: int) -> tuple[dict, dict]:
     and keeps each UE's serving BS as well as its rate and SINR."""
     cfg = replace(default_config(), master_seed=seed, drops=drops)
     parts = {kind: [] for kind in SCENARIO_KINDS}
-    for block, seeds in _blocks(cfg, SCENARIO_KINDS, cfg.master_seed):
+    for block, seeds in _blocks(cfg, SCENARIO_KINDS, cfg.master_seed, 0, drops):
         for kind, out in _run_block(cfg, block, seeds).items():
             parts[kind].append((out.sinr_db, out.rate_bps, out.serving_bs))
     target = cfg.rate.target_rate_bps

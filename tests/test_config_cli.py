@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -414,3 +415,47 @@ def test_cli_empty_population(tmp_path):
     doc = json.loads((out / "sweep.json").read_text(), parse_constant=_reject_constant)
     assert doc["mean_rate_bps"] == [None, None, None]
     assert doc["fitted_exponent"] is None
+
+
+def test_cli_artifacts_same_bytes_for_every_job_count(tmp_path, monkeypatch):
+    # the commands share their drops among `_default_jobs()` processes; 3 with
+    # `--drops 2` is more processes than drops
+    assert 1 <= cli._default_jobs() <= 2
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"densities": {"ue_per_km2": 0.001}}')
+    commands = {
+        "scenarios": ["scenarios", "--drops", "3"],
+        "fewer drops than jobs": ["scenarios", "--drops", "2"],
+        "sweep": ["sweep", "--drops", "2", "--densities", "5,10,20"],
+        "empty scenarios": ["scenarios", "--config", str(empty), "--drops", "2"],
+        "empty sweep": ["sweep", "--config", str(empty), "--drops", "2",
+                        "--densities", "5,10,20"],
+    }
+    for name, argv in commands.items():
+        artifacts = []
+        for jobs in (1, 2, 3):
+            monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+            out = tmp_path / f"{name}-{jobs}"
+            assert main([*argv, "--out", str(out)]) == 0
+            artifacts.append([(f.name, f.read_bytes()) for f in sorted(out.iterdir())])
+        assert artifacts[0] and artifacts[0] == artifacts[1] == artifacts[2], name
+
+
+def test_cli_worker_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # an exception in a worker's drops reaches the command with its message,
+    # and the command leaves no process behind
+    parent = os.getpid()
+    run_block = experiment._run_block
+
+    def failing_in_worker(*args):
+        if os.getpid() != parent:
+            raise ValueError("no link table for this block")
+        return run_block(*args)
+
+    monkeypatch.setattr(experiment, "_run_block", failing_in_worker)
+    monkeypatch.setattr(cli, "_default_jobs", lambda: 2)
+    for argv in (["scenarios"], ["sweep", "--densities", "5,10,20"]):
+        assert main([*argv, "--drops", "2", "--out", str(tmp_path)]) == 3
+        assert "failed: ValueError: no link table for this block" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -1,5 +1,6 @@
 """Drop engine: determinism, interference toggle, coordination gap rows."""
 import math
+import os
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -154,6 +155,20 @@ def test_kinds_with_home_only_access_share_one_association(monkeypatch):
                             == getattr(res["Spectrum"], field).tobytes())
 
 
+def _scenario_bits(results):
+    """Every array and statistic of `run_scenarios`' results, as bytes."""
+    return {kind: (r.sinr_db.tobytes(), r.rate_bps.tobytes(), r.drops,
+                   np.array([r.outage_fraction, r.median_rate_bps, r.p05_rate_bps,
+                             r.mean_rate_bps, r.median_sinr_db]).tobytes())
+            for kind, r in results.items()}
+
+
+def _sweep_bits(sweep):
+    return [np.asarray(getattr(sweep, f)).tobytes()
+            for f in ("densities", "median_rate_bps", "p05_rate_bps",
+                      "mean_rate_bps", "outage_fraction", "fitted_exponent")]
+
+
 def _block_sizes(monkeypatch):
     """Record the number of drops of every block the engine evaluates."""
     sizes = []
@@ -201,14 +216,7 @@ def test_blocks_of_drops_equal_drops_alone(monkeypatch):
             elif name == "default":
                 assert max(sizes) > 1, sizes   # the default budget does form blocks
             sweep = run_sweep(replace(cfg, drops=3), (5.0, 40.0, 80.0))
-            results[budget] = (
-                {kind: (r.sinr_db.tobytes(), r.rate_bps.tobytes(),
-                        np.array([r.outage_fraction, r.median_rate_bps, r.p05_rate_bps,
-                                  r.mean_rate_bps, r.median_sinr_db]).tobytes())
-                 for kind, r in res.items()},
-                [np.asarray(getattr(sweep, f)).tobytes()
-                 for f in ("densities", "median_rate_bps", "p05_rate_bps",
-                           "mean_rate_bps", "outage_fraction", "fitted_exponent")])
+            results[budget] = (_scenario_bits(res), _sweep_bits(sweep))
         assert results[-1] == results[default_budget] == results[math.inf], name
         # and the pooled samples are the drops run alone, one after the other:
         # their stable sort, and for the rates their mean, summed in drop order
@@ -249,6 +257,67 @@ def test_run_scenarios_kind_subsets_match_each_kind_alone():
                 assert got.drops == cfg.drops
                 assert got.sinr_db.tobytes() == alone[kind].sinr_db.tobytes()
                 assert got.rate_bps.tobytes() == alone[kind].rate_bps.tobytes()
+
+
+def test_job_counts_give_the_same_bits():
+    # each process takes one contiguous range of drop indices and the parent
+    # concatenates them in drop order before the mean and the sort; the
+    # sweep's processes each take one range at every density
+    base = replace(default_config(), drops=3)
+    for cfg in (base, replace(base, ue_density_per_km2=0.001),
+                replace(base, scenario=Scenario("SpectrumAccess", num_operators=3))):
+        serial = (_scenario_bits(run_scenarios(cfg)),
+                  _sweep_bits(run_sweep(cfg, (5.0, 20.0, 80.0))))
+        for jobs in (2, 3, 4):   # 4: more processes than drops
+            assert serial == (_scenario_bits(run_scenarios(cfg, jobs=jobs)),
+                              _sweep_bits(run_sweep(cfg, (5.0, 20.0, 80.0), jobs=jobs)))
+    with pytest.raises(ValueError, match="jobs"):
+        run_scenarios(base, jobs=0)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_drop_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for one drop")
+
+    monkeypatch.setattr(experiment.os, "fork", no_fork)
+    cfg = replace(small_config(), drops=1)
+    run_scenarios(cfg, jobs=4)
+    run_sweep(cfg, (5.0, 10.0, 20.0), jobs=4)
+
+
+def test_failed_share_reaps_every_worker(monkeypatch):
+    # a worker that dies without a result is an error of its own, not a
+    # short pickle; a failure in this process's own share kills the
+    # workers, whose results are no longer wanted
+    parent = os.getpid()
+    run_block = experiment._run_block
+    failure = {}
+
+    def failing(*args):
+        if (os.getpid() == parent) == failure["here"]:
+            if failure["here"]:
+                raise ValueError("this process's share failed")
+            os._exit(9)
+        return run_block(*args)
+
+    monkeypatch.setattr(experiment, "_run_block", failing)
+    cfg = replace(small_config(), drops=3)
+    failure["here"] = False
+    with pytest.raises(RuntimeError, match="died without a result .exit status 9."):
+        run_scenarios(cfg, jobs=3)
+    _assert_no_child_left()
+    with pytest.raises(RuntimeError, match="died without a result"):
+        run_sweep(cfg, (5.0, 10.0, 20.0), jobs=2)
+    _assert_no_child_left()
+    failure["here"] = True
+    with pytest.raises(ValueError, match="this process's share failed"):
+        run_scenarios(cfg, jobs=3)
+    _assert_no_child_left()
 
 
 def test_run_gap_rows():
