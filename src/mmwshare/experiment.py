@@ -27,12 +27,12 @@ A pooled run is two steps. `_outcomes` evaluates drops [lo, hi) of the
 run, block by block, into each kind's (sinr, rate) samples in drop order.
 `_statistics` concatenates the outcomes of consecutive ranges in drop
 order before the mean and the stable sort, so no bit depends on where the
-ranges, or the blocks within them, are cut. With `jobs` > 1 the drops are
-cut into that many ranges (`_drop_ranges`, never more than the drops) and
-`_fork_map` evaluates the first in this process and each other one in a
-child forked for it (POSIX `os.fork`, results pickled back through a
-pipe). `run_sweep` forks once for all its densities, each process taking
-the same range of drop indices at every density; the scaling fit
+ranges, or the blocks within them, are cut. `run_scenarios` (one task)
+and `run_sweep` (one task per density) pool through `_pool`, which cuts
+the drops into `_processes()` ranges and forks once per call: `_fork_map`
+evaluates the first range of every task in this process and each other
+range in a child forked for it (POSIX `os.fork`, results pickled back
+through a pipe). The caller does not choose the count; the scaling fit
 (LAPACK) runs in the parent only, and no forked code calls BLAS.
 `run_gap` stays serial.
 
@@ -56,6 +56,7 @@ import math
 import os
 import pickle
 import signal
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -233,15 +234,6 @@ def _statistics(config: ExperimentConfig, shares: Sequence[dict[str, tuple[list,
     return results
 
 
-def _drop_ranges(drops: int, jobs: int) -> list[tuple[int, int]]:
-    """min(jobs, drops) contiguous [lo, hi) ranges of drops 0 .. drops - 1,
-    in order, their sizes differing by one at most."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    n = min(jobs, drops)
-    return [(drops * p // n, drops * (p + 1) // n) for p in range(n)]
-
-
 def _fork_map(fn, args: Sequence) -> list:
     """[fn(a) for a in args]: args[0] in this process, every other in a
     child forked for it, whose result comes back pickled through a pipe.
@@ -300,8 +292,35 @@ def _fork_map(fn, args: Sequence) -> list:
             os.waitpid(pid, 0)
 
 
-def run_scenarios(config: ExperimentConfig, kinds=SCENARIO_KINDS,
-                  jobs: int = 1) -> dict[str, ScenarioRunResult]:
+def _processes() -> int:
+    """Processes that share the drops of a pooled run: the CPUs this
+    process may run on, at most 2, the one count measured. 1 where there
+    is no `os.fork`, and on Python 3.12 and later, whose `os.fork` warns
+    in a process with threads (numpy's BLAS pool)."""
+    if not hasattr(os, "fork") or sys.version_info >= (3, 12):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+def _pool(tasks: Sequence[tuple[ExperimentConfig, Sequence[str], int]]
+          ) -> list[dict[str, ScenarioRunResult]]:
+    """`_statistics` of each (config, kinds, base seed) task, drop j seeded
+    mix_seed(base seed, j); every task has the same config.drops. Each of
+    min(`_processes()`, drops) processes takes one contiguous range of drop
+    indices, the same in every task, the sizes differing by one at most."""
+    drops = tasks[0][0].drops
+    n = min(_processes(), drops)
+    shares = _fork_map(
+        lambda p: [_outcomes(cfg, kinds, seed, drops * p // n, drops * (p + 1) // n)
+                   for cfg, kinds, seed in tasks], range(n))
+    return [_statistics(cfg, [share[i] for share in shares])
+            for i, (cfg, _, _) in enumerate(tasks)]
+
+
+def run_scenarios(config: ExperimentConfig, kinds=SCENARIO_KINDS
+                  ) -> dict[str, ScenarioRunResult]:
     """Run every requested kind over the same drop seeds and pool per-UE samples.
 
     The loop is block-major: drop j is seeded mix_seed(master_seed, j),
@@ -310,15 +329,13 @@ def run_scenarios(config: ExperimentConfig, kinds=SCENARIO_KINDS,
     by drop. The pooled samples of each kind are byte-identical to those
     of `run_scenarios(config, (kind,))` and to the stable sort of the
     concatenated outcomes of its drops, each run alone as a block of one
-    drop. `jobs` processes share the drops (`_drop_ranges`, `_fork_map`),
-    and the result is the same bits for every `jobs`.
+    drop. `_processes()` processes share the drops (`_pool`), and the
+    result is the same bits for every count.
     """
     for kind in kinds:
         if kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {kind!r}")
-    return _statistics(config, _fork_map(
-        lambda r: _outcomes(config, kinds, config.master_seed, *r),
-        _drop_ranges(config.drops, jobs)))
+    return _pool([(config, kinds, config.master_seed)])[0]
 
 
 # offset separating the sweep's per-density seed streams from the
@@ -345,14 +362,14 @@ class SweepResult:
             raise ValueError("outage fractions must lie in [0, 1]")
 
 
-def run_sweep(config: ExperimentConfig, densities, jobs: int = 1) -> SweepResult:
+def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
     """Pooled rate statistics of the configured scenario at each BS density.
 
     Density index i pools `config.drops` drops from base seed
     mix_seed(master_seed, 1000000 + i); only its statistics are kept.
-    `jobs` processes share the drops, each taking one range of drop indices
-    at every density, so that each carries a share of the costly dense
-    drops; the result is the same bits for every `jobs`.
+    The densities are one `_pool` task each, so every process takes one
+    range of drop indices at every density and carries a share of the
+    costly dense drops; the result is the same bits for every process count.
     """
     densities = [float(d) for d in densities]
     if not densities:
@@ -361,27 +378,21 @@ def run_sweep(config: ExperimentConfig, densities, jobs: int = 1) -> SweepResult
         raise ValueError("densities must be finite and > 0")
 
     kind = config.scenario.kind
-    tasks = [(replace(config, bs_density_per_km2=rho),
-              mix_seed(config.master_seed, _SWEEP_SEED_BASE + i))
-             for i, rho in enumerate(densities)]
-    shares = _fork_map(lambda r: [_outcomes(cfg, (kind,), seed, *r) for cfg, seed in tasks],
-                       _drop_ranges(config.drops, jobs))
-    medians, p05s, means, outages = [], [], [], []
-    for i, (cfg, _) in enumerate(tasks):
-        res = _statistics(cfg, [share[i] for share in shares])[kind]
-        medians.append(res.median_rate_bps)
-        p05s.append(res.p05_rate_bps)
-        means.append(res.mean_rate_bps)
-        outages.append(res.outage_fraction)
+    pooled = [res[kind] for res in _pool(
+        [(replace(config, bs_density_per_km2=rho), (kind,),
+          mix_seed(config.master_seed, _SWEEP_SEED_BASE + i))
+         for i, rho in enumerate(densities)])]
+    means = [r.mean_rate_bps for r in pooled]
 
     # a log-log line needs three points at two distinct densities at least
     if len(densities) >= 3 and len(set(densities)) >= 2 and all(m > 0 for m in means):
         exponent = fit_scaling_exponent(densities, means)
     else:
         exponent = math.nan
-    return SweepResult(np.asarray(densities), np.asarray(medians),
-                       np.asarray(p05s), np.asarray(means),
-                       np.asarray(outages), exponent)
+    return SweepResult(np.asarray(densities),
+                       np.asarray([r.median_rate_bps for r in pooled]),
+                       np.asarray([r.p05_rate_bps for r in pooled]), np.asarray(means),
+                       np.asarray([r.outage_fraction for r in pooled]), exponent)
 
 
 @dataclass

@@ -418,9 +418,9 @@ def test_cli_empty_population(tmp_path):
 
 
 def test_cli_artifacts_same_bytes_for_every_job_count(tmp_path, monkeypatch):
-    # the commands share their drops among `_default_jobs()` processes; 3 with
-    # `--drops 2` is more processes than drops
-    assert 1 <= cli._default_jobs() <= 2
+    # the commands share their drops among `experiment._processes()`
+    # processes; 3 with `--drops 2` is more processes than drops
+    assert 1 <= experiment._processes() <= 2
     empty = tmp_path / "empty.json"
     empty.write_text('{"densities": {"ue_per_km2": 0.001}}')
     commands = {
@@ -434,7 +434,7 @@ def test_cli_artifacts_same_bytes_for_every_job_count(tmp_path, monkeypatch):
     for name, argv in commands.items():
         artifacts = []
         for jobs in (1, 2, 3):
-            monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+            monkeypatch.setattr(experiment, "_processes", lambda: jobs)
             out = tmp_path / f"{name}-{jobs}"
             assert main([*argv, "--out", str(out)]) == 0
             artifacts.append([(f.name, f.read_bytes()) for f in sorted(out.iterdir())])
@@ -453,7 +453,7 @@ def test_cli_worker_failure_exits_3(tmp_path, monkeypatch, capsys):
         return run_block(*args)
 
     monkeypatch.setattr(experiment, "_run_block", failing_in_worker)
-    monkeypatch.setattr(cli, "_default_jobs", lambda: 2)
+    monkeypatch.setattr(experiment, "_processes", lambda: 2)
     for argv in (["scenarios"], ["sweep", "--densities", "5,10,20"]):
         assert main([*argv, "--drops", "2", "--out", str(tmp_path)]) == 3
         assert "failed: ValueError: no link table for this block" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import os
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,7 +91,9 @@ def test_run_scenarios_common_deployments():
 
 def test_run_scenarios_realizes_one_table_per_geometry_per_drop(monkeypatch):
     # counted through the block realizer: every (drop, geometry) of a run is
-    # realized exactly once, whichever block holds it
+    # realized exactly once, whichever block holds it; in one process, which
+    # sees every call
+    monkeypatch.setattr(experiment, "_processes", lambda: 1)
     geometries = []
     calls = {"deploy_operator": 0}
     realize_block = LinkTable.realize_block.__func__
@@ -126,7 +129,9 @@ def test_run_scenarios_realizes_one_table_per_geometry_per_drop(monkeypatch):
 def test_kinds_with_home_only_access_share_one_association(monkeypatch):
     # per block: one association for the home-only kinds of the drawn sites
     # (NoSharing, Spectrum, and SpectrumAccess when it opens no BS), one for
-    # SpectrumAccess when it opens some, one for SpectrumInfra's towers
+    # SpectrumAccess when it opens some, one for SpectrumInfra's towers; in
+    # one process, which sees every block
+    monkeypatch.setattr(experiment, "_processes", lambda: 1)
     per_block = []
     associate, run_block = experiment.associate_blind, experiment._run_block
 
@@ -184,7 +189,9 @@ def _block_sizes(monkeypatch):
 
 def test_blocks_of_drops_equal_drops_alone(monkeypatch):
     # a block's table lays its drops side by side and no link crosses a drop,
-    # so the pooled samples do not depend on how the drops are cut into blocks
+    # so the pooled samples do not depend on how the drops are cut into blocks;
+    # in one process, which sees every block
+    monkeypatch.setattr(experiment, "_processes", lambda: 1)
     base = replace(default_config(), drops=5)
     flat = replace(base.region, wraparound=False)
     configs = {
@@ -259,20 +266,71 @@ def test_run_scenarios_kind_subsets_match_each_kind_alone():
                 assert got.rate_bps.tobytes() == alone[kind].rate_bps.tobytes()
 
 
-def test_job_counts_give_the_same_bits():
+def test_job_counts_give_the_same_bits(monkeypatch):
     # each process takes one contiguous range of drop indices and the parent
     # concatenates them in drop order before the mean and the sort; the
     # sweep's processes each take one range at every density
     base = replace(default_config(), drops=3)
     for cfg in (base, replace(base, ue_density_per_km2=0.001),
                 replace(base, scenario=Scenario("SpectrumAccess", num_operators=3))):
-        serial = (_scenario_bits(run_scenarios(cfg)),
-                  _sweep_bits(run_sweep(cfg, (5.0, 20.0, 80.0))))
-        for jobs in (2, 3, 4):   # 4: more processes than drops
-            assert serial == (_scenario_bits(run_scenarios(cfg, jobs=jobs)),
-                              _sweep_bits(run_sweep(cfg, (5.0, 20.0, 80.0), jobs=jobs)))
-    with pytest.raises(ValueError, match="jobs"):
-        run_scenarios(base, jobs=0)
+        bits = []
+        for n in (1, 2, 3, 4):   # 4: more processes than drops
+            monkeypatch.setattr(experiment, "_processes", lambda: n)
+            bits.append((_scenario_bits(run_scenarios(cfg)),
+                         _sweep_bits(run_sweep(cfg, (5.0, 20.0, 80.0)))))
+        assert bits[0] == bits[1] == bits[2] == bits[3]
+
+
+def test_process_count_rule(monkeypatch):
+    # the CPUs this process may use, at most 2; 1 without os.fork or on
+    # Python 3.12 and later, whose os.fork warns in a process with threads
+    rows = [   # (affinity or None where there is none, cpu_count, has fork, version, count)
+        ({0}, 4, True, (3, 11), 1),
+        ({0, 1}, 4, True, (3, 11), 2),
+        ({0, 1, 2, 3}, 4, True, (3, 11), 2),
+        (None, 4, True, (3, 11), 2),
+        (None, 1, True, (3, 11), 1),
+        (None, None, True, (3, 11), 1),
+        ({0, 1, 2, 3}, 4, False, (3, 11), 1),
+        ({0, 1, 2, 3}, 4, True, (3, 12), 1),
+    ]
+    for affinity, cpus, has_fork, version, count in rows:
+        if affinity is None:
+            monkeypatch.delattr(experiment.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(experiment.os, "sched_getaffinity",
+                                lambda pid, cpus=affinity: set(cpus), raising=False)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda cpus=cpus: cpus)
+        if has_fork:
+            monkeypatch.setattr(experiment.os, "fork", lambda: None, raising=False)
+        else:
+            monkeypatch.delattr(experiment.os, "fork", raising=False)
+        monkeypatch.setattr(experiment, "sys", SimpleNamespace(version_info=(*version, 0)))
+        assert experiment._processes() == count, (affinity, cpus, has_fork, version)
+
+
+def test_one_fork_per_pooled_call(monkeypatch):
+    # a pooled call forks once per process beyond this one, whatever its
+    # tasks: the sweep's densities share the same workers
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())   # before the fork, so only this process counts
+        return fork()
+
+    monkeypatch.setattr(experiment.os, "fork", counting_fork)
+    cfg = small_config()
+    for n, drops in ((2, 2), (2, 5), (3, 2)):   # (3, 2): fewer drops than processes
+        monkeypatch.setattr(experiment, "_processes", lambda: n)
+        cfg = replace(cfg, drops=drops)
+        forks.clear()
+        run_scenarios(cfg)
+        assert len(forks) == 1, (n, drops)
+        forks.clear()
+        run_sweep(cfg, (5.0, 10.0, 20.0, 30.0, 50.0, 80.0))
+        assert len(forks) == 1, (n, drops)
+    _assert_no_child_left()
 
 
 def _assert_no_child_left():
@@ -285,9 +343,10 @@ def test_one_drop_never_forks(monkeypatch):
         raise AssertionError("forked for one drop")
 
     monkeypatch.setattr(experiment.os, "fork", no_fork)
+    monkeypatch.setattr(experiment, "_processes", lambda: 4)
     cfg = replace(small_config(), drops=1)
-    run_scenarios(cfg, jobs=4)
-    run_sweep(cfg, (5.0, 10.0, 20.0), jobs=4)
+    run_scenarios(cfg)
+    run_sweep(cfg, (5.0, 10.0, 20.0))
 
 
 def test_failed_share_reaps_every_worker(monkeypatch):
@@ -308,15 +367,18 @@ def test_failed_share_reaps_every_worker(monkeypatch):
     monkeypatch.setattr(experiment, "_run_block", failing)
     cfg = replace(small_config(), drops=3)
     failure["here"] = False
+    monkeypatch.setattr(experiment, "_processes", lambda: 3)
     with pytest.raises(RuntimeError, match="died without a result .exit status 9."):
-        run_scenarios(cfg, jobs=3)
+        run_scenarios(cfg)
     _assert_no_child_left()
+    monkeypatch.setattr(experiment, "_processes", lambda: 2)
     with pytest.raises(RuntimeError, match="died without a result"):
-        run_sweep(cfg, (5.0, 10.0, 20.0), jobs=2)
+        run_sweep(cfg, (5.0, 10.0, 20.0))
     _assert_no_child_left()
     failure["here"] = True
+    monkeypatch.setattr(experiment, "_processes", lambda: 3)
     with pytest.raises(ValueError, match="this process's share failed"):
-        run_scenarios(cfg, jobs=3)
+        run_scenarios(cfg)
     _assert_no_child_left()
 
 
