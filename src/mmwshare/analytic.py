@@ -4,37 +4,17 @@ Pure functions giving the analytic side of the story the Monte Carlo
 engine simulates: bandwidth per user, rate-scaling exponents in the
 interference- and power-limited regimes, the linear outage-decay model,
 and the PPP nearest-neighbor distance constant behind d = O(rho^-1/2).
+`summary` evaluates them all at an experiment config.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import require_finite
+from .config import ExperimentConfig
 
 REGIMES = ("InterferenceLimited", "PowerLimited")
-
-
-@dataclass(frozen=True)
-class ScalingInputs:
-    """Inputs to the closed forms (one network snapshot, aggregate counts)."""
-
-    rho: float            # BS density per km^2
-    M: int = 2            # number of operators
-    W_hz: float = 1e9     # total system bandwidth
-    N_UE: int = 200
-    N_BS: int = 30
-    alpha_pl: float = 2.7
-    A_c_km2: float = 0.03
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.rho < 0 or self.W_hz <= 0 or self.alpha_pl <= 0 or self.A_c_km2 <= 0:
-            raise ValueError("rho must be >= 0; W, alpha, A_c must be > 0")
-        if self.M < 1 or self.N_UE < 1 or self.N_BS < 1:
-            raise ValueError("M, N_UE, N_BS must be >= 1")
 
 
 def bandwidth_per_ue(w_hz: float, n_bs: int, n_ue: int, m: int, sharing: bool) -> float:
@@ -81,19 +61,29 @@ def nearest_distance_scaling(rho: float) -> float:
     return 1.0 / (2.0 * math.sqrt(rho))
 
 
-def summary(inputs: ScalingInputs) -> dict:
-    """All closed forms evaluated on one snapshot, for tabular display."""
+def summary(config: ExperimentConfig) -> dict:
+    """All closed forms evaluated at one config, for tabular display.
+
+    rho is the per-operator BS density, M the operator count and W the
+    pooled bandwidth of `config.scenario`. N_BS and N_UE are one
+    operator's expected counts on the region, max(1, round(density x
+    area)). alpha is the NLOS path-loss exponent and A_c the hard-coverage
+    area of `config.channel`.
+    """
+    rho = config.bs_density_per_km2
+    m = config.scenario.num_operators
+    w_hz = config.scenario.total_bandwidth_hz
+    area = config.region.area_km2
+    n_ue = max(1, round(config.ue_density_per_km2 * area))
+    n_bs = max(1, round(rho * area))
+    alpha = config.channel.pl_exponent_nlos
     return {
-        "effective_density_per_km2": inputs.M * inputs.rho,
-        "bandwidth_per_ue_shared_hz":
-            bandwidth_per_ue(inputs.W_hz, inputs.N_BS, inputs.N_UE, inputs.M, True),
-        "bandwidth_per_ue_unshared_hz":
-            bandwidth_per_ue(inputs.W_hz, inputs.N_BS, inputs.N_UE, inputs.M, False),
+        "effective_density_per_km2": m * rho,
+        "bandwidth_per_ue_shared_hz": bandwidth_per_ue(w_hz, n_bs, n_ue, m, True),
+        "bandwidth_per_ue_unshared_hz": bandwidth_per_ue(w_hz, n_bs, n_ue, m, False),
         "rate_exponent_interference_limited":
-            rate_scaling_exponent("InterferenceLimited", inputs.alpha_pl),
-        "rate_exponent_power_limited":
-            rate_scaling_exponent("PowerLimited", inputs.alpha_pl),
-        "outage_fraction": outage_fraction(inputs.A_c_km2, inputs.rho),
-        "nearest_bs_distance_km":
-            nearest_distance_scaling(inputs.rho) if inputs.rho > 0 else math.inf,
+            rate_scaling_exponent("InterferenceLimited", alpha),
+        "rate_exponent_power_limited": rate_scaling_exponent("PowerLimited", alpha),
+        "outage_fraction": outage_fraction(config.channel.hard_coverage_area_km2, rho),
+        "nearest_bs_distance_km": nearest_distance_scaling(rho),
     }

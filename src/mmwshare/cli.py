@@ -8,7 +8,8 @@ Subcommands:
   (and a JSON with the fitted scaling exponent).
 - ``gap``: blind vs brute-force coordinated association on small random
   instances, emit per-instance results.
-- ``analytic``: print the closed-form scaling table for the config.
+- ``analytic``: print the closed-form scaling table for the config (it
+  takes ``--config`` only).
 
 Exit codes: 0 ok, 2 config error, 3 runtime error, 4 instance-size error
 (only ``gap`` runs the exhaustive search, so only ``gap`` exits with 4).
@@ -27,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import InstanceSizeError
-from .analytic import ScalingInputs
 from .analytic import summary as analytic_summary
 from .config import (SPEC_REVISION, ConfigError, ExperimentConfig, config_hash,
                      default_config, load_config)
@@ -116,13 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "access sharing in multi-operator mmWave networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, artifacts=True):
+    def config_option(p):
         p.add_argument("--config", metavar="PATH", help="JSON experiment config")
+
+    def common(p):
+        config_option(p)
         p.add_argument("--seed", type=int, metavar="U64", help="override master_seed")
         p.add_argument("--drops", type=int, metavar="N", help="override drop count")
-        if artifacts:
-            p.add_argument("--out", metavar="DIR", default="results",
-                           help="output directory (default: results)")
+        p.add_argument("--out", metavar="DIR", default="results",
+                       help="output directory (default: results)")
 
     p = sub.add_parser("scenarios", help="compare the four sharing scenarios")
     common(p)
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("analytic", help="print the closed-form scaling table")
-    common(p, artifacts=False)
+    config_option(p)
     return parser
 
 
@@ -234,19 +236,8 @@ def cmd_gap(args) -> int:
 
 
 def cmd_analytic(args) -> int:
-    cfg = _load(args)
-    area = cfg.region.area_km2
-    scn = cfg.scenario
-    inputs = ScalingInputs(
-        rho=cfg.bs_density_per_km2,
-        M=scn.num_operators,
-        W_hz=scn.total_bandwidth_hz,
-        N_UE=max(1, round(cfg.ue_density_per_km2 * area)),
-        N_BS=max(1, round(cfg.bs_density_per_km2 * area)),
-        alpha_pl=cfg.channel.pl_exponent_nlos,
-        A_c_km2=cfg.channel.hard_coverage_area_km2,
-    )
-    for key, value in analytic_summary(inputs).items():
+    cfg = load_config(args.config) if args.config else default_config()
+    for key, value in analytic_summary(cfg).items():
         print(f"{key:<40} {value}")
     return 0
 

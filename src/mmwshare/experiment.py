@@ -77,16 +77,10 @@ class DropOutcome:
     """Per-UE results of one drop, or of a block of drops side by side
     (arrays over the full UE population, serving BSs in block indices)."""
 
-    kind: str
     serving_bs: np.ndarray
     ue_bandwidth_hz: np.ndarray
     sinr_db: np.ndarray       # -inf for unassociated UEs
     rate_bps: np.ndarray
-    n_bs: int
-
-    @property
-    def n_ue(self) -> int:
-        return len(self.rate_bps)
 
 
 def _links(config: ExperimentConfig, group: Sequence[RealizedScenario],
@@ -112,8 +106,7 @@ def _evaluate(config: ExperimentConfig, realized: RealizedScenario, links: LinkT
     with np.errstate(divide="ignore"):
         sinr_db = 10.0 * np.log10(gamma)
     rate = user_rate(gamma, assoc.ue_bandwidth_hz, config.rate)
-    return DropOutcome(scn.kind, assoc.serving_bs, assoc.ue_bandwidth_hz,
-                       sinr_db, rate, links.n_bs)
+    return DropOutcome(assoc.serving_bs, assoc.ue_bandwidth_hz, sinr_db, rate)
 
 
 def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]],

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mmwshare.analytic import (REGIMES, ScalingInputs, bandwidth_per_ue,
-                               nearest_distance_scaling, outage_fraction,
-                               rate_scaling_exponent, summary)
+from mmwshare.analytic import (REGIMES, bandwidth_per_ue, nearest_distance_scaling,
+                               outage_fraction, rate_scaling_exponent, summary)
+from mmwshare.config import default_config
 
 
 def test_bandwidth_per_ue_reference_point():
@@ -77,7 +77,7 @@ def test_nearest_distance_scaling():
 
 
 def test_summary_keys_and_values():
-    s = summary(ScalingInputs(rho=30.0))
+    s = summary(default_config())
     assert s["effective_density_per_km2"] == 60.0
     assert s["bandwidth_per_ue_shared_hz"] == 1.5e8
     assert s["bandwidth_per_ue_unshared_hz"] == 7.5e7
@@ -86,15 +86,3 @@ def test_summary_keys_and_values():
     assert s["outage_fraction"] == pytest.approx(0.1, rel=1e-12)
     assert s["nearest_bs_distance_km"] == nearest_distance_scaling(30.0)
 
-
-def test_scaling_inputs_validation():
-    with pytest.raises(ValueError):
-        ScalingInputs(rho=-1.0)
-    with pytest.raises(ValueError):
-        ScalingInputs(rho=30.0, M=0)
-    with pytest.raises(ValueError):
-        ScalingInputs(rho=30.0, A_c_km2=0.0)
-    for name in ("rho", "W_hz", "alpha_pl", "A_c_km2"):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                ScalingInputs(**{"rho": 30.0, name: bad})

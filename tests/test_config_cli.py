@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from mmwshare import cli, experiment, metrics
+from mmwshare.analytic import (bandwidth_per_ue, nearest_distance_scaling, outage_fraction,
+                               rate_scaling_exponent)
 from mmwshare.channel import ChannelParams
 from mmwshare.cli import build_parser, main
 from mmwshare.config import (SPEC_REVISION, ConfigError, ExperimentConfig, canonical_json,
@@ -273,11 +275,40 @@ def test_cli_gap_artifacts(tmp_path):
     assert doc["dominance_violations"] == 0
 
 
-def test_cli_analytic_stdout(capsys):
-    assert main(["analytic"]) == 0
-    out = capsys.readouterr().out
-    assert "bandwidth_per_ue_shared_hz" in out
-    assert "effective_density_per_km2" in out
+def test_cli_analytic_stdout(tmp_path, capsys):
+    # each config's table is the closed forms at counts derived by hand:
+    # N = max(1, round(density x area)) per operator, alpha = 2.7, A_c = 0.03
+    cases = [
+        (None, 2, 1e9, 30, 200),
+        ({"scenario": {"kind": "SpectrumAccess", "num_operators": 3},
+          "region": {"width_km": 0.2, "height_km": 0.2}}, 3, 1.5e9, 1, 8),
+        ({"densities": {"ue_per_km2": 0.001}}, 2, 1e9, 30, 1),
+    ]
+    for i, (doc, m, w_hz, n_bs, n_ue) in enumerate(cases):
+        argv = ["analytic"]
+        if doc is not None:
+            path = tmp_path / f"c{i}.json"
+            path.write_text(json.dumps(doc))
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        expected = {
+            "effective_density_per_km2": m * 30.0,
+            "bandwidth_per_ue_shared_hz": bandwidth_per_ue(w_hz, n_bs, n_ue, m, True),
+            "bandwidth_per_ue_unshared_hz": bandwidth_per_ue(w_hz, n_bs, n_ue, m, False),
+            "rate_exponent_interference_limited":
+                rate_scaling_exponent("InterferenceLimited", 2.7),
+            "rate_exponent_power_limited": rate_scaling_exponent("PowerLimited", 2.7),
+            "outage_fraction": outage_fraction(0.03, 30.0),
+            "nearest_bs_distance_km": nearest_distance_scaling(30.0),
+        }
+        assert capsys.readouterr().out.splitlines() == [
+            f"{key:<40} {value}" for key, value in expected.items()]
+    # the table reads the config only: no seed or drop count to override
+    for option in ("--seed", "--drops"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", option, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path):
