@@ -12,12 +12,11 @@ into blocks of at most `_BLOCK_PAIRS` expected candidate links.
 `_run_block` realizes one block link table for the kinds that keep the
 drawn sites (NoSharing, Spectrum, SpectrumAccess), holding every drop of
 the block side by side, and then one for SpectrumInfra's co-located
-towers (`Scenario.co_located`). Association (one per table for the kinds
-with home-only access), bandwidth split, SINR and rates then run once per
-kind per block, with per-link access and co-channel flags read from the
-kinds' sharing labels; no link crosses a drop, so each drop's values are
-those of the drop alone, and each kind's outcome comes out in pooled drop
-order. Only one table is alive at a time, and a block's tables hold its
+towers (`Scenario.co_located`). Association, bandwidth split, SINR and
+rates then run once per kind per block, with per-link access and
+co-channel flags read from the kind's sharing labels; no link crosses a
+drop, so each drop's values are those of the drop alone, and each kind's
+outcome comes out in pooled drop order. Only one table is alive at a time, and a block's tables hold its
 live links and candidates only, never a (B, U) array of the block.
 A gap instance's table is a block of one instance. Drops and gap
 instances take every sharing rule, co-location included, from one
@@ -93,13 +92,14 @@ def _links(config: ExperimentConfig, group: Sequence[RealizedScenario],
         config.region, config.tx_power_dbm, config.channel, config.antenna)
 
 
-def _evaluate(config: ExperimentConfig, realized: RealizedScenario, links: LinkTable,
-              serving_bs: np.ndarray) -> DropOutcome:
-    """Bandwidth split, SINR and rates of one realized kind on its link
-    table, from its blind association. Links are co-channel only where
-    interference is enabled."""
-    scn = realized.scenario
-    assoc = split_bandwidth(serving_bs, links.n_bs, scn.pool_hz, config.full_bandwidth_per_ue)
+def _evaluate(config: ExperimentConfig, realized: RealizedScenario,
+              links: LinkTable) -> DropOutcome:
+    """Blind association over the links the kind's access labels allow,
+    then bandwidth split, SINR and rates, of one realized kind on its link
+    table. Links are co-channel only where interference is enabled."""
+    serving_bs = associate_blind(links, realized.access_at(links.link_bs, links.link_ue))
+    assoc = split_bandwidth(serving_bs, links.n_bs, realized.scenario.pool_hz,
+                            config.full_bandwidth_per_ue)
     cochannel = (realized.cochannel_at(links.link_bs, links.link_ue)
                  & config.interference_enabled)
     gamma = network_sinr(links, assoc, cochannel, config.noise_figure_db)
@@ -118,11 +118,9 @@ def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]]
     co-located kind (`Scenario.co_located`) has its own, so at most two
     tables are realized. Each is released before the next one is built:
     keeping both alive raised the peak RSS of the default 4-kind benchmark
-    by about 1 MB (2.5%). Kinds of one geometry that open no BS (all but
-    SpectrumAccess, which opens some or none) have home-only access and
-    share one blind association; each splits its own pool. Every kind's
-    outcome lists the block's UEs in drop order and equals the
-    concatenation of its drops run alone.
+    by about 1 MB (2.5%). Each kind is evaluated (`_evaluate`) on its
+    geometry's table from its own labels; its outcome lists the block's
+    UEs in drop order and equals the concatenation of its drops run alone.
     """
     geometries: dict[bool, list[tuple[RealizedScenario, ...]]] = {}
     for parts in zip(*drops):   # one kind in every drop of the block
@@ -130,15 +128,9 @@ def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]]
     outcomes = {}
     for group in geometries.values():
         links = _links(config, group[0], seeds)
-        serving: dict[bool, np.ndarray] = {}
         for parts in group:
             realized = stack_drops(parts)
-            opened = bool(realized.open_bs.any())
-            if opened not in serving:
-                serving[opened] = associate_blind(
-                    links, realized.access_at(links.link_bs, links.link_ue))
-            outcomes[realized.scenario.kind] = _evaluate(config, realized, links,
-                                                         serving[opened])
+            outcomes[realized.scenario.kind] = _evaluate(config, realized, links)
         del links   # one table alive at a time
     return {r.scenario.kind: outcomes[r.scenario.kind] for r in drops[0]}
 
@@ -345,15 +337,6 @@ class SweepResult:
     outage_fraction: np.ndarray
     fitted_exponent: float         # log-log slope of mean rate vs density (nan if degenerate)
 
-    def __post_init__(self):
-        n = len(self.densities)
-        for name in ("median_rate_bps", "p05_rate_bps", "mean_rate_bps", "outage_fraction"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length mismatch")
-        of = np.asarray(self.outage_fraction, dtype=float)
-        if np.any((of < 0) | (of > 1)):
-            raise ValueError("outage fractions must lie in [0, 1]")
-
 
 def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
     """Pooled rate statistics of the configured scenario at each BS density.
@@ -363,24 +346,23 @@ def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
     The densities are one `_pool` task each, so every process takes one
     range of drop indices at every density and carries a share of the
     costly dense drops; the result is the same bits for every process count.
+    A density the config refuses (not finite and > 0) raises its
+    `ConfigError` before any drop runs. The fitted exponent is NaN wherever
+    `fit_scaling_exponent` refuses the points (fewer than three, one
+    distinct density, a mean rate not finite and > 0).
     """
     densities = [float(d) for d in densities]
     if not densities:
         raise ValueError("need at least one density")
-    if not all(math.isfinite(d) and d > 0 for d in densities):
-        raise ValueError("densities must be finite and > 0")
-
     kind = config.scenario.kind
     pooled = [res[kind] for res in _pool(
         [(replace(config, bs_density_per_km2=rho), (kind,),
           mix_seed(config.master_seed, _SWEEP_SEED_BASE + i))
          for i, rho in enumerate(densities)])]
     means = [r.mean_rate_bps for r in pooled]
-
-    # a log-log line needs three points at two distinct densities at least
-    if len(densities) >= 3 and len(set(densities)) >= 2 and all(m > 0 for m in means):
+    try:
         exponent = fit_scaling_exponent(densities, means)
-    else:
+    except ValueError:
         exponent = math.nan
     return SweepResult(np.asarray(densities),
                        np.asarray([r.median_rate_bps for r in pooled]),

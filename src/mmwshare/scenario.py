@@ -154,9 +154,7 @@ def stack_drops(parts: Sequence[RealizedScenario]) -> RealizedScenario:
     are offset by the counts of the drops before it. Its per-link flags
     read the links of a block link table, where no link crosses a drop;
     its dense masks pair every BS with every UE of the block, which is
-    meaningful for one drop only. One part is returned as it is."""
-    if len(parts) == 1:
-        return parts[0]
+    meaningful for one drop only. One part is copied like several."""
     return RealizedScenario(
         parts[0].scenario,
         *(np.concatenate([getattr(p, name) for p in parts])

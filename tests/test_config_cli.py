@@ -322,6 +322,12 @@ def test_cli_exit_codes(tmp_path):
     for bad_density in ("nan", "inf"):
         assert main(["sweep", "--densities", f"{bad_density},10,20", "--drops", "1",
                      "--out", str(tmp_path / "o3")]) == 2
+    # the config's density and seed rules, and an empty list
+    for densities in ("0,10", "-1", ","):
+        assert main(["sweep", "--densities", densities, "--drops", "1",
+                     "--out", str(tmp_path / "o3")]) == 2
+    assert main(["sweep", "--seed", "18446744073709551616", "--drops", "1",
+                 "--out", str(tmp_path / "o3")]) == 2
     # full SpectrumAccess opens all 6 BSs of this instance to every UE; on a
     # 1 km region all of their links are blocked, so the search has one
     # assignment

@@ -125,35 +125,19 @@ def test_run_scenarios_realizes_one_table_per_geometry_per_drop(monkeypatch):
                 assert calls == {"deploy_operator": m_ops * cfg.drops}, kinds
 
 
-def test_kinds_with_home_only_access_share_one_association(monkeypatch):
-    # per block: one association for the home-only kinds of the drawn sites
-    # (NoSharing, Spectrum, and SpectrumAccess when it opens no BS), one for
-    # SpectrumAccess when it opens some, one for SpectrumInfra's towers; in
-    # one process, which sees every block
-    monkeypatch.setattr(experiment, "_processes", lambda: 1)
-    per_block = []
-    associate, run_block = experiment.associate_blind, experiment._run_block
-
-    def counting_associate(*args):
-        per_block[-1] += 1
-        return associate(*args)
-
-    def recording_run_block(*args):
-        per_block.append(0)
-        return run_block(*args)
-
-    monkeypatch.setattr(experiment, "associate_blind", counting_associate)
-    monkeypatch.setattr(experiment, "_run_block", recording_run_block)
+def test_kinds_with_equal_access_compute_equal_outcomes():
+    # kinds whose access labels agree associate every UE alike: NoSharing
+    # and Spectrum over drops run alone, and SpectrumAccess and Spectrum
+    # when it opens no BS, or opens BSs to no foreign UE (M = 1)
     for m_ops in (1, 2, 3):
-        for fraction, calls in ((1.0, 3), (0.5, 3), (0.0, 2)):
+        for fraction in (1.0, 0.5, 0.0):
             cfg = replace(small_config(), drops=3, scenario=Scenario(
                 "Spectrum", num_operators=m_ops, access_share_fraction=fraction))
-            per_block.clear()
-            res = run_scenarios(cfg)
-            assert per_block and set(per_block) == {calls}, (m_ops, fraction, per_block)
-            # opening no BS, or opening BSs to no foreign UE (M = 1, where
-            # SpectrumAccess still associates on its own), is Spectrum itself
+            for seed in range(cfg.drops):
+                drop = run_drop(cfg, SCENARIO_KINDS, seed)
+                assert_array_equal(drop["NoSharing"].serving_bs, drop["Spectrum"].serving_bs)
             if fraction == 0.0 or m_ops == 1:
+                res = run_scenarios(cfg)
                 for field in ("sinr_db", "rate_bps"):
                     assert (getattr(res["SpectrumAccess"], field).tobytes()
                             == getattr(res["Spectrum"], field).tobytes())
