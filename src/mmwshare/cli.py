@@ -182,7 +182,7 @@ def cmd_scenarios(args) -> int:
             "median_sinr_db": res.median_sinr_db,
             "outage_fraction": res.outage_fraction,
             "n_ue_samples": int(len(res.rate_bps)),
-            "drops": res.drops,
+            "drops": cfg.drops,
         }
         print(f"{kind}: median rate {res.median_rate_bps / 1e6:.1f} Mb/s, "
               f"outage {res.outage_fraction:.3f}")

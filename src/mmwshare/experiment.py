@@ -16,11 +16,11 @@ towers (`Scenario.co_located`). Association, bandwidth split, SINR and
 rates then run once per kind per block, with per-link access and
 co-channel flags read from the kind's sharing labels; no link crosses a
 drop, so each drop's values are those of the drop alone, and each kind's
-outcome comes out in pooled drop order. Only one table is alive at a time, and a block's tables hold its
-live links and candidates only, never a (B, U) array of the block.
-A gap instance's table is a block of one instance. Drops and gap
-instances take every sharing rule, co-location included, from one
-builder, `scenario.realize_scenario`.
+outcome comes out in pooled drop order. Only one table is alive at a
+time, and a block's tables hold its live links and candidates only, never
+a (B, U) array of the block. A gap instance's table is a block of one
+instance. Drops and gap instances take every sharing rule, co-location
+included, from one builder, `scenario.realize_scenario`.
 
 A pooled run is two steps. `_outcomes` evaluates drops [lo, hi) of the
 run, block by block, into each kind's (sinr, rate) samples in drop order.
@@ -67,7 +67,7 @@ from .channel import LinkTable, candidate_share
 from .config import ExperimentConfig
 from .geometry import mix_seed
 from .metrics import cdf, fit_scaling_exponent, outage_rate, percentile
-from .scenario import (SCENARIO_KINDS, RealizedScenario, build_scenario,
+from .scenario import (SCENARIO_KINDS, RealizedScenario, Scenario, build_scenario,
                        realize_scenario, stack_drops)
 
 
@@ -140,15 +140,14 @@ def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]]
 _BLOCK_PAIRS = 1 << 15
 
 
-def _blocks(config: ExperimentConfig, kinds, base_seed: int, lo: int, hi: int):
-    """Yield (drops, seeds) blocks of drops lo .. hi - 1, drop j
-    seeded mix_seed(base_seed, j) and drawn by one `build_scenario` call
-    for every distinct kind in `kinds`, in order of first appearance. A
-    block takes drops in order while their expected candidate pairs stay
-    within `_BLOCK_PAIRS`, and holds one drop at least; a drop counts the
-    BSs x UEs of its larger geometry times `candidate_share` (every pair
-    under the exponential outage model)."""
-    scenarios = [replace(config.scenario, kind=kind) for kind in dict.fromkeys(kinds)]
+def _blocks(config: ExperimentConfig, scenarios: Sequence[Scenario], base_seed: int,
+            lo: int, hi: int):
+    """Yield (drops, seeds) blocks of drops lo .. hi - 1, drop j seeded
+    mix_seed(base_seed, j) and drawn by one `build_scenario` call for the
+    `scenarios`, one per kind. A block takes drops in order while their
+    expected candidate pairs stay within `_BLOCK_PAIRS`, and holds one drop
+    at least; a drop counts the BSs x UEs of its larger geometry times
+    `candidate_share` (every pair under the exponential outage model)."""
     share = candidate_share(config.region, config.channel)
     drops, seeds, pairs = [], [], 0.0
     for j in range(lo, hi):
@@ -171,7 +170,6 @@ class ScenarioRunResult:
     """One kind's pooled per-UE samples over all drops, as their CDFs
     (`metrics.cdf`: the stable-sorted samples), plus summary stats."""
 
-    kind: str
     sinr_db: np.ndarray
     rate_bps: np.ndarray
     outage_fraction: float
@@ -179,16 +177,15 @@ class ScenarioRunResult:
     p05_rate_bps: float
     mean_rate_bps: float      # summed in drop order, before the sort
     median_sinr_db: float
-    drops: int
 
 
-def _outcomes(config: ExperimentConfig, kinds, base_seed: int,
+def _outcomes(config: ExperimentConfig, scenarios: Sequence[Scenario], base_seed: int,
               lo: int, hi: int) -> dict[str, tuple[list, list]]:
-    """Each distinct kind's (sinr_db, rate_bps) samples over drops [lo, hi),
-    drop j seeded mix_seed(base_seed, j), as lists of the arrays of its
-    blocks (`_blocks`) in drop order."""
-    parts = {kind: ([], []) for kind in kinds}
-    for drops, seeds in _blocks(config, kinds, base_seed, lo, hi):
+    """Each scenario's (sinr_db, rate_bps) samples over drops [lo, hi), keyed
+    by its kind, drop j seeded mix_seed(base_seed, j), as lists of the
+    arrays of its blocks (`_blocks`) in drop order."""
+    parts = {s.kind: ([], []) for s in scenarios}
+    for drops, seeds in _blocks(config, scenarios, base_seed, lo, hi):
         for kind, out in _run_block(config, drops, seeds).items():
             parts[kind][0].append(out.sinr_db)
             parts[kind][1].append(out.rate_bps)
@@ -215,7 +212,7 @@ def _statistics(config: ExperimentConfig, shares: Sequence[dict[str, tuple[list,
             stats = (outage_rate(rate, config.rate.target_rate_bps),
                      percentile(rate, 0.5), percentile(rate, 0.05), mean,
                      percentile(sinr, 0.5))
-        results[kind] = ScenarioRunResult(kind, sinr, rate, *stats, config.drops)
+        results[kind] = ScenarioRunResult(sinr, rate, *stats)
     return results
 
 
@@ -289,17 +286,17 @@ def _processes() -> int:
     return min(2, os.cpu_count() or 1)
 
 
-def _pool(tasks: Sequence[tuple[ExperimentConfig, Sequence[str], int]]
+def _pool(tasks: Sequence[tuple[ExperimentConfig, Sequence[Scenario], int]]
           ) -> list[dict[str, ScenarioRunResult]]:
-    """`_statistics` of each (config, kinds, base seed) task, drop j seeded
+    """`_statistics` of each (config, scenarios, base seed) task, drop j seeded
     mix_seed(base seed, j); every task has the same config.drops. Each of
     min(`_processes()`, drops) processes takes one contiguous range of drop
     indices, the same in every task, the sizes differing by one at most."""
     drops = tasks[0][0].drops
     n = min(_processes(), drops)
     shares = _fork_map(
-        lambda p: [_outcomes(cfg, kinds, seed, drops * p // n, drops * (p + 1) // n)
-                   for cfg, kinds, seed in tasks], range(n))
+        lambda p: [_outcomes(cfg, scenarios, seed, drops * p // n, drops * (p + 1) // n)
+                   for cfg, scenarios, seed in tasks], range(n))
     return [_statistics(cfg, [share[i] for share in shares])
             for i, (cfg, _, _) in enumerate(tasks)]
 
@@ -315,12 +312,11 @@ def run_scenarios(config: ExperimentConfig, kinds=SCENARIO_KINDS
     of `run_scenarios(config, (kind,))` and to the stable sort of the
     concatenated outcomes of its drops, each run alone as a block of one
     drop. `_processes()` processes share the drops (`_pool`), and the
-    result is the same bits for every count.
+    result is the same bits for every count. Each distinct kind becomes a
+    `Scenario` first, so an unknown one raises its ValueError before any fork.
     """
-    for kind in kinds:
-        if kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {kind!r}")
-    return _pool([(config, kinds, config.master_seed)])[0]
+    scenarios = [replace(config.scenario, kind=kind) for kind in dict.fromkeys(kinds)]
+    return _pool([(config, scenarios, config.master_seed)])[0]
 
 
 # offset separating the sweep's per-density seed streams from the
@@ -356,7 +352,7 @@ def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
         raise ValueError("need at least one density")
     kind = config.scenario.kind
     pooled = [res[kind] for res in _pool(
-        [(replace(config, bs_density_per_km2=rho), (kind,),
+        [(replace(config, bs_density_per_km2=rho), (config.scenario,),
           mix_seed(config.master_seed, _SWEEP_SEED_BASE + i))
          for i, rho in enumerate(densities)])]
     means = [r.mean_rate_bps for r in pooled]

@@ -1,19 +1,26 @@
-"""Sampling spread of the drop-based acceptance statistics (criteria 5-7).
+"""Acceptance criteria 5-7, stated once, and their sampling spread over seeds.
 
     PYTHONPATH=src python tests/acceptance_spread.py [-k K] [--drops N] [--pinned]
 
-Reruns the statistics of `tests/test_acceptance.py` criteria 5, 6 and 7,
-with their configs, densities and drop counts, over K independent master
-seeds 7919 * (s + 1), s = 0 .. K - 1; the rule never gives the pinned seed
-0 that the tests use. It prints one JSON object: per statistic the mean,
-sd (ddof 1, null for one seed), min and max over the seeds, and per check
-the share of seeds on which it would fail. Next to criterion 7 it reports
-each kind's p05 rate over served UEs and its outage share that is not
+`criterion_05`, `criterion_06` and `criterion_07` are the one definition
+of the drop-based acceptance criteria: each runs its configs, densities
+and thresholds at a master seed and a drop count, and returns its
+statistics and its named checks. `tests/test_acceptance.py` calls them at
+`PINNED_SEED` and `DROPS`; this script calls them at the same drop counts
+over K independent master seeds 7919 * (s + 1), s = 0 .. K - 1 (the rule
+never gives the pinned seed 0). It reads only the public API of
+`mmwshare`.
+
+The script prints one JSON object: per statistic the mean, sd (ddof 1,
+null for one seed), min and max over the seeds, and per check the share
+of seeds on which it would fail. Next to criterion 7 it reports each
+kind's p05 rate over served UEs and its outage share that is not
 unassociation (served UEs below the target rate, as a share of all UEs).
 
 `--drops N` runs every criterion at N drops (a smoke run); `--pinned` runs
 the pinned seed alone, so its numbers are those the tests print. pytest
-does not collect this file, and it gates nothing: a failing check is data.
+does not collect this file, and as a script it gates nothing: a failing
+check is data.
 """
 from __future__ import annotations
 
@@ -26,12 +33,12 @@ from dataclasses import replace
 import numpy as np
 
 from mmwshare.config import default_config
-from mmwshare.experiment import _blocks, _run_block, run_sweep
-from mmwshare.metrics import cdf, outage_rate, percentile
-from mmwshare.scenario import SCENARIO_KINDS, Scenario
+from mmwshare.experiment import run_scenarios, run_sweep
+from mmwshare.metrics import percentile
+from mmwshare.scenario import Scenario
 
 PINNED_SEED = 0
-DROPS = {5: 200, 6: 50, 7: 300}   # as in the tests
+DROPS = {5: 200, 6: 50, 7: 300}
 
 
 def seed_of(s: int) -> int:
@@ -42,12 +49,16 @@ def criterion_05(seed: int, drops: int) -> tuple[dict, dict]:
     """Mean-rate exponents, power-limited and interference-dominant."""
     base = replace(default_config(), master_seed=seed, drops=drops)
     densities = [5.0, 10.0, 15.0, 20.0, 30.0]
+    # power-limited regime: all-NLOS, no blockage outage, weak transmitter,
+    # interference disabled; expect a superlinear mean-rate exponent
     noise_cfg = replace(
         base,
         scenario=Scenario("NoSharing", num_operators=1),
         channel=replace(base.channel, los_decay_per_m=1e6, hard_coverage_area_km2=1e6),
         tx_power_dbm=-40.0,
         interference_enabled=False)
+    # interference-dominant regime: narrow licenses make thermal noise
+    # negligible; expect roughly linear scaling
     intf_cfg = replace(base, scenario=Scenario("NoSharing", num_operators=1,
                                                license_bandwidth_hz=5e5))
     s_noise = run_sweep(noise_cfg, densities).fitted_exponent
@@ -63,6 +74,8 @@ def criterion_06(seed: int, drops: int) -> tuple[dict, dict]:
                   scenario=Scenario("SpectrumAccess", access_share_fraction=1.0))
     densities = [5.0, 10.0, 20.0, 30.0, 50.0, 80.0]
     out = run_sweep(cfg, densities).outage_fraction
+    # ~400 UE samples per drop; allow adjacent pairs to move up only within
+    # the sum of their 99% binomial half-widths
     n = drops * 400
     se = np.sqrt(np.maximum(out * (1.0 - out), 1e-12) / n)
     mono = all(out[i + 1] <= out[i] + 2.58 * (se[i] + se[i + 1])
@@ -74,37 +87,34 @@ def criterion_06(seed: int, drops: int) -> tuple[dict, dict]:
 def criterion_07(seed: int, drops: int) -> tuple[dict, dict]:
     """The four kinds' ordering, plus the served-UE view of their tails.
 
-    Pools the drops through the engine's blocks, as `run_scenarios` does,
-    and keeps each UE's serving BS as well as its rate and SINR."""
+    An unassociated UE has SINR -inf and rate 0.0, and a served one a
+    finite SINR and a rate above 0, so each kind's sorted rates open with
+    exactly its unassociated UEs and the served UEs' CDF is the rest."""
     cfg = replace(default_config(), master_seed=seed, drops=drops)
-    parts = {kind: [] for kind in SCENARIO_KINDS}
-    for block, seeds in _blocks(cfg, SCENARIO_KINDS, cfg.master_seed, 0, drops):
-        for kind, out in _run_block(cfg, block, seeds).items():
-            parts[kind].append((out.sinr_db, out.rate_bps, out.serving_bs))
+    res = run_scenarios(cfg)
     target = cfg.rate.target_rate_bps
-    stats, median, p05, sinr = {}, {}, {}, {}
-    for kind, outs in parts.items():
-        sinr_db, rate, serving = (np.concatenate(column) for column in zip(*outs))
-        served = serving >= 0
-        rates = cdf(rate)
-        median[kind] = percentile(rates, 0.5)
-        p05[kind] = percentile(rates, 0.05)
-        sinr[kind] = percentile(cdf(sinr_db), 0.5)
-        stats[f"median_rate_mbps.{kind}"] = median[kind] / 1e6
-        stats[f"p05_rate_mbps.{kind}"] = p05[kind] / 1e6
-        stats[f"median_sinr_db.{kind}"] = sinr[kind]
+    stats = {}
+    for kind, r in res.items():
+        unassociated = np.count_nonzero(np.isneginf(r.sinr_db))
+        served = r.rate_bps[unassociated:]
+        stats[f"median_rate_mbps.{kind}"] = r.median_rate_bps / 1e6
+        stats[f"p05_rate_mbps.{kind}"] = r.p05_rate_bps / 1e6
+        stats[f"median_sinr_db.{kind}"] = r.median_sinr_db
         stats[f"served_p05_rate_mbps.{kind}"] = (
-            percentile(cdf(rate[served]), 0.05) / 1e6 if served.any() else math.nan)
-        stats[f"outage.{kind}"] = outage_rate(rate, target)
-        stats[f"outage_not_unassociated.{kind}"] = float(
-            np.count_nonzero(served & (rate < target)) / rate.size)
-    infra_gap = abs(median["SpectrumInfra"] - median["Spectrum"]) / median["Spectrum"]
+            percentile(served, 0.05) / 1e6 if served.size else math.nan)
+        stats[f"outage.{kind}"] = r.outage_fraction
+        stats[f"outage_not_unassociated.{kind}"] = (
+            (np.count_nonzero(r.rate_bps < target) - unassociated) / r.rate_bps.size)
+    spectrum = res["Spectrum"].median_rate_bps
+    infra_gap = abs(res["SpectrumInfra"].median_rate_bps - spectrum) / spectrum
     stats["infra_gap_percent"] = 100 * infra_gap
     return stats, {
-        "nosharing_median_below_spectrum": median["NoSharing"] < median["Spectrum"],
+        "nosharing_median_below_spectrum": res["NoSharing"].median_rate_bps < spectrum,
         "infra_gap_at_most_10_percent": infra_gap <= 0.10,
-        "access_p05_at_least_spectrum": p05["SpectrumAccess"] >= p05["Spectrum"],
-        "spectrum_median_sinr_at_most_nosharing": sinr["Spectrum"] <= sinr["NoSharing"],
+        "access_p05_at_least_spectrum":
+            res["SpectrumAccess"].p05_rate_bps >= res["Spectrum"].p05_rate_bps,
+        "spectrum_median_sinr_at_most_nosharing":
+            res["Spectrum"].median_sinr_db <= res["NoSharing"].median_sinr_db,
     }
 
 

@@ -2,10 +2,12 @@
 
 Each test prints one `criterion N PASS/FAIL: ...` line (visible under
 pytest -s) and then asserts the same condition, so the suite both reports
-and enforces the gate.
+and enforces the gate. The drop-based criteria 5, 6 and 7 are defined
+once, in `acceptance_spread.py`, with their configs, densities, drop
+counts and thresholds; the tests run them at its pinned seed, and its
+script runs the same functions over other seeds.
 """
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -14,12 +16,10 @@ from mmwshare.allocation import (RateParams, associate_blind,
 from mmwshare.analytic import bandwidth_per_ue, outage_fraction
 from mmwshare.channel import AntennaModel, ChannelParams, LinkState, LinkTable
 from mmwshare.cli import main as cli_main
-from mmwshare.config import default_config
-from mmwshare.experiment import run_scenarios, run_sweep
 from mmwshare.geometry import Region, avg_cell_radius_m, deploy_ppp, mix_seed
 from mmwshare.metrics import cdf, percentile
-from mmwshare.scenario import Scenario
 
+from acceptance_spread import DROPS, PINNED_SEED, criterion_05, criterion_06, criterion_07
 from test_allocation import _oracle_search, _oracle_value
 from test_channel import draw_link_states
 
@@ -77,69 +77,40 @@ def test_criterion_04_outage_closed_form():
 
 
 def test_criterion_05_rate_density_scaling():
-    base = default_config()
-    densities = [5.0, 10.0, 15.0, 20.0, 30.0]
-    # power-limited regime: all-NLOS, no blockage outage, weak transmitter,
-    # interference disabled; expect a superlinear mean-rate exponent
-    noise_cfg = replace(
-        base,
-        scenario=Scenario("NoSharing", num_operators=1),
-        channel=replace(base.channel, los_decay_per_m=1e6,
-                        hard_coverage_area_km2=1e6),
-        tx_power_dbm=-40.0,
-        interference_enabled=False)
-    s_noise = run_sweep(replace(noise_cfg, drops=200), densities).fitted_exponent
-    # interference-dominant regime: narrow licenses make thermal noise
-    # negligible; expect roughly linear scaling
-    intf_cfg = replace(
-        base, scenario=Scenario("NoSharing", num_operators=1,
-                                license_bandwidth_hz=5e5))
-    s_intf = run_sweep(replace(intf_cfg, drops=200), densities).fitted_exponent
-    ok = 1.1 <= s_noise <= 1.6 and 0.75 <= s_intf <= 1.25
-    _report(5, ok, f"mean-rate exponents: {s_noise:.3f} power-limited "
-                   f"(want 1.1..1.6), {s_intf:.3f} interference-dominant "
+    stats, checks = criterion_05(PINNED_SEED, DROPS[5])
+    ok = all(checks.values())
+    _report(5, ok, f"mean-rate exponents: {stats['exponent_power_limited']:.3f} "
+                   "power-limited (want 1.1..1.6), "
+                   f"{stats['exponent_interference']:.3f} interference-dominant "
                    "(want 0.75..1.25)")
     assert ok
 
 
 def test_criterion_06_outage_falls_with_density():
-    cfg = replace(default_config(),
-                  scenario=Scenario("SpectrumAccess", access_share_fraction=1.0))
-    densities = [5.0, 10.0, 20.0, 30.0, 50.0, 80.0]
-    drops = 50
-    sweep = run_sweep(replace(cfg, drops=drops), densities)
-    out = sweep.outage_fraction
-    # ~400 UE samples per drop; allow adjacent pairs to move up only within
-    # the sum of their 99% binomial half-widths
-    n = drops * 400
-    se = np.sqrt(np.maximum(out * (1.0 - out), 1e-12) / n)
-    mono = all(out[i + 1] <= out[i] + 2.58 * (se[i] + se[i + 1])
-               for i in range(len(out) - 1))
-    ok = mono and out[-1] < 0.05
+    stats, checks = criterion_06(PINNED_SEED, DROPS[6])
+    out = list(stats.values())   # outage at each density, in sweep order
+    ok = all(checks.values())
     _report(6, ok, "outage vs density "
             + " -> ".join(f"{o:.3f}" for o in out)
-            + f"; non-increasing={mono}, final {out[-1]:.4f} < 0.05")
+            + f"; non-increasing={checks['non_increasing']}, final {out[-1]:.4f} < 0.05")
     assert ok
 
 
 def test_criterion_07_scenario_ordering():
-    cfg = replace(default_config(), drops=300)
-    res = run_scenarios(cfg)
-    med = {k: r.median_rate_bps for k, r in res.items()}
-    ok_spectrum = med["NoSharing"] < med["Spectrum"]
-    infra_gap = abs(med["SpectrumInfra"] - med["Spectrum"]) / med["Spectrum"]
-    ok_infra = infra_gap <= 0.10
-    ok_access = res["SpectrumAccess"].p05_rate_bps >= res["Spectrum"].p05_rate_bps
-    ok_sinr = res["Spectrum"].median_sinr_db <= res["NoSharing"].median_sinr_db
-    ok = ok_spectrum and ok_infra and ok_access and ok_sinr
+    stats, checks = criterion_07(PINNED_SEED, DROPS[7])
+    ok = all(checks.values())
     _report(7, ok,
-            f"median rates Mb/s: NoSharing {med['NoSharing'] / 1e6:.1f} < "
-            f"Spectrum {med['Spectrum'] / 1e6:.1f} ({ok_spectrum}); "
-            f"infra gap {100 * infra_gap:.1f}% <= 10% ({ok_infra}); "
-            f"access p05 {res['SpectrumAccess'].p05_rate_bps / 1e6:.2f} >= "
-            f"spectrum p05 {res['Spectrum'].p05_rate_bps / 1e6:.2f} ({ok_access}); "
-            f"median SINR {res['Spectrum'].median_sinr_db:.1f} dB <= "
-            f"{res['NoSharing'].median_sinr_db:.1f} dB ({ok_sinr})")
+            f"median rates Mb/s: NoSharing {stats['median_rate_mbps.NoSharing']:.1f} < "
+            f"Spectrum {stats['median_rate_mbps.Spectrum']:.1f} "
+            f"({checks['nosharing_median_below_spectrum']}); "
+            f"infra gap {stats['infra_gap_percent']:.1f}% <= 10% "
+            f"({checks['infra_gap_at_most_10_percent']}); "
+            f"access p05 {stats['p05_rate_mbps.SpectrumAccess']:.2f} >= "
+            f"spectrum p05 {stats['p05_rate_mbps.Spectrum']:.2f} "
+            f"({checks['access_p05_at_least_spectrum']}); "
+            f"median SINR {stats['median_sinr_db.Spectrum']:.1f} dB <= "
+            f"{stats['median_sinr_db.NoSharing']:.1f} dB "
+            f"({checks['spectrum_median_sinr_at_most_nosharing']})")
     assert ok
 
 
