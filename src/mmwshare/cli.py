@@ -174,8 +174,8 @@ def cmd_scenarios(args) -> int:
     cum_prob = [repr((i + 1) / n) for i in range(n)]
     summary = {}
     for kind, res in results.items():
-        write_cdf_csv(out / f"cdf_sinr_{kind}.csv", provenance, res.sinr_db, cum_prob)
-        write_cdf_csv(out / f"cdf_rate_{kind}.csv", provenance, res.rate_bps, cum_prob)
+        write_cdf_csv(out / f"cdf_sinr_{kind}.csv", provenance, res.sinr_cdf, cum_prob)
+        write_cdf_csv(out / f"cdf_rate_{kind}.csv", provenance, res.rate_cdf, cum_prob)
         summary[kind] = {
             "median_rate_bps": res.median_rate_bps,
             "p05_rate_bps": res.p05_rate_bps,

@@ -23,9 +23,10 @@ instance. Drops and gap instances take every sharing rule, co-location
 included, from one builder, `scenario.realize_scenario`.
 
 A pooled run is two steps. `_outcomes` evaluates drops [lo, hi) of the
-run, block by block, into each kind's (sinr, rate) samples in drop order.
-`_statistics` concatenates the outcomes of consecutive ranges in drop
-order before the mean and the stable sort, so no bit depends on where the
+run, block by block, into one UE count per drop and each kind's (sinr,
+rate) samples in drop order. `_statistics` concatenates the outcomes of
+consecutive ranges in drop order, keeps them so next to their stable
+sort, and takes the mean before the sort, so no bit depends on where the
 ranges, or the blocks within them, are cut. `run_scenarios` (one task)
 and `run_sweep` (one task per density) pool through `_pool`, which cuts
 the drops into `_processes()` ranges and forks once per call: `_fork_map`
@@ -71,17 +72,6 @@ from .scenario import (SCENARIO_KINDS, RealizedScenario, Scenario, build_scenari
                        realize_scenario, stack_drops)
 
 
-@dataclass
-class DropOutcome:
-    """Per-UE results of one drop, or of a block of drops side by side
-    (arrays over the full UE population, serving BSs in block indices)."""
-
-    serving_bs: np.ndarray
-    ue_bandwidth_hz: np.ndarray
-    sinr_db: np.ndarray       # -inf for unassociated UEs
-    rate_bps: np.ndarray
-
-
 def _links(config: ExperimentConfig, group: Sequence[RealizedScenario],
            seeds: Sequence[int]) -> LinkTable:
     """One link table for a block of drops or gap instances, one geometry
@@ -93,10 +83,11 @@ def _links(config: ExperimentConfig, group: Sequence[RealizedScenario],
 
 
 def _evaluate(config: ExperimentConfig, realized: RealizedScenario,
-              links: LinkTable) -> DropOutcome:
-    """Blind association over the links the kind's access labels allow,
-    then bandwidth split, SINR and rates, of one realized kind on its link
-    table. Links are co-channel only where interference is enabled."""
+              links: LinkTable) -> tuple[np.ndarray, np.ndarray]:
+    """(sinr_db, rate_bps) per UE of one realized kind on its link table:
+    blind association over the links the kind's access labels allow, then
+    bandwidth split, SINR and rates. An unassociated UE has SINR -inf and
+    rate +0.0. Links are co-channel only where interference is enabled."""
     serving_bs = associate_blind(links, realized.access_at(links.link_bs, links.link_ue))
     assoc = split_bandwidth(serving_bs, links.n_bs, realized.scenario.pool_hz,
                             config.full_bandwidth_per_ue)
@@ -106,21 +97,21 @@ def _evaluate(config: ExperimentConfig, realized: RealizedScenario,
     with np.errstate(divide="ignore"):
         sinr_db = 10.0 * np.log10(gamma)
     rate = user_rate(gamma, assoc.ue_bandwidth_hz, config.rate)
-    return DropOutcome(assoc.serving_bs, assoc.ue_bandwidth_hz, sinr_db, rate)
+    return sinr_db, rate
 
 
 def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]],
-               seeds: Sequence[int]) -> dict[str, DropOutcome]:
+               seeds: Sequence[int]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Evaluate a block of drops, drop d being `build_scenario`'s kinds
-    from seeds[d], as one outcome per kind over the block's UEs.
+    from seeds[d], as each kind's (sinr_db, rate_bps) over the block's UEs.
 
     The kinds that keep the drawn sites share one block link table, the
     co-located kind (`Scenario.co_located`) has its own, so at most two
     tables are realized. Each is released before the next one is built:
     keeping both alive raised the peak RSS of the default 4-kind benchmark
     by about 1 MB (2.5%). Each kind is evaluated (`_evaluate`) on its
-    geometry's table from its own labels; its outcome lists the block's
-    UEs in drop order and equals the concatenation of its drops run alone.
+    geometry's table from its own labels; its arrays list the block's UEs
+    in drop order and equal the concatenation of its drops run alone.
     """
     geometries: dict[bool, list[tuple[RealizedScenario, ...]]] = {}
     for parts in zip(*drops):   # one kind in every drop of the block
@@ -167,11 +158,15 @@ def _blocks(config: ExperimentConfig, scenarios: Sequence[Scenario], base_seed: 
 
 @dataclass
 class ScenarioRunResult:
-    """One kind's pooled per-UE samples over all drops, as their CDFs
-    (`metrics.cdf`: the stable-sorted samples), plus summary stats."""
+    """One kind's pooled per-UE samples over all drops, in drop order
+    (ue_per_drop[j] UEs for drop j, the same for every kind) and as their
+    CDFs (`metrics.cdf`: the stable-sorted samples), plus summary stats."""
 
-    sinr_db: np.ndarray
-    rate_bps: np.ndarray
+    sinr_db: np.ndarray       # -inf for unassociated UEs
+    rate_bps: np.ndarray      # +0.0 for unassociated UEs
+    ue_per_drop: np.ndarray   # int64
+    sinr_cdf: np.ndarray
+    rate_cdf: np.ndarray
     outage_fraction: float
     median_rate_bps: float
     p05_rate_bps: float
@@ -180,39 +175,40 @@ class ScenarioRunResult:
 
 
 def _outcomes(config: ExperimentConfig, scenarios: Sequence[Scenario], base_seed: int,
-              lo: int, hi: int) -> dict[str, tuple[list, list]]:
-    """Each scenario's (sinr_db, rate_bps) samples over drops [lo, hi), keyed
-    by its kind, drop j seeded mix_seed(base_seed, j), as lists of the
-    arrays of its blocks (`_blocks`) in drop order."""
-    parts = {s.kind: ([], []) for s in scenarios}
+              lo: int, hi: int) -> tuple[list[int], dict[str, tuple[list, list]]]:
+    """The UE count of each of drops [lo, hi), drop j seeded
+    mix_seed(base_seed, j), and each scenario's (sinr_db, rate_bps) over
+    them, keyed by its kind, as lists of its blocks' arrays in drop order."""
+    ues, parts = [], {s.kind: ([], []) for s in scenarios}
     for drops, seeds in _blocks(config, scenarios, base_seed, lo, hi):
-        for kind, out in _run_block(config, drops, seeds).items():
-            parts[kind][0].append(out.sinr_db)
-            parts[kind][1].append(out.rate_bps)
-    return parts
+        ues += [len(drop[0].ue_xy) for drop in drops if drop]   # its kinds share them
+        for kind, (sinr, rate) in _run_block(config, drops, seeds).items():
+            parts[kind][0].append(sinr)
+            parts[kind][1].append(rate)
+    return ues, parts
 
 
-def _statistics(config: ExperimentConfig, shares: Sequence[dict[str, tuple[list, list]]]
+def _statistics(config: ExperimentConfig, shares: Sequence[tuple[list, dict]]
                 ) -> dict[str, ScenarioRunResult]:
     """Pool `_outcomes` of consecutive drop ranges covering drops
-    0 .. config.drops - 1. Each kind's block arrays are concatenated once,
-    in drop order, averaged, then kept only as their CDF, which the
-    percentiles read: the arrays, and so every bit, are those of one range
-    over all the drops. A population with no UE in any drop pools no
-    sample, and every statistic of it is NaN."""
+    0 .. config.drops - 1: the UE counts and each kind's block arrays are
+    concatenated once, in drop order, averaged in that order and sorted
+    once into the CDFs that the percentiles read, so every bit is that of
+    one range over all the drops. A population with no UE in any drop pools
+    no sample, and every statistic of it is NaN."""
+    ue_per_drop = np.array([n for ues, _ in shares for n in ues], dtype=np.int64)
     results = {}
-    for kind in shares[0]:
-        sinr = np.concatenate([a for share in shares for a in share[kind][0]])
-        rate = np.concatenate([a for share in shares for a in share[kind][1]])
-        if rate.size == 0:
-            stats = (math.nan,) * 5
-        else:
+    for kind in shares[0][1]:
+        sinr = np.concatenate([a for _, parts in shares for a in parts[kind][0]])
+        rate = np.concatenate([a for _, parts in shares for a in parts[kind][1]])
+        sinr_cdf, rate_cdf, stats = sinr, rate, (math.nan,) * 5
+        if rate.size:
             mean = float(rate.mean())   # its bits depend on the drop order
-            sinr, rate = cdf(sinr), cdf(rate)
-            stats = (outage_rate(rate, config.rate.target_rate_bps),
-                     percentile(rate, 0.5), percentile(rate, 0.05), mean,
-                     percentile(sinr, 0.5))
-        results[kind] = ScenarioRunResult(sinr, rate, *stats)
+            sinr_cdf, rate_cdf = cdf(sinr), cdf(rate)
+            stats = (outage_rate(rate_cdf, config.rate.target_rate_bps),
+                     percentile(rate_cdf, 0.5), percentile(rate_cdf, 0.05), mean,
+                     percentile(sinr_cdf, 0.5))
+        results[kind] = ScenarioRunResult(sinr, rate, ue_per_drop, sinr_cdf, rate_cdf, *stats)
     return results
 
 
@@ -309,11 +305,11 @@ def run_scenarios(config: ExperimentConfig, kinds=SCENARIO_KINDS
     and every kind of a block of drops is evaluated (`_run_block`) before
     the next block starts, so deployments are identical across kinds drop
     by drop. The pooled samples of each kind are byte-identical to those
-    of `run_scenarios(config, (kind,))` and to the stable sort of the
-    concatenated outcomes of its drops, each run alone as a block of one
-    drop. `_processes()` processes share the drops (`_pool`), and the
-    result is the same bits for every count. Each distinct kind becomes a
-    `Scenario` first, so an unknown one raises its ValueError before any fork.
+    of `run_scenarios(config, (kind,))`, and the first ue_per_drop[:k].sum()
+    of them to the samples of a run of k drops. `_processes()` processes
+    share the drops (`_pool`), and the result is the same bits for every
+    count. Each distinct kind becomes a `Scenario` first, so an unknown one
+    raises its ValueError before any fork.
     """
     scenarios = [replace(config.scenario, kind=kind) for kind in dict.fromkeys(kinds)]
     return _pool([(config, scenarios, config.master_seed)])[0]

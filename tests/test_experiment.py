@@ -12,11 +12,11 @@ from numpy.testing import assert_array_equal
 
 import mmwshare
 from mmwshare import allocation, experiment, scenario
-from mmwshare.allocation import InstanceSizeError
+from mmwshare.allocation import InstanceSizeError, associate_blind
 from mmwshare.channel import LinkTable
 from mmwshare.config import default_config
 from mmwshare.experiment import _links, run_gap, run_scenarios, run_sweep
-from mmwshare.geometry import Region, mix_seed
+from mmwshare.geometry import Region
 from mmwshare.metrics import outage_rate
 from mmwshare.scenario import SCENARIO_KINDS, Scenario, build_scenario
 
@@ -26,59 +26,69 @@ def small_config(**overrides):
     return replace(cfg, ue_density_per_km2=60.0, drops=2, **overrides)
 
 
-def run_drop(config, kinds, seed):
-    """One drop of every distinct kind in `kinds`, in order of first
-    appearance, from one seed: the engine's block of one drop."""
-    drop = build_scenario([replace(config.scenario, kind=kind) for kind in dict.fromkeys(kinds)],
-                          config.region, config.bs_density_per_km2,
-                          config.ue_density_per_km2, seed)
-    return experiment._run_block(config, [drop], [seed])
+def one_drop(config, kinds, seed):
+    """`run_scenarios` over one drop, from master seed `seed`."""
+    return run_scenarios(replace(config, master_seed=seed, drops=1), kinds)
 
 
 def test_run_drop_deterministic():
     cfg = small_config()
-    a = run_drop(cfg, ("Spectrum",), seed=42)["Spectrum"]
-    b = run_drop(cfg, ("Spectrum",), seed=42)["Spectrum"]
-    assert_array_equal(a.serving_bs, b.serving_bs)
+    a = one_drop(cfg, ("Spectrum",), seed=42)["Spectrum"]
+    b = one_drop(cfg, ("Spectrum",), seed=42)["Spectrum"]
+    assert_array_equal(a.ue_per_drop, b.ue_per_drop)
     assert_array_equal(a.sinr_db, b.sinr_db)
     assert_array_equal(a.rate_bps, b.rate_bps)
-    c = run_drop(cfg, ("Spectrum",), seed=43)["Spectrum"]
+    c = one_drop(cfg, ("Spectrum",), seed=43)["Spectrum"]
     assert not np.array_equal(a.rate_bps, c.rate_bps)
 
 
 def test_outcome_fields_consistent():
-    # a UE is served exactly where its SINR is finite, at a rate above 0; an
-    # unassociated one has SINR -inf and rate +0.0, so a kind's sorted rates
-    # open with exactly its unassociated UEs (`tests/acceptance_spread.py`
-    # reads the served UEs' tail that way)
+    # a UE's SINR is finite exactly where its rate is above 0, and -inf
+    # exactly where its rate is +0.0 (unassociated), so a kind's rate CDF
+    # opens with exactly its unassociated UEs (`tests/acceptance_spread.py`
+    # reads the served UEs' tail that way); a rate above 0 needs a share of
+    # the band, so every served UE has one
     cfg = small_config()
-    for kind, out in run_drop(cfg, SCENARIO_KINDS, seed=7).items():
-        served = out.serving_bs >= 0
+    for kind, out in one_drop(cfg, SCENARIO_KINDS, seed=7).items():
+        served = np.isfinite(out.sinr_db)
         assert served.any() and not served.all(), kind
-        assert_array_equal(np.isfinite(out.sinr_db), served)
-        assert np.all(np.isneginf(out.sinr_db[~served]))
-        assert np.all(out.rate_bps[served] > 0), kind
+        assert_array_equal(out.rate_bps > 0, served)
+        assert_array_equal(np.isneginf(out.sinr_db), ~served)
+        assert_array_equal(out.rate_bps == 0.0, ~served)
         assert not np.signbit(out.rate_bps[~served]).any(), kind
-        assert np.all(out.rate_bps[~served] == 0.0)
         assert outage_rate(out.rate_bps[~served], cfg.rate.target_rate_bps) == 1.0
-        assert np.all(out.ue_bandwidth_hz[served] > 0)
 
 
-def test_interference_toggle_only_raises_sinr():
+def test_interference_toggle_only_raises_sinr(monkeypatch):
+    # association reads no co-channel flag, so the toggle serves every UE
+    # from the same BS on the same share of the band and only raises its
+    # SINR and rate; the serving BSs are recorded at the name `_evaluate`
+    # calls, in one process, which sees every call
+    monkeypatch.setattr(experiment, "_processes", lambda: 1)
+    serving = []
+
+    def recording(*args, **kwargs):
+        serving.append(associate_blind(*args, **kwargs))
+        return serving[-1]
+
+    monkeypatch.setattr(experiment, "associate_blind", recording)
     cfg = small_config()
-    on = run_drop(cfg, ("Spectrum",), seed=3)["Spectrum"]
-    off = run_drop(replace(cfg, interference_enabled=False), ("Spectrum",), seed=3)["Spectrum"]
-    assert_array_equal(on.serving_bs, off.serving_bs)
-    served = on.serving_bs >= 0
+    on = one_drop(cfg, ("Spectrum",), seed=3)["Spectrum"]
+    off = one_drop(replace(cfg, interference_enabled=False), ("Spectrum",), seed=3)["Spectrum"]
+    assert len(serving) == 2
+    assert_array_equal(serving[0], serving[1])
+    served = np.isfinite(on.sinr_db)
+    assert_array_equal(np.isfinite(off.sinr_db), served)
     assert np.all(off.sinr_db[served] >= on.sinr_db[served])
     assert np.any(off.sinr_db[served] > on.sinr_db[served])
+    assert np.all(off.rate_bps[served] >= on.rate_bps[served])
 
 
 def test_full_bandwidth_mode_never_slower():
     cfg = small_config(interference_enabled=False)
-    split = run_drop(cfg, ("Spectrum",), seed=11)["Spectrum"]
-    full = run_drop(replace(cfg, full_bandwidth_per_ue=True), ("Spectrum",), seed=11)["Spectrum"]
-    served = split.serving_bs >= 0
+    split = one_drop(cfg, ("Spectrum",), seed=11)["Spectrum"]
+    full = one_drop(replace(cfg, full_bandwidth_per_ue=True), ("Spectrum",), seed=11)["Spectrum"]
+    served = np.isfinite(split.sinr_db)
     assert np.all(full.rate_bps[served] >= split.rate_bps[served])
 
 
@@ -87,6 +97,7 @@ def test_run_scenarios_common_deployments():
     res = run_scenarios(cfg, kinds=("NoSharing", "Spectrum"))
     no, sp = res["NoSharing"], res["Spectrum"]
     # same drop seeds: identical UE populations, structurally different rates
+    assert_array_equal(no.ue_per_drop, sp.ue_per_drop)
     assert no.rate_bps.shape == sp.rate_bps.shape
     assert not np.array_equal(no.rate_bps, sp.rate_bps)
     with pytest.raises(ValueError):
@@ -132,17 +143,26 @@ def test_run_scenarios_realizes_one_table_per_geometry_per_drop(monkeypatch):
 
 def test_kinds_with_equal_access_compute_equal_outcomes():
     # kinds whose access labels agree associate every UE alike: NoSharing
-    # and Spectrum over drops run alone, and SpectrumAccess and Spectrum
-    # when it opens no BS, or opens BSs to no foreign UE (M = 1)
+    # and Spectrum on every drop's table (so they serve the same UEs), and
+    # SpectrumAccess and Spectrum when it opens no BS, or opens BSs to no
+    # foreign UE (M = 1)
     for m_ops in (1, 2, 3):
         for fraction in (1.0, 0.5, 0.0):
             cfg = replace(small_config(), drops=3, scenario=Scenario(
                 "Spectrum", num_operators=m_ops, access_share_fraction=fraction))
             for seed in range(cfg.drops):
-                drop = run_drop(cfg, SCENARIO_KINDS, seed)
-                assert_array_equal(drop["NoSharing"].serving_bs, drop["Spectrum"].serving_bs)
+                no, sp = build_scenario(
+                    [replace(cfg.scenario, kind=k) for k in ("NoSharing", "Spectrum")],
+                    cfg.region, cfg.bs_density_per_km2, cfg.ue_density_per_km2, seed)
+                links = LinkTable.realize_block([(no.bs_xy, no.ue_xy, seed)], cfg.region,
+                                                cfg.tx_power_dbm, cfg.channel, cfg.antenna)
+                assert_array_equal(
+                    associate_blind(links, no.access_at(links.link_bs, links.link_ue)),
+                    associate_blind(links, sp.access_at(links.link_bs, links.link_ue)))
+            res = run_scenarios(cfg)
+            assert_array_equal(np.isfinite(res["NoSharing"].sinr_db),
+                               np.isfinite(res["Spectrum"].sinr_db))
             if fraction == 0.0 or m_ops == 1:
-                res = run_scenarios(cfg)
                 for field in ("sinr_db", "rate_bps"):
                     assert (getattr(res["SpectrumAccess"], field).tobytes()
                             == getattr(res["Spectrum"], field).tobytes())
@@ -150,7 +170,8 @@ def test_kinds_with_equal_access_compute_equal_outcomes():
 
 def _scenario_bits(results):
     """Every array and statistic of `run_scenarios`' results, as bytes."""
-    return {kind: (r.sinr_db.tobytes(), r.rate_bps.tobytes(),
+    return {kind: (r.sinr_db.tobytes(), r.rate_bps.tobytes(), r.ue_per_drop.tobytes(),
+                   r.sinr_cdf.tobytes(), r.rate_cdf.tobytes(),
                    np.array([r.outage_fraction, r.median_rate_bps, r.p05_rate_bps,
                              r.mean_rate_bps, r.median_sinr_db]).tobytes())
             for kind, r in results.items()}
@@ -213,18 +234,30 @@ def test_blocks_of_drops_equal_drops_alone(monkeypatch):
             sweep = run_sweep(replace(cfg, drops=3), (5.0, 40.0, 80.0))
             results[budget] = (_scenario_bits(res), _sweep_bits(sweep))
         assert results[-1] == results[default_budget] == results[math.inf], name
-        # and the pooled samples are the drops run alone, one after the other:
-        # their stable sort, and for the rates their mean, summed in drop order
-        drops = [run_drop(cfg, SCENARIO_KINDS, mix_seed(cfg.master_seed, j))
-                 for j in range(cfg.drops)]
-        for kind in SCENARIO_KINDS:
-            for field in ("sinr_db", "rate_bps"):
-                alone = np.concatenate([getattr(d[kind], field) for d in drops])
-                assert (np.sort(alone, kind="stable").tobytes()
-                        == getattr(res[kind], field).tobytes()), (name, kind)
-            mean = alone.mean() if alone.size else math.nan
+        # and the pooled samples are the drops in order: a run of k drops is
+        # the first ue_per_drop[:k].sum() samples of the full run; the CDFs
+        # are their stable sort, and the mean rate is summed in drop order
+        for kind, r in res.items():
+            assert r.ue_per_drop.dtype == np.int64 and r.ue_per_drop.shape == (cfg.drops,)
+            assert r.ue_per_drop.sum() == r.rate_bps.size == r.sinr_db.size
+            for samples, sorted_ in ((r.sinr_db, r.sinr_cdf), (r.rate_bps, r.rate_cdf)):
+                assert (np.sort(samples, kind="stable").tobytes()
+                        == sorted_.tobytes()), (name, kind)
+            mean = r.rate_bps.mean() if r.rate_bps.size else math.nan
             assert (np.float64(mean).tobytes()
-                    == np.float64(res[kind].mean_rate_bps).tobytes()), (name, kind)
+                    == np.float64(r.mean_rate_bps).tobytes()), (name, kind)
+            if name == "empty UEs":   # no UE in any drop: no sample, no statistic
+                assert r.rate_bps.size == 0, kind
+                assert np.isnan([r.outage_fraction, r.median_rate_bps, r.p05_rate_bps,
+                                 r.median_sinr_db]).all(), kind
+        for k in range(1, cfg.drops):
+            part = run_scenarios(replace(cfg, drops=k))
+            for kind, r in res.items():
+                n = r.ue_per_drop[:k].sum()
+                assert_array_equal(part[kind].ue_per_drop, r.ue_per_drop[:k])
+                for field in ("sinr_db", "rate_bps"):
+                    assert (getattr(part[kind], field).tobytes()
+                            == getattr(r, field)[:n].tobytes()), (name, kind, k)
 
 
 def test_run_scenarios_kind_subsets_match_each_kind_alone():

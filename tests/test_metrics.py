@@ -12,11 +12,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import mmwshare
 from mmwshare.config import ConfigError, default_config
-from mmwshare.experiment import _SWEEP_SEED_BASE, run_sweep
+from mmwshare.experiment import _SWEEP_SEED_BASE, run_scenarios, run_sweep
 from mmwshare.geometry import mix_seed
 from mmwshare.metrics import cdf, fit_scaling_exponent, outage_rate, percentile
-
-from test_experiment import run_drop
 
 
 def test_cdf_is_the_stable_sort_of_its_samples():
@@ -144,10 +142,10 @@ def test_doubling_drops_stays_within_bootstrap_ci():
     cfg = replace(default_config(), drops=10)
     one = run_sweep(cfg, [30.0])
     two = run_sweep(replace(cfg, drops=20), [30.0])
-    base = mix_seed(cfg.master_seed, _SWEEP_SEED_BASE)
-    rates = np.concatenate([
-        run_drop(cfg, (cfg.scenario.kind,), mix_seed(base, j))[cfg.scenario.kind].rate_bps
-        for j in range(10)])
+    # the sweep's ten drops at its first density, in drop order
+    kind = cfg.scenario.kind
+    rates = run_scenarios(replace(cfg, master_seed=mix_seed(cfg.master_seed, _SWEEP_SEED_BASE)),
+                          (kind,))[kind].rate_bps
     assert percentile(cdf(rates), 0.5) == one.median_rate_bps[0]
     rng = np.random.default_rng(8)
     boots = np.array([
