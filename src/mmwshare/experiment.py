@@ -6,21 +6,22 @@ the same drop seeds for every kind, so all kinds see identical operator
 deployments and, where geometry coincides, identical channel draws:
 differences between kinds are purely structural (common random numbers).
 
-The comparison loop is block-major. `_blocks` draws every operator's
-deployment once per drop (`build_scenario`) and cuts the drops, in order,
-into blocks of at most `_BLOCK_PAIRS` expected candidate links.
-`_run_block` realizes one block link table for the kinds that keep the
-drawn sites (NoSharing, Spectrum, SpectrumAccess), holding every drop of
-the block side by side, and then one for SpectrumInfra's co-located
-towers (`Scenario.co_located`). Association, bandwidth split, SINR and
-rates then run once per kind per block, with per-link access and
-co-channel flags read from the kind's sharing labels; no link crosses a
-drop, so each drop's values are those of the drop alone, and each kind's
-outcome comes out in pooled drop order. Only one table is alive at a
-time, and a block's tables hold its live links and candidates only, never
-a (B, U) array of the block. A gap instance's table is a block of one
-instance. Drops and gap instances take every sharing rule, co-location
-included, from one builder, `scenario.realize_scenario`.
+The comparison loop is block-major. `_outcomes` cuts a range of drops
+into blocks of one size, as many drops as the config's expected candidate
+links fit in `_BLOCK_PAIRS`, and draws every operator's deployment once
+per drop (`build_scenario`). `_run_block` realizes one block link table
+for the kinds that keep the drawn sites (NoSharing, Spectrum,
+SpectrumAccess), holding every drop of the block side by side, and then
+one for SpectrumInfra's co-located towers (`Scenario.co_located`).
+Association, bandwidth split, SINR and rates then run once per kind per
+block, with per-link access and co-channel flags read from the kind's
+sharing labels; no link crosses a drop, so each drop's values are those
+of the drop alone, and each kind's outcome comes out in pooled drop
+order. Only one table is alive at a time, and a block's tables hold its
+live links and candidates only, never a (B, U) array of the block. A gap
+instance's table is a block of one instance. Drops and gap instances
+take every sharing rule, co-location included, from one builder,
+`scenario.realize_scenario`.
 
 A pooled run is two steps. `_outcomes` evaluates drops [lo, hi) of the
 run, block by block, into one UE count per drop and each kind's (sinr,
@@ -123,37 +124,12 @@ def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]]
             realized = stack_drops(parts)
             outcomes[realized.scenario.kind] = _evaluate(config, realized, links)
         del links   # one table alive at a time
-    return {r.scenario.kind: outcomes[r.scenario.kind] for r in drops[0]}
+    return outcomes
 
 
-# expected candidate (site, UE) pairs per block of drops (`channel.candidate_share`):
-# bounds the working memory of a block's link table
+# expected candidate (site, UE) pairs per block of drops, from the config's
+# densities (`_outcomes`): bounds the working memory of a block's link table
 _BLOCK_PAIRS = 1 << 15
-
-
-def _blocks(config: ExperimentConfig, scenarios: Sequence[Scenario], base_seed: int,
-            lo: int, hi: int):
-    """Yield (drops, seeds) blocks of drops lo .. hi - 1, drop j seeded
-    mix_seed(base_seed, j) and drawn by one `build_scenario` call for the
-    `scenarios`, one per kind. A block takes drops in order while their
-    expected candidate pairs stay within `_BLOCK_PAIRS`, and holds one drop
-    at least; a drop counts the BSs x UEs of its larger geometry times
-    `candidate_share` (every pair under the exponential outage model)."""
-    share = candidate_share(config.region, config.channel)
-    drops, seeds, pairs = [], [], 0.0
-    for j in range(lo, hi):
-        seed = mix_seed(base_seed, j)
-        drop = build_scenario(scenarios, config.region, config.bs_density_per_km2,
-                              config.ue_density_per_km2, seed)
-        n = share * max((len(r.bs_xy) * len(r.ue_xy) for r in drop), default=0)
-        if drops and pairs + n > _BLOCK_PAIRS:
-            yield drops, seeds
-            drops, seeds, pairs = [], [], 0.0
-        drops.append(drop)
-        seeds.append(seed)
-        pairs += n
-    if drops:
-        yield drops, seeds
 
 
 @dataclass
@@ -178,9 +154,22 @@ def _outcomes(config: ExperimentConfig, scenarios: Sequence[Scenario], base_seed
               lo: int, hi: int) -> tuple[list[int], dict[str, tuple[list, list]]]:
     """The UE count of each of drops [lo, hi), drop j seeded
     mix_seed(base_seed, j), and each scenario's (sinr_db, rate_bps) over
-    them, keyed by its kind, as lists of its blocks' arrays in drop order."""
+    them, keyed by its kind, as lists of its blocks' arrays in drop order.
+    Every block but the last holds as many drops as fit in `_BLOCK_PAIRS`,
+    one at least: a drop expects M x density x area sites (SpectrumInfra's
+    M x N0 too) and UEs, and `candidate_share` of their pairs (every pair
+    under the exponential outage model), whatever its draws."""
+    m_ops, area = config.scenario.num_operators, config.region.area_km2
+    n_bs = m_ops * config.bs_density_per_km2 * area   # expected per drop
+    n_ue = m_ops * config.ue_density_per_km2 * area
+    pairs = candidate_share(config.region, config.channel) * n_bs * n_ue
+    fit = _BLOCK_PAIRS / pairs if pairs > 0 else math.inf   # pairs underflow at tiny densities
+    size = int(max(1, min(hi - lo, fit)))
     ues, parts = [], {s.kind: ([], []) for s in scenarios}
-    for drops, seeds in _blocks(config, scenarios, base_seed, lo, hi):
+    for start in range(lo, hi, size):
+        seeds = [mix_seed(base_seed, j) for j in range(start, min(start + size, hi))]
+        drops = [build_scenario(scenarios, config.region, config.bs_density_per_km2,
+                                config.ue_density_per_km2, seed) for seed in seeds]
         ues += [len(drop[0].ue_xy) for drop in drops if drop]   # its kinds share them
         for kind, (sinr, rate) in _run_block(config, drops, seeds).items():
             parts[kind][0].append(sinr)

@@ -231,6 +231,17 @@ def test_blocks_of_drops_equal_drops_alone(monkeypatch):
                 assert sizes == [cfg.drops]
             elif name == "default":
                 assert max(sizes) > 1, sizes   # the default budget does form blocks
+            if budget == default_budget:
+                # the config alone sets the sizes: every block of a range but
+                # its last holds one size, and every master seed is cut alike
+                cuts = []
+                for seed in range(3):
+                    sizes.clear()
+                    run_scenarios(replace(cfg, drops=40, master_seed=seed))
+                    cuts.append(sizes[:])
+                size = cuts[0][0]
+                assert cuts[0][:-1] == [size] * (len(cuts[0]) - 1), (name, cuts)
+                assert cuts[0][-1] <= size and cuts[0] == cuts[1] == cuts[2], (name, cuts)
             sweep = run_sweep(replace(cfg, drops=3), (5.0, 40.0, 80.0))
             results[budget] = (_scenario_bits(res), _sweep_bits(sweep))
         assert results[-1] == results[default_budget] == results[math.inf], name
@@ -291,14 +302,23 @@ def test_job_counts_give_the_same_bits(monkeypatch):
     # concatenates them in drop order before the mean and the sort; the
     # sweep's processes each take one range at every density
     base = replace(default_config(), drops=3)
+    # expected candidate pairs that underflow to 0.0 still size the blocks
+    underflow = replace(base, bs_density_per_km2=1e-200, ue_density_per_km2=1e-200)
     for cfg in (base, replace(base, ue_density_per_km2=0.001),
-                replace(base, scenario=Scenario("SpectrumAccess", num_operators=3))):
+                replace(base, scenario=Scenario("SpectrumAccess", num_operators=3)),
+                underflow):
         bits = []
         for n in (1, 2, 3, 4):   # 4: more processes than drops
             monkeypatch.setattr(experiment, "_processes", lambda: n)
             bits.append((_scenario_bits(run_scenarios(cfg)),
                          _sweep_bits(run_sweep(cfg, (5.0, 20.0, 80.0)))))
         assert bits[0] == bits[1] == bits[2] == bits[3]
+    for kind, r in run_scenarios(underflow).items():   # no UE: no sample, no statistic
+        assert r.rate_bps.size == r.sinr_db.size == 0, kind
+        assert r.ue_per_drop.dtype == np.int64, kind
+        assert_array_equal(r.ue_per_drop, np.zeros(underflow.drops, dtype=np.int64))
+        assert np.isnan([r.outage_fraction, r.median_rate_bps, r.p05_rate_bps,
+                         r.mean_rate_bps, r.median_sinr_db]).all(), kind
 
 
 def test_process_count_rule(monkeypatch):
