@@ -345,12 +345,10 @@ class LinkTable:
     @property
     def state(self) -> np.ndarray:
         """(B, U) int8 link states, OUT wherever no link is listed."""
-        out = np.full((self.n_bs, self.n_ue), LinkState.OUT, dtype=np.int8)
-        out[self.link_bs, self.link_ue] = self.link_state
-        return out
+        return self.dense(self.link_state, LinkState.OUT).astype(np.int8)
 
     def dense(self, values, fill: float) -> np.ndarray:
-        """(B, U) float array: per-link `values` at the live links, `fill` elsewhere."""
+        """(B, U) array: per-link `values` at the live links, `fill` elsewhere."""
         out = np.full((self.n_bs, self.n_ue), fill)
         out[self.link_bs, self.link_ue] = values
         return out

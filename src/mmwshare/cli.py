@@ -100,15 +100,12 @@ def write_summary_json(path: Path, provenance: dict, payload: dict) -> None:
 
 
 def _parse_densities(text: str) -> list[float]:
-    """The numbers of a comma-separated list, at least one; their range is
-    the config's rule, which `run_sweep` applies to each density."""
+    """The numbers of a comma-separated list; `run_sweep` refuses an empty
+    list and applies the config's range rule to each density."""
     try:
-        values = [float(x) for x in text.split(",") if x.strip()]
+        return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"--densities: {exc}") from None
-    if not values:
-        raise ConfigError("--densities: need a comma-separated list of numbers")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,13 +6,13 @@ the same drop seeds for every kind, so all kinds see identical operator
 deployments and, where geometry coincides, identical channel draws:
 differences between kinds are purely structural (common random numbers).
 
-The comparison loop is block-major. `_outcomes` cuts a range of drops
-into blocks of one size, as many drops as the config's expected candidate
-links fit in `_BLOCK_PAIRS`, and draws every operator's deployment once
-per drop (`build_scenario`). `_run_block` realizes one block link table
-for the kinds that keep the drawn sites (NoSharing, Spectrum,
-SpectrumAccess), holding every drop of the block side by side, and then
-one for SpectrumInfra's co-located towers (`Scenario.co_located`).
+The comparison loop is block-major. `_outcomes` cuts a share of drops
+into near-equal blocks of at most as many drops as the config's expected
+candidate links fit in `_BLOCK_PAIRS`, and draws every operator's
+deployment once per drop (`build_scenario`). `_run_block` realizes one
+block link table for the kinds that keep the drawn sites (NoSharing,
+Spectrum, SpectrumAccess), holding every drop of the block side by side,
+and then one for SpectrumInfra's co-located towers (`Scenario.co_located`).
 Association, bandwidth split, SINR and rates then run once per kind per
 block, with per-link access and co-channel flags read from the kind's
 sharing labels; no link crosses a drop, so each drop's values are those
@@ -23,18 +23,18 @@ instance's table is a block of one instance. Drops and gap instances
 take every sharing rule, co-location included, from one builder,
 `scenario.realize_scenario`.
 
-A pooled run is two steps. `_outcomes` evaluates drops [lo, hi) of the
-run, block by block, into one UE count per drop and each kind's (sinr,
-rate) samples in drop order. `_statistics` concatenates the outcomes of
-consecutive ranges in drop order, keeps them so next to their stable
-sort, and takes the mean before the sort, so no bit depends on where the
-ranges, or the blocks within them, are cut. `run_scenarios` (one task)
-and `run_sweep` (one task per density) pool through `_pool`, which cuts
-the drops into `_processes()` ranges and forks once per call: `_fork_map`
-evaluates the first range of every task in this process and each other
-range in a child forked for it (POSIX `os.fork`, results pickled back
-through a pipe). The caller does not choose the count; the scaling fit
-(LAPACK) runs in the parent only, and no forked code calls BLAS.
+A pooled run is two steps. `_outcomes` evaluates a contiguous share of
+the run's drop indices, block by block, into one UE count per drop and
+each kind's (sinr, rate) samples in drop order. `_statistics` concatenates
+the outcomes of consecutive shares in drop order, keeps them so next to
+their stable sort, and takes the mean before the sort, so no bit depends
+on where the shares, or the blocks within them, are cut. `run_scenarios`
+(one task) and `run_sweep` (one task per density) pool through `_pool`,
+which cuts the drop indices into `_processes()` shares and forks once per
+call: `_fork_map` evaluates the first share of every task in this process
+and each other share in a child forked for it (POSIX `os.fork`, results
+pickled back through a pipe). The caller does not choose the count; the
+scaling fit (LAPACK) runs in the parent only, and no forked code calls BLAS.
 `run_gap` stays serial.
 
 Seed layout, all via mix_seed: within a drop, operator m's deployment uses
@@ -66,7 +66,7 @@ import numpy as np
 from .allocation import (associate_blind, coordinated_upper_bound, network_sinr,
                          split_bandwidth, user_rate)
 from .channel import LinkTable, candidate_share
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .geometry import mix_seed
 from .metrics import cdf, fit_scaling_exponent, outage_rate, percentile
 from .scenario import (SCENARIO_KINDS, RealizedScenario, Scenario, build_scenario,
@@ -127,8 +127,8 @@ def _run_block(config: ExperimentConfig, drops: Sequence[list[RealizedScenario]]
     return outcomes
 
 
-# expected candidate (site, UE) pairs per block of drops, from the config's
-# densities (`_outcomes`): bounds the working memory of a block's link table
+# most expected candidate (site, UE) pairs in a block of drops, from the
+# config's densities (`_outcomes`): bounds a block link table's working memory
 _BLOCK_PAIRS = 1 << 15
 
 
@@ -151,23 +151,23 @@ class ScenarioRunResult:
 
 
 def _outcomes(config: ExperimentConfig, scenarios: Sequence[Scenario], base_seed: int,
-              lo: int, hi: int) -> tuple[list[int], dict[str, tuple[list, list]]]:
-    """The UE count of each of drops [lo, hi), drop j seeded
-    mix_seed(base_seed, j), and each scenario's (sinr_db, rate_bps) over
-    them, keyed by its kind, as lists of its blocks' arrays in drop order.
-    Every block but the last holds as many drops as fit in `_BLOCK_PAIRS`,
-    one at least: a drop expects M x density x area sites (SpectrumInfra's
-    M x N0 too) and UEs, and `candidate_share` of their pairs (every pair
-    under the exponential outage model), whatever its draws."""
+              share: np.ndarray) -> tuple[list[int], dict[str, tuple[list, list]]]:
+    """The UE count of each drop of `share` (contiguous drop indices), drop
+    j seeded mix_seed(base_seed, j), and each scenario's (sinr_db, rate_bps)
+    over them, keyed by its kind, as lists of its blocks' arrays in drop
+    order. `np.array_split` cuts the share into near-equal blocks of at most
+    as many drops as fit in `_BLOCK_PAIRS`, one at least, whatever the draws:
+    a drop expects M x density x area sites (M x N0 under SpectrumInfra) and
+    UEs, and `candidate_share` of their pairs (all under exponential outage)."""
     m_ops, area = config.scenario.num_operators, config.region.area_km2
     n_bs = m_ops * config.bs_density_per_km2 * area   # expected per drop
     n_ue = m_ops * config.ue_density_per_km2 * area
     pairs = candidate_share(config.region, config.channel) * n_bs * n_ue
     fit = _BLOCK_PAIRS / pairs if pairs > 0 else math.inf   # pairs underflow at tiny densities
-    size = int(max(1, min(hi - lo, fit)))
+    size = int(max(1, min(len(share), fit)))
     ues, parts = [], {s.kind: ([], []) for s in scenarios}
-    for start in range(lo, hi, size):
-        seeds = [mix_seed(base_seed, j) for j in range(start, min(start + size, hi))]
+    for block in np.array_split(share, math.ceil(len(share) / size)):
+        seeds = [mix_seed(base_seed, j) for j in block.tolist()]
         drops = [build_scenario(scenarios, config.region, config.bs_density_per_km2,
                                 config.ue_density_per_km2, seed) for seed in seeds]
         ues += [len(drop[0].ue_xy) for drop in drops if drop]   # its kinds share them
@@ -179,12 +179,12 @@ def _outcomes(config: ExperimentConfig, scenarios: Sequence[Scenario], base_seed
 
 def _statistics(config: ExperimentConfig, shares: Sequence[tuple[list, dict]]
                 ) -> dict[str, ScenarioRunResult]:
-    """Pool `_outcomes` of consecutive drop ranges covering drops
+    """Pool `_outcomes` of consecutive drop shares covering drops
     0 .. config.drops - 1: the UE counts and each kind's block arrays are
     concatenated once, in drop order, averaged in that order and sorted
     once into the CDFs that the percentiles read, so every bit is that of
-    one range over all the drops. A population with no UE in any drop pools
-    no sample, and every statistic of it is NaN."""
+    one share holding all the drops. A population with no UE in any drop
+    pools no sample, and every statistic of it is NaN."""
     ue_per_drop = np.array([n for ues, _ in shares for n in ues], dtype=np.int64)
     results = {}
     for kind in shares[0][1]:
@@ -275,13 +275,12 @@ def _pool(tasks: Sequence[tuple[ExperimentConfig, Sequence[Scenario], int]]
           ) -> list[dict[str, ScenarioRunResult]]:
     """`_statistics` of each (config, scenarios, base seed) task, drop j seeded
     mix_seed(base seed, j); every task has the same config.drops. Each of
-    min(`_processes()`, drops) processes takes one contiguous range of drop
-    indices, the same in every task, the sizes differing by one at most."""
+    min(`_processes()`, drops) processes takes one contiguous share of the
+    drop indices (`np.array_split`), the same in every task."""
     drops = tasks[0][0].drops
-    n = min(_processes(), drops)
     shares = _fork_map(
-        lambda p: [_outcomes(cfg, scenarios, seed, drops * p // n, drops * (p + 1) // n)
-                   for cfg, scenarios, seed in tasks], range(n))
+        lambda share: [_outcomes(cfg, scenarios, seed, share) for cfg, scenarios, seed in tasks],
+        np.array_split(np.arange(drops), min(_processes(), drops)))
     return [_statistics(cfg, [share[i] for share in shares])
             for i, (cfg, _, _) in enumerate(tasks)]
 
@@ -324,17 +323,17 @@ def run_sweep(config: ExperimentConfig, densities) -> SweepResult:
 
     Density index i pools `config.drops` drops from base seed
     mix_seed(master_seed, 1000000 + i); only its statistics are kept.
-    The densities are one `_pool` task each, so every process takes one
-    range of drop indices at every density and carries a share of the
-    costly dense drops; the result is the same bits for every process count.
-    A density the config refuses (not finite and > 0) raises its
-    `ConfigError` before any drop runs. The fitted exponent is NaN wherever
-    `fit_scaling_exponent` refuses the points (fewer than three, one
-    distinct density, a mean rate not finite and > 0).
+    The densities are one `_pool` task each, so every process evaluates
+    the same drop indices at every density and carries part of the costly
+    dense drops; the result is the same bits for every process count. An
+    empty list, or a density the config refuses (not finite and > 0),
+    raises a `ConfigError` before any drop runs. The fitted exponent is NaN
+    wherever `fit_scaling_exponent` refuses the points (fewer than three,
+    one distinct density, a mean rate not finite and > 0).
     """
     densities = [float(d) for d in densities]
     if not densities:
-        raise ValueError("need at least one density")
+        raise ConfigError("need at least one density")
     kind = config.scenario.kind
     pooled = [res[kind] for res in _pool(
         [(replace(config, bs_density_per_km2=rho), (config.scenario,),

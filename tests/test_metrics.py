@@ -116,7 +116,7 @@ def test_run_sweep_shapes_and_determinism():
 
 def test_run_sweep_argument_errors():
     cfg = replace(default_config(), drops=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="need at least one density"):
         run_sweep(cfg, [])
     # the range rule is the config's
     for bad in (0.0, -5.0, math.nan, math.inf, -math.inf):
@@ -172,18 +172,21 @@ def test_metrics_loads_no_other_package_module():
     assert out.strip() == "['mmwshare.metrics']"
 
 
-def test_sweep_loads_no_numpy_ma():
+def test_sweep_loads_no_numpy_ma(tmp_path):
     # np.unique imports numpy.ma (about 15 ms); a sweep that fits its
-    # exponent must not pay for it
+    # exponent, and the scenarios and gap commands, must not pay for it
     src = str(Path(mmwshare.__path__[0]).parent)
     code = (
         "import math, sys\n"
         "from dataclasses import replace\n"
+        "from mmwshare.cli import main\n"
         "from mmwshare.config import default_config\n"
         "from mmwshare.experiment import run_sweep\n"
         "sweep = run_sweep(replace(default_config(), drops=1), [10.0, 20.0, 40.0])\n"
         "assert math.isfinite(sweep.fitted_exponent)\n"
+        "for command in ('scenarios', 'gap'):\n"
+        "    assert main([command, '--drops', '2', '--out', sys.argv[1] + command]) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, f"{tmp_path}/"], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[-1] == "[]"
