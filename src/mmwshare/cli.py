@@ -31,7 +31,7 @@ from .allocation import InstanceSizeError
 from .analytic import summary as analytic_summary
 from .config import (SPEC_REVISION, ConfigError, ExperimentConfig, config_hash,
                      default_config, load_config)
-from .experiment import run_gap, run_scenarios, run_sweep
+from .experiment import map_shares, run_gap, run_scenarios, run_sweep
 from .metrics import cdf, percentile
 from .scenario import SCENARIO_KINDS
 
@@ -58,12 +58,12 @@ _ROWS_PER_WRITE = 4096   # CDF rows formatted and written at a time
 
 def write_cdf_csv(path: Path, provenance: dict, sorted_values, cum_prob) -> None:
     """CSV of an empirical CDF: columns value,cum_prob, one row per sample
-    of `sorted_values` (a `metrics.cdf`), written in the order given.
+    of `sorted_values` (a `metrics.cdf`), written in the order given. It
+    touches no state but its file, so a forked child may write it.
 
     `cum_prob` is the formatted (i + 1) / n column, one entry per sample.
     Rows are streamed `_ROWS_PER_WRITE` at a time, each value formatted
-    once as the repr of a Python float, the `str` that `write_table_csv` gives.
-    """
+    once as the repr of a Python float (`write_table_csv`'s `str`)."""
     v = np.asarray(sorted_values, dtype=float)
     if len(v) != len(cum_prob):
         raise ValueError(f"{len(v)} values but {len(cum_prob)} cum_prob entries")
@@ -161,6 +161,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_scenarios(args) -> int:
+    """Every SINR CDF file, then every rate one, is written by the processes
+    that shared the drops (`map_shares`); the summary and stdout by this one."""
     cfg = _load(args)
     out = _outdir(args)
     kinds = (args.scenario,) if args.scenario else SCENARIO_KINDS
@@ -169,10 +171,12 @@ def cmd_scenarios(args) -> int:
     # every kind pools the same UEs, so one cum_prob column serves every file
     n = len(next(iter(results.values())).rate_bps)
     cum_prob = [repr((i + 1) / n) for i in range(n)]
+    files = [(f"cdf_sinr_{kind}.csv", res.sinr_cdf) for kind, res in results.items()]
+    files += [(f"cdf_rate_{kind}.csv", res.rate_cdf) for kind, res in results.items()]
+    map_shares(lambda part: [write_cdf_csv(out / name, provenance, values, cum_prob)
+                             for name, values in files[part[0]:part[-1] + 1]], len(files))
     summary = {}
     for kind, res in results.items():
-        write_cdf_csv(out / f"cdf_sinr_{kind}.csv", provenance, res.sinr_cdf, cum_prob)
-        write_cdf_csv(out / f"cdf_rate_{kind}.csv", provenance, res.rate_cdf, cum_prob)
         summary[kind] = {
             "median_rate_bps": res.median_rate_bps,
             "p05_rate_bps": res.p05_rate_bps,

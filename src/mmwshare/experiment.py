@@ -30,12 +30,12 @@ the outcomes of consecutive shares in drop order, keeps them so next to
 their stable sort, and takes the mean before the sort, so no bit depends
 on where the shares, or the blocks within them, are cut. `run_scenarios`
 (one task) and `run_sweep` (one task per density) pool through `_pool`,
-which cuts the drop indices into `_processes()` shares and forks once per
-call: `_fork_map` evaluates the first share of every task in this process
-and each other share in a child forked for it (POSIX `os.fork`, results
-pickled back through a pipe). The caller does not choose the count; the
-scaling fit (LAPACK) runs in the parent only, and no forked code calls BLAS.
-`run_gap` stays serial.
+and the `scenarios` command writes its CDF files, through `map_shares`: it
+cuts the indices into `_processes()` shares and forks once per call, and
+`_fork_map` evaluates the first share in this process and each other in a
+child forked for it (POSIX `os.fork`, results pickled back through a pipe).
+The caller does not choose the count; the scaling fit (LAPACK) runs in the
+parent only, and no forked code calls BLAS. `run_gap` stays serial.
 
 Seed layout, all via mix_seed: within a drop, operator m's deployment uses
 k=m of the drop seed, its shared-BS selection k=M+m, the link table k=2M.
@@ -245,11 +245,11 @@ def _fork_map(fn, args: Sequence) -> list:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del workers[0]
             if code != 0:
-                raise RuntimeError(f"drop worker {pid} died without a result "
+                raise RuntimeError(f"worker {pid} died without a result "
                                    f"(exit status {code})")
             ok, value = pickle.loads(data)
             if not ok:
-                raise RuntimeError(f"drop worker {pid} failed: {value}")
+                raise RuntimeError(f"worker {pid} failed: {value}")
             results.append(value)
         return results
     finally:
@@ -260,10 +260,10 @@ def _fork_map(fn, args: Sequence) -> list:
 
 
 def _processes() -> int:
-    """Processes that share the drops of a pooled run: the CPUs this
-    process may run on, at most 2, the one count measured. 1 where there
-    is no `os.fork`, and on Python 3.12 and later, whose `os.fork` warns
-    in a process with threads (numpy's BLAS pool)."""
+    """Processes that `map_shares` uses: the CPUs this process may run on,
+    at most 2, the one count measured. 1 where there is no `os.fork`, and
+    on Python 3.12 and later, whose `os.fork` warns in a process with
+    threads (numpy's BLAS pool)."""
     if not hasattr(os, "fork") or sys.version_info >= (3, 12):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -271,16 +271,20 @@ def _processes() -> int:
     return min(2, os.cpu_count() or 1)
 
 
+def map_shares(fn, count: int) -> list:
+    """[fn(s) for s in shares]: 0 .. count - 1 cut into min(`_processes()`,
+    count) contiguous shares (`np.array_split`), the first run here and each
+    other in a forked child whose result is pickled back (`_fork_map`)."""
+    return _fork_map(fn, np.array_split(np.arange(count), min(_processes(), count)))
+
+
 def _pool(tasks: Sequence[tuple[ExperimentConfig, Sequence[Scenario], int]]
           ) -> list[dict[str, ScenarioRunResult]]:
     """`_statistics` of each (config, scenarios, base seed) task, drop j seeded
-    mix_seed(base seed, j); every task has the same config.drops. Each of
-    min(`_processes()`, drops) processes takes one contiguous share of the
-    drop indices (`np.array_split`), the same in every task."""
-    drops = tasks[0][0].drops
-    shares = _fork_map(
-        lambda share: [_outcomes(cfg, scenarios, seed, share) for cfg, scenarios, seed in tasks],
-        np.array_split(np.arange(drops), min(_processes(), drops)))
+    mix_seed(base seed, j); every task has the same config.drops, and each
+    process of `map_shares` takes the same drop indices in every task."""
+    shares = map_shares(lambda drops: [_outcomes(cfg, scenarios, seed, drops)
+                                       for cfg, scenarios, seed in tasks], tasks[0][0].drops)
     return [_statistics(cfg, [share[i] for share in shares])
             for i, (cfg, _, _) in enumerate(tasks)]
 

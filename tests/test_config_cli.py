@@ -410,9 +410,42 @@ def test_scenarios_sorts_each_pooled_kind_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiment, "cdf", recording_cdf)
     monkeypatch.setattr(cli, "write_cdf_csv", recording_writer)
+    monkeypatch.setattr(experiment, "_processes", lambda: 1)   # a child's calls go unseen
     assert main(["scenarios", "--drops", "2", "--out", str(tmp_path)]) == 0
     assert len(sorted_arrays) == len(written) == 2 * len(SCENARIO_KINDS)
     assert sorted(map(id, sorted_arrays)) == sorted(map(id, written))
+
+
+def test_scenarios_cdf_files_split_like_the_drops(tmp_path, monkeypatch):
+    # the CDF files, every SINR file then every rate file, are cut among
+    # the processes as the drops are: with two, this one writes the SINR
+    # files and one child the rate files; with one, this one writes all
+    write_cdf_csv = cli.write_cdf_csv
+    sinr = {f"cdf_sinr_{kind}.csv" for kind in SCENARIO_KINDS}
+    rate = {f"cdf_rate_{kind}.csv" for kind in SCENARIO_KINDS}
+    for jobs in (2, 1):
+        log = tmp_path / f"writers-{jobs}.log"
+
+        def logging_writer(path, *args):
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{os.getpid()},{path.name}\n".encode())
+            finally:
+                os.close(fd)
+            return write_cdf_csv(path, *args)
+
+        monkeypatch.setattr(cli, "write_cdf_csv", logging_writer)
+        monkeypatch.setattr(experiment, "_processes", lambda: jobs)
+        assert main(["scenarios", "--drops", "2", "--out", str(tmp_path / str(jobs))]) == 0
+        writes = [line.split(",") for line in log.read_text().splitlines()]
+        writers = {name: int(pid) for pid, name in writes}
+        assert len(writes) == len(writers) and set(writers) == sinr | rate
+        assert {writers[name] for name in sinr} == {os.getpid()}
+        rate_writers = {writers[name] for name in rate}
+        assert len(rate_writers) == 1
+        assert (os.getpid() in rate_writers) == (jobs == 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_write_table_csv_pins_number_formats(tmp_path):
@@ -463,6 +496,7 @@ def test_cli_artifacts_same_bytes_for_every_job_count(tmp_path, monkeypatch):
     commands = {
         "scenarios": ["scenarios", "--drops", "3"],
         "fewer drops than jobs": ["scenarios", "--drops", "2"],
+        "one kind": ["scenarios", "--scenario", "SpectrumAccess", "--drops", "3"],
         "sweep": ["sweep", "--drops", "2", "--densities", "5,10,20"],
         "empty scenarios": ["scenarios", "--config", str(empty), "--drops", "2"],
         "empty sweep": ["sweep", "--config", str(empty), "--drops", "2",
@@ -479,8 +513,8 @@ def test_cli_artifacts_same_bytes_for_every_job_count(tmp_path, monkeypatch):
 
 
 def test_cli_worker_failure_exits_3(tmp_path, monkeypatch, capsys):
-    # an exception in a worker's drops reaches the command with its message,
-    # and the command leaves no process behind
+    # an exception in a worker's drops or CDF files reaches the command with
+    # its message, and the command leaves no process behind
     parent = os.getpid()
     run_block = experiment._run_block
 
@@ -496,3 +530,16 @@ def test_cli_worker_failure_exits_3(tmp_path, monkeypatch, capsys):
         assert "failed: ValueError: no link table for this block" in capsys.readouterr().err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+    write_cdf_csv = cli.write_cdf_csv
+
+    def failing_writer(*args):
+        if os.getpid() != parent:
+            raise OSError("no room for this CDF file")
+        return write_cdf_csv(*args)
+
+    monkeypatch.setattr(experiment, "_run_block", run_block)
+    monkeypatch.setattr(cli, "write_cdf_csv", failing_writer)
+    assert main(["scenarios", "--drops", "2", "--out", str(tmp_path)]) == 3
+    assert "failed: OSError: no room for this CDF file" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
